@@ -269,12 +269,8 @@ def _cmd_asympt(config, out):
     return failures
 
 
-def _cmd_radius(config, out):
-    planet = config.planet()
-    series = _series_for(config, planet)
-    report = convergence.verdict_from_series(series)
-    report.to_json(out / "radius.json", config_hash=config.config_hash)
-    print(report.render())
+def _verdict_failures(config, report, R):
+    """Failures of the ``verdict`` and ``rho`` expect checks."""
     failures = []
     want = config.expect.get("verdict")
     if want is not None and report.verdict != want:
@@ -282,9 +278,19 @@ def _cmd_radius(config, out):
     rho = config.expect.get("rho")
     if rho is not None:
         tol = float(config.expect.get("rho_tol", 0.005))
-        if abs(report.rho_hat - float(rho)) > tol * series.R:
+        # written so that a NaN rho_hat fails the check
+        if not abs(report.rho_hat - float(rho)) <= tol * R:
             failures.append(f"rho_hat {report.rho_hat:.4f} not within {tol} of {rho}")
     return failures
+
+
+def _cmd_radius(config, out):
+    planet = config.planet()
+    series = _series_for(config, planet)
+    report = convergence.verdict_from_series(series)
+    report.to_json(out / "radius.json", config_hash=config.config_hash)
+    print(report.render())
+    return _verdict_failures(config, report, series.R)
 
 
 def _cmd_spectral(config, out):
@@ -369,7 +375,6 @@ def _cmd_balayage(config, out):
 
 
 def _cmd_full_verify(config, out):
-    failures = []
     planet = config.planet()
     n_max = config.n_max or 2000
     series = coeff_series(planet, config.n_min, max(n_max, 200), config.tol,
@@ -378,14 +383,7 @@ def _cmd_full_verify(config, out):
     report = convergence.verdict_from_series(series)
     report.to_json(out / "radius.json", config_hash=config.config_hash)
     print(report.render())
-    want = config.expect.get("verdict")
-    if want is not None and report.verdict != want:
-        failures.append(f"verdict {report.verdict} != expected {want}")
-    rho = config.expect.get("rho")
-    if rho is not None:
-        tol = float(config.expect.get("rho_tol", 0.005))
-        if abs(report.rho_hat - float(rho)) > tol * series.R:
-            failures.append(f"rho_hat {report.rho_hat:.4f} not within {tol} of {rho}")
+    failures = _verdict_failures(config, report, series.R)
     write_json(out / "summary.json", {
         "verdict": report.verdict,
         "rho_hat": report.rho_hat,

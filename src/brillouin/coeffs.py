@@ -16,6 +16,12 @@ than one oscillation wavelength 2 pi / (n + 1/2) (16 nodes per wavelength),
 with geometrically graded panels shrinking toward theta0 far enough to
 resolve both the e^{-(n+3)F} peak factor and any surface-weight cusp.
 Error estimates come from recomputing on a grid with halved panels.
+
+For density columns constant in r, all orders come from one recurrence
+sweep over a shared grid.  Once e^{-(n+3)F} underflows to exactly 0 at a
+node, that node contributes exactly 0 to every later order, so the sweep
+drops such nodes every 32 orders; only the summation order of the
+remaining nodes changes.
 """
 
 import concurrent.futures
@@ -43,6 +49,8 @@ RADIAL_EXPONENT_CAP = 40.0
 #: graded panels stop once (n+3) F changes by less than this across a panel
 PEAK_FLOOR_LEVEL = 0.5
 ENVELOPE_SAFETY = 4.0 * math.pi
+#: the sweep drops nodes whose e^{-(n+3) F} has underflowed once per this many orders
+COMPACT_EVERY = 32
 
 
 @dataclass(frozen=True)
@@ -218,27 +226,61 @@ def _sweep(profile, n_max, level):
     recurrence, the e^{-(n+3)F} damping and the radial factor are all
     updated order by order over a shared grid built for n_max, which is at
     least as fine as any single order requires.
+
+    Every COMPACT_EVERY orders the per-node state is cut down to the nodes
+    whose damping pw = e^{-(n+3)F} has not underflowed to exactly 0.  pw is
+    a running product of factors in (0, 1], so a node that reached 0 stays
+    0, and with |P_n| <= 1 its term is exactly 0 at every later order:
+    dropping it changes no term, only the summation order of the dot.
+    Where e^{-F} > 1/2 the product stalls at the smallest subnormal instead
+    of reaching 0, so those nodes stay to the end.  The arithmetic runs in
+    place on two scratch vectors, in the same operation order as the plain
+    expressions, so every per-node term is unchanged.
     """
     nodes, wts = theta_grid(profile, n_max, level)
     x = np.cos(nodes)
-    g = profile.eval_g(nodes)
-    F = profile.eval_F(nodes)
-    L = profile.eval_L(nodes)
-    base = wts * np.sqrt(np.sin(nodes)) * g  # w * sin * v, v = g / sqrt(sin)
-    E = np.exp(-F)
-    EL = np.exp(-L)
+    base = wts * np.sqrt(np.sin(nodes)) * profile.eval_g(nodes)  # w sin v, v = g/sqrt(sin)
+    E = np.exp(-profile.eval_F(nodes))
+    EL = np.exp(-profile.eval_L(nodes))
+    del nodes, wts
     pw = E**3
     pwL = EL**3
     p_prev = np.ones_like(x)
     p_cur = x.copy()
+    term = np.empty_like(x)
+    tmp = np.empty_like(x)
     out = np.empty(n_max + 1)
     for n in range(n_max + 1):
         P = p_prev if n == 0 else p_cur
-        out[n] = np.dot(base, P * pw * (1.0 - pwL)) / (n + 3.0)
+        # (P * pw) * (1 - pwL), then the dot
+        np.subtract(1.0, pwL, out=tmp)
+        np.multiply(P, pw, out=term)
+        np.multiply(term, tmp, out=term)
+        out[n] = np.dot(base, term) / (n + 3.0)
         pw *= E
         pwL *= EL
         if n >= 1:
-            p_cur, p_prev = ((2 * n + 1) * x * p_cur - n * p_prev) / (n + 1), p_cur
+            # P_{n+1} = (((2n+1) x) P_n - n P_{n-1}) / (n+1), written over P_{n-1}
+            np.multiply(x, 2 * n + 1, out=term)
+            term *= p_cur
+            p_prev *= n
+            np.subtract(term, p_prev, out=p_prev)
+            p_prev /= n + 1
+            p_cur, p_prev = p_prev, p_cur
+        if n % COMPACT_EVERY == COMPACT_EVERY - 1:
+            live = pw != 0.0
+            if not live.all():
+                # rebinding one array at a time keeps at most one extra copy alive
+                x = x[live]
+                base = base[live]
+                E = E[live]
+                EL = EL[live]
+                pw = pw[live]
+                pwL = pwL[live]
+                p_prev = p_prev[live]
+                p_cur = p_cur[live]
+                term = term[:x.size]
+                tmp = tmp[:x.size]
     return out
 
 
@@ -253,10 +295,10 @@ def coeff_series(profile, n_min, n_max, tol=DEFAULT_TOL, jobs=1):
     """
     if n_min > n_max:
         raise ValueError("need n_min <= n_max")
-    closed = getattr(profile, "closed_coeff_scaled", None)
+    closed = getattr(profile, "closed_coeff_series", None)
     ns = np.arange(n_min, n_max + 1)
     if closed is not None:
-        vals = np.array([closed(n) for n in ns])
+        vals = closed(n_min, n_max)
         errs = np.zeros_like(vals)
         return ScaledCoeffSeries(ns, vals, errs, np.ones(ns.size, bool),
                                  profile.R, profile.fingerprint, tol)

@@ -658,6 +658,19 @@ class PointMassPlanet:
         pn = legendre_eval(n, math.cos(self.theta_p))
         return -self.G * self.m * ratio**n * pn / self.R**3
 
+    def closed_coeff_series(self, n_min, n_max):
+        """``closed_coeff_scaled(n)`` for n = n_min..n_max from one scalar
+        Legendre recurrence pass over 0..n_max."""
+        ratio = self.r0 / self.R
+        x = math.cos(self.theta_p)
+        p_prev, p = 0.0, 1.0
+        out = []
+        for n in range(n_max + 1):
+            if n >= n_min:
+                out.append(-self.G * self.m * ratio**n * p / self.R**3)
+            p, p_prev = ((2 * n + 1) * x * p - n * p_prev) / (n + 1), p
+        return np.array(out)
+
     def closed_potential(self, z):
         d2 = z * z - 2.0 * z * self.r0 * math.cos(self.theta_p) + self.r0**2
         return -self.G * self.m / math.sqrt(d2)
@@ -691,6 +704,10 @@ class HomogeneousBall:
         if n == 0:
             return -self.G * self.mass / self.R**3
         return 0.0
+
+    def closed_coeff_series(self, n_min, n_max):
+        """``closed_coeff_scaled(n)`` for n = n_min..n_max."""
+        return np.array([self.closed_coeff_scaled(n) for n in range(n_min, n_max + 1)])
 
     def closed_potential(self, z):
         return -self.G * self.mass / z

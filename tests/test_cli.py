@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import yaml
 
+import brillouin
 from brillouin.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -132,6 +135,16 @@ class TestRadiusCommand:
         assert main(["radius", "--config", str(path), "--out", str(tmp_path)]) == EXIT_VERDICT
         assert "verdict mismatch" in capsys.readouterr().err
 
+    def test_nan_rho_hat_fails_rho_expectation(self, tmp_path, capsys):
+        # too few orders for the root test: rho_hat comes out NaN
+        cfg = dict(POINT_MASS_CONFIG)
+        cfg["planet"] = dict(POINT_MASS_CONFIG["planet"], r0=0.8)
+        cfg["n_range"] = {"n_min": 0, "n_max": 100}
+        cfg["expect"] = {"rho": 0.8}
+        path = write_config(tmp_path, cfg)
+        assert main(["radius", "--config", str(path), "--out", str(tmp_path)]) == EXIT_VERDICT
+        assert "rho_hat nan not within" in capsys.readouterr().err
+
 
 class TestAsymptCommand:
     def test_cusp_ratio_pass(self, tmp_path):
@@ -257,9 +270,14 @@ class TestFullVerify:
 
 def test_module_entry_point(tmp_path):
     path = write_config(tmp_path, POINT_MASS_CONFIG)
+    # the child runs from "/", so a relative PYTHONPATH would not resolve
+    package_root = str(Path(brillouin.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "brillouin.cli", "coeffs",
          "--config", str(path), "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, cwd="/",
+        capture_output=True, text=True, cwd="/", env=env,
     )
     assert proc.returncode == 0, proc.stderr

@@ -4,16 +4,95 @@ import numpy as np
 import pytest
 from scipy.special import eval_legendre
 
+from brillouin import coeffs
+from brillouin._panels import composite_nodes
 from brillouin.coeffs import (
+    COMPACT_EVERY,
+    _sweep,
     coeff_scaled,
     coeff_series,
     potential_direct,
     potential_partial_sum,
 )
 from brillouin.errors import ToleranceNotMet
-from brillouin.model import point_mass_planet
+from brillouin.model import (
+    PlanetSpec,
+    PowerCusp,
+    SmoothPowerWeight,
+    build_profile,
+    point_mass_planet,
+)
 
 from conftest import make_mollified
+
+
+def _reference_sweep(profile, n_max, level):
+    """The sweep without node compaction, in plain array expressions.
+
+    Returns the values, sum |terms| / (n+3) per order (the scale of the
+    rounding a change of summation order may cause), and the damping
+    e^{-(n_max+4) F} left at the end.
+    """
+    nodes, wts = coeffs.theta_grid(profile, n_max, level)
+    x = np.cos(nodes)
+    base = wts * np.sqrt(np.sin(nodes)) * profile.eval_g(nodes)
+    E = np.exp(-profile.eval_F(nodes))
+    EL = np.exp(-profile.eval_L(nodes))
+    pw = E**3
+    pwL = EL**3
+    p_prev = np.ones_like(x)
+    p_cur = x.copy()
+    out = np.empty(n_max + 1)
+    scale = np.empty(n_max + 1)
+    for n in range(n_max + 1):
+        P = p_prev if n == 0 else p_cur
+        term = P * pw * (1.0 - pwL)
+        out[n] = np.dot(base, term) / (n + 3.0)
+        scale[n] = np.sum(np.abs(base * term)) / (n + 3.0)
+        pw *= E
+        pwL *= EL
+        if n >= 1:
+            p_cur, p_prev = ((2 * n + 1) * x * p_cur - n * p_prev) / (n + 1), p_cur
+    return out, scale, pw
+
+
+def _assert_matches_reference(profile, n_max, level=0):
+    """Compare the sweep with the reference; returns both and the final
+    reference damping."""
+    ref, scale, pw = _reference_sweep(profile, n_max, level)
+    got = _sweep(profile, n_max, level)
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(got - ref) <= np.maximum(1e-14 * np.abs(ref), 1e-14 * scale))
+    return got, ref, pw
+
+
+class TestSweepCompaction:
+    @pytest.mark.parametrize("name", ["cusp_profile", "alpha1_profile", "t1_profile"])
+    def test_matches_uncompacted_sweep(self, request, name):
+        _, _, pw = _assert_matches_reference(request.getfixturevalue(name), 1000)
+        # the case is meaningful only if compaction dropped nodes
+        assert 0 < np.count_nonzero(pw) < pw.size
+
+    def test_handful_of_live_nodes_near_peak(self, monkeypatch):
+        # a steep peak on a coarse uniform grid: by n = 3000 only the few
+        # nodes where e^{-F} > 1/2 keep a nonzero running product (it stalls
+        # at the smallest subnormal there instead of reaching 0)
+        profile = build_profile(PlanetSpec(
+            R=1.0, theta0=1.0, peak=PowerCusp(alpha=1.0, a_minus=50.0, a_plus=50.0),
+            weight=SmoothPowerWeight(k=1, g_k=1.0), delta=0.5, delta1=0.4))
+        grid = composite_nodes(np.linspace(0.0, math.pi, 65))
+        monkeypatch.setattr(coeffs, "theta_grid", lambda profile, n, level=0: grid)
+        _, _, pw = _assert_matches_reference(profile, 3000)
+        live = np.flatnonzero(pw)
+        assert 0 < live.size <= 10
+        assert np.all(np.abs(grid[0][live] - profile.theta0) < 0.02)
+
+    def test_short_sweep_is_bitwise_unchanged(self, t1_profile):
+        # no compaction step runs below COMPACT_EVERY orders, so not even
+        # the summation order changes
+        n_max = COMPACT_EVERY - 2
+        got, ref, _ = _assert_matches_reference(t1_profile, n_max)
+        assert np.array_equal(got, ref)
 
 
 class TestOraclePaths:
@@ -26,6 +105,17 @@ class TestOraclePaths:
     def test_point_mass_closed_form(self, point_mass):
         val, err = coeff_scaled(point_mass, 2)
         assert val == pytest.approx(0.10125, rel=1e-14)
+
+    def test_closed_series_matches_single_orders(self, point_mass, ball):
+        pm = point_mass_planet(0.8, 2.5, 1.5, R=1.1)
+        for planet in (point_mass, pm, ball):
+            for n_min, n_max in ((0, 2000), (37, 411)):
+                series = coeff_series(planet, n_min, n_max)
+                # each single order is an O(n) recurrence: check a sample
+                ns = list(range(n_min, n_max + 1, 23)) + [n_max]
+                got = np.array([series.value_at(n) for n in ns])
+                want = np.array([planet.closed_coeff_scaled(n) for n in ns])
+                assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
     def test_point_mass_series_matches_independent_evaluator(self, point_mass_series):
         ns = point_mass_series.n
