@@ -40,7 +40,7 @@ from .convergence import (
     root_test,
     verdict_from_series,
 )
-from .errors import BrillouinError, ToleranceNotMet
+from .errors import BrillouinError, EnvelopeBoundError, ToleranceNotMet
 from .legendre import QuadratureRule, gauss_nodes, legendre_asym, legendre_eval
 from .model import (
     C1MixedWeight,

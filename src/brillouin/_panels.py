@@ -82,17 +82,3 @@ def uniform_breakpoints(a, b, max_width):
     n = max(1, int(np.ceil((b - a) / max_width)))
     return np.linspace(a, b, n + 1)
 
-
-def refine_stable(evaluate, tol, levels=3):
-    """Evaluate at refinement levels 0, 1, ... until successive values agree
-    within ``tol``.  Returns (value, err, converged); err is the last
-    inter-level difference (floored to keep it positive)."""
-    prev = evaluate(0)
-    err = None
-    for level in range(1, levels + 1):
-        cur = evaluate(level)
-        err = abs(cur - prev)
-        if err <= tol:
-            return cur, max(err, 1e-300), True
-        prev = cur
-    return prev, max(err if err is not None else np.inf, 1e-300), False

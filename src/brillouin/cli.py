@@ -44,7 +44,7 @@ class ConfigError(BrillouinError):
 
 _TOP_KEYS = {
     "schema_version", "command", "seed", "planet", "n_range", "tol",
-    "out_dir", "jobs", "expect", "asympt", "spectral", "balayage",
+    "out_dir", "expect", "asympt", "spectral", "balayage",
 }
 _PLANET_KEYS = {
     "point_mass": {"kind", "r0", "theta_p", "cos_theta_p", "m", "R", "G"},
@@ -131,12 +131,25 @@ class ExperimentConfig:
                          f"must be one of {sorted(_WEIGHT_KEYS)}")
                 _check_keys(weight, _WEIGHT_KEYS[wvariant], "config.planet.weight")
 
+        n_range = raw.get("n_range", {})
         if "n_range" in raw:
-            _check_keys(raw["n_range"], _NRANGE_KEYS, "config.n_range")
-            _require("n_max" in raw["n_range"], "config.n_range.n_max", "mandatory")
+            _check_keys(n_range, _NRANGE_KEYS, "config.n_range")
+            _require("n_max" in n_range, "config.n_range.n_max", "mandatory")
+        for field in ("n_min", "n_max"):
+            value = n_range.get(field, 0)
+            _require(isinstance(value, int) and not isinstance(value, bool),
+                     f"config.n_range.{field}", "must be an integer")
+            _require(value >= 0, f"config.n_range.{field}", "must be >= 0")
+        if "n_range" in raw:
+            _require(n_range.get("n_min", 0) <= n_range["n_max"], "config.n_range",
+                     "n_min must not exceed n_max")
         if self.command in ("coeffs", "asympt", "radius"):
             _require("n_range" in raw, "config.n_range",
                      f"mandatory for the {self.command} command")
+        if self.command == "asympt":
+            # the predictors start at n = 1
+            _require(n_range["n_max"] >= 1, "config.n_range.n_max",
+                     "must be >= 1 for the asympt command")
         if "expect" in raw:
             _check_keys(raw["expect"], _EXPECT_KEYS, "config.expect")
         if "asympt" in raw:
@@ -150,9 +163,8 @@ class ExperimentConfig:
         self.raw = raw
         self.seed = raw["seed"]
         self.tol = float(raw.get("tol", 1e-10))
-        self.jobs = int(raw.get("jobs", 1))
-        self.n_min = int(raw.get("n_range", {}).get("n_min", 0))
-        self.n_max = int(raw.get("n_range", {}).get("n_max", 0))
+        self.n_min = n_range.get("n_min", 0)
+        self.n_max = n_range.get("n_max", 0)
         self.expect = raw.get("expect", {})
         self.out_dir = raw.get("out_dir")
 
@@ -203,8 +215,7 @@ def _artifact_dir(config, out_override=None):
 
 
 def _series_for(config, planet):
-    return coeff_series(planet, config.n_min, config.n_max, config.tol,
-                        jobs=config.jobs)
+    return coeff_series(planet, config.n_min, config.n_max, config.tol)
 
 
 def _cmd_coeffs(config, out):
@@ -255,7 +266,8 @@ def _fit_weight_tail(config, planet):
 def _cmd_asympt(config, out):
     planet = config.planet()
     series = _series_for(config, planet)
-    pred = _predictor(config, planet, series.n)
+    # the predictors are singular at n = 0
+    pred = _predictor(config, planet, series.n[series.n >= 1])
     report = ratio_diagnostic(series, pred)
     report.to_csv(out / "ratio.csv", config_hash=config.config_hash)
     report.to_json(out / "ratio.json", config_hash=config.config_hash)
@@ -377,8 +389,7 @@ def _cmd_balayage(config, out):
 def _cmd_full_verify(config, out):
     planet = config.planet()
     n_max = config.n_max or 2000
-    series = coeff_series(planet, config.n_min, max(n_max, 200), config.tol,
-                          jobs=config.jobs)
+    series = coeff_series(planet, config.n_min, max(n_max, 200), config.tol)
     series.to_csv(out / "coeffs.csv", config_hash=config.config_hash)
     report = convergence.verdict_from_series(series)
     report.to_json(out / "radius.json", config_hash=config.config_hash)
@@ -432,14 +443,11 @@ def main(argv=None):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="YAML experiment config")
         p.add_argument("--out", default=None, help=f"output root (default ${OUT_ENV_VAR} or ./out)")
-        p.add_argument("--jobs", type=int, default=None)
         p.add_argument("--tol", type=float, default=None)
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config, command=args.command)
         # flag overrides participate in the provenance hash via raw
-        if args.jobs is not None:
-            config.raw["jobs"] = config.jobs = args.jobs
         if args.tol is not None:
             config.raw["tol"] = config.tol = args.tol
         return run(config, out_override=args.out)

@@ -17,14 +17,18 @@ with geometrically graded panels shrinking toward theta0 far enough to
 resolve both the e^{-(n+3)F} peak factor and any surface-weight cusp.
 Error estimates come from recomputing on a grid with halved panels.
 
-For density columns constant in r, all orders come from one recurrence
-sweep over a shared grid.  Once e^{-(n+3)F} underflows to exactly 0 at a
-node, that node contributes exactly 0 to every later order, so the sweep
-drops such nodes every 32 orders; only the summation order of the
-remaining nodes changes.
+One engine, the recurrence sweep ``_sweep``, computes every coefficient:
+a range of orders over a shared grid, or a single order on the grid built
+for it.  For a column constant in r the radial factor W_n has a closed
+form and the sweep is one pass over the whole grid.  For a general column
+v(r, theta) the sweep runs in fixed chunks of colatitude nodes; within
+each octave block of orders [lo, 2 lo) the radial s-nodes are built and v
+is evaluated once, and W_n follows order by order from one multiply by
+e^{-s}.  Once e^{-(n+3)F} underflows to exactly 0 at a node, that node
+contributes exactly 0 to every later order, so the sweep drops such nodes
+every 32 orders; only the summation order of the remaining nodes changes.
 """
 
-import concurrent.futures
 import math
 from dataclasses import dataclass
 
@@ -32,7 +36,7 @@ import numpy as np
 
 from ._io import write_csv, write_json
 from ._panels import _rule01, composite_nodes, peak_breakpoints
-from .errors import ToleranceNotMet
+from .errors import EnvelopeBoundError, ToleranceNotMet
 from .legendre import legendre_eval
 
 __all__ = [
@@ -51,6 +55,11 @@ PEAK_FLOOR_LEVEL = 0.5
 ENVELOPE_SAFETY = 4.0 * math.pi
 #: the sweep drops nodes whose e^{-(n+3) F} has underflowed once per this many orders
 COMPACT_EVERY = 32
+#: general columns are swept in chunks of this many colatitude nodes, which
+#: keeps each (nodes x radial nodes) array of the radial state near 0.2 MiB
+COLUMN_CHUNK = 256
+#: radial panel edges, equispaced in the decay exponent u = (n+3) s
+_U_EDGES = np.array([0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 28.0, RADIAL_EXPONENT_CAP])
 
 
 @dataclass(frozen=True)
@@ -143,89 +152,167 @@ def _graded_floor(profile, n):
     return max(min(max(n, 8) ** -0.5 / 8.0, scale / 4.0, 1e-6), 1e-13)
 
 
-def _radial_weight(profile, thetas, n):
-    """W_n at the grid colatitudes for a general density column v(r, theta)."""
-    L = profile.eval_L(thetas)
-    rM = profile.eval_rM(thetas)
-    cap = RADIAL_EXPONENT_CAP / (n + 3.0)
-    out = np.zeros_like(thetas)
-    # panels equispaced in the decay exponent u = (n+3) s
-    u_edges = np.array([0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 28.0, RADIAL_EXPONENT_CAP])
-    gx, gw = _rule01()
-    for theta_idx in range(0, thetas.size, 4096):
-        sl = slice(theta_idx, min(theta_idx + 4096, thetas.size))
-        Ls, rMs, ts = L[sl], rM[sl], thetas[sl]
-        s_hi = np.minimum(Ls, cap)
-        # exponent-graded panels mapped onto [0, s_hi] per colatitude
-        bp = u_edges[None, :] / RADIAL_EXPONENT_CAP * s_hi[:, None]
-        acc = np.zeros(ts.size)
-        for j in range(len(u_edges) - 1):
-            a = bp[:, j][:, None]
-            h = (bp[:, j + 1] - bp[:, j])[:, None]
-            s = a + h * gx[None, :]
-            w = h * gw[None, :]
-            vals = profile.eval_v(rMs[:, None] * np.exp(-s), ts[:, None] * np.ones_like(s))
-            acc += np.sum(w * np.exp(-(n + 3.0) * s) * vals, axis=1)
-        out[sl] = acc
+# ---------------------------------------------------------------------------
+# the coefficient engine
+# ---------------------------------------------------------------------------
+
+class _ClosedRadial:
+    """Radial factor of a column constant in r: W_n = v (1 - e^{-(n+3)L}) / (n+3).
+
+    v is folded into the colatitude base, so ``weight`` writes
+    1 - e^{-(n+3)L} and returns the divisor n + 3.
+    """
+
+    def __init__(self, profile, nodes, n_min):
+        self.EL = np.exp(-profile.eval_L(nodes))
+        self.pwL = self.EL ** (n_min + 3)
+
+    def weight(self, n, out):
+        np.subtract(1.0, self.pwL, out=out)
+        return n + 3.0
+
+    def advance(self):
+        self.pwL *= self.EL
+
+    def compact(self, live):
+        self.EL = self.EL[live]
+        self.pwL = self.pwL[live]
+
+
+class _ColumnRadial:
+    """Radial factor of a general column:
+    W_n = integral_0^L e^{-(n+3) s} v(r_M e^{-s}, theta) ds.
+
+    The s-nodes are Gauss panels on [0, min(L, RADIAL_EXPONENT_CAP/(lo+3))],
+    equispaced in the decay exponent u = (lo+3) s, built once per octave
+    block of orders [lo, 2 lo).  v is evaluated once per block; the carried
+    A = w v e^{-(n+3) s} takes one multiply by e^{-s} per order, and
+    W_n = A.sum(axis=1).  Within a block the decay only steepens, so the
+    panels built for lo resolve every later order of the block.  While the
+    cap binds at no node the panels do not depend on lo, and A is carried
+    on into the next block.
+    """
+
+    def __init__(self, profile, nodes, n_min):
+        self.profile = profile
+        self.theta = nodes
+        self.rM = profile.eval_rM(nodes)
+        self.L = profile.eval_L(nodes)
+        # no block yet: the first call of ``weight`` builds the block at n_min
+        self.s_hi = np.full(nodes.size, np.nan)
+        self.decay = self.A = np.empty((nodes.size, 0))
+        self.block_end = n_min
+
+    def _start_block(self, lo):
+        self.block_end = max(2 * lo, lo + 1)
+        s_hi = np.minimum(self.L, RADIAL_EXPONENT_CAP / (lo + 3.0))
+        if np.array_equal(s_hi, self.s_hi):
+            return
+        self.s_hi = s_hi
+        bp = _U_EDGES / RADIAL_EXPONENT_CAP * s_hi[:, None]
+        a = bp[:, :-1, None]
+        h = np.diff(bp, axis=1)[:, :, None]
+        gx, gw = _rule01()
+        s = (a + h * gx).reshape(s_hi.size, -1)
+        w = (h * gw).reshape(s_hi.size, -1)
+        self.decay = np.exp(-s)
+        theta = np.repeat(self.theta[:, None], s.shape[1], axis=1)
+        vals = self.profile.eval_v(self.rM[:, None] * self.decay, theta)
+        self.A = w * np.exp(-(lo + 3.0) * s) * vals
+
+    def weight(self, n, out):
+        if n == self.block_end:
+            self._start_block(n)
+        np.sum(self.A, axis=1, out=out)
+        return 1.0
+
+    def advance(self):
+        self.A *= self.decay
+
+    def compact(self, live):
+        self.theta = self.theta[live]
+        self.rM = self.rM[live]
+        self.L = self.L[live]
+        self.s_hi = self.s_hi[live]
+        self.decay = self.decay[live]
+        self.A = self.A[live]
+
+
+def _sweep_nodes(profile, grid, n_min, n_max):
+    """Coefficients n_min..n_max contributed by the colatitude nodes and
+    weights in the list ``grid``.  The list is emptied, so the caller holds
+    no reference that would keep the grid alive once the per-node state is
+    formed."""
+    nodes, wts = grid
+    grid.clear()
+    x = np.cos(nodes)
+    if profile.radial_constant:
+        base = wts * np.sqrt(np.sin(nodes)) * profile.eval_g(nodes)  # w sin v, v = g/sqrt(sin)
+        radial = _ClosedRadial(profile, nodes, n_min)
+    else:
+        base = wts * np.sin(nodes)
+        radial = _ColumnRadial(profile, nodes, n_min)
+    E = np.exp(-profile.eval_F(nodes))
+    del nodes, wts
+    pw = E ** (n_min + 3)
+    live = pw != 0.0
+    if not live.all():
+        # already underflowed: these nodes need no recurrence at all
+        x = x[live]
+        base = base[live]
+        E = E[live]
+        pw = pw[live]
+        radial.compact(live)
+    # P_{n_min} and P_{n_min - 1} (P_{-1} = 0) seed the recurrence
+    p_cur = legendre_eval(n_min, x)
+    p_prev = legendre_eval(n_min - 1, x) if n_min else np.zeros_like(x)
+    term = np.empty_like(x)
+    tmp = np.empty_like(x)
+    out = np.empty(n_max - n_min + 1)
+    for n in range(n_min, n_max + 1):
+        # (P * pw) * W_n, then the dot
+        div = radial.weight(n, tmp)
+        np.multiply(p_cur, pw, out=term)
+        np.multiply(term, tmp, out=term)
+        out[n - n_min] = np.dot(base, term) / div
+        pw *= E
+        radial.advance()
+        # P_{n+1} = (((2n+1) x) P_n - n P_{n-1}) / (n+1), written over P_{n-1}
+        np.multiply(x, 2 * n + 1, out=term)
+        term *= p_cur
+        p_prev *= n
+        np.subtract(term, p_prev, out=p_prev)
+        p_prev /= n + 1
+        p_cur, p_prev = p_prev, p_cur
+        if (n - n_min) % COMPACT_EVERY == COMPACT_EVERY - 1:
+            live = pw != 0.0
+            if not live.all():
+                # rebinding one array at a time keeps at most one extra copy alive
+                x = x[live]
+                base = base[live]
+                E = E[live]
+                pw = pw[live]
+                radial.compact(live)
+                p_prev = p_prev[live]
+                p_cur = p_cur[live]
+                term = term[:x.size]
+                tmp = tmp[:x.size]
     return out
 
 
-# ---------------------------------------------------------------------------
-# single coefficients
-# ---------------------------------------------------------------------------
+def _sweep(profile, n_max, level, n_min=0):
+    """Scaled coefficients for n = n_min..n_max in one recurrence pass.
 
-def coeff_scaled(profile, n, tol=DEFAULT_TOL):
-    """One scaled coefficient with an absolute error estimate.
-
-    Returns ``(value, err)``; ``err <= tol`` unless the refinement ladder
-    was exhausted, in which case the best value is returned with its honest
-    error estimate (callers treat ``err > tol`` as the not-met flag).
-    Closed-form oracle planets bypass quadrature entirely.
-    """
-    closed = getattr(profile, "closed_coeff_scaled", None)
-    if closed is not None:
-        return closed(n), 0.0
-
-    prev = None
-    best = None
-    err = math.inf
-    for level in range(3):
-        cur = _coeff_on_grid(profile, n, level)
-        if prev is not None:
-            err = max(abs(cur - prev), 1e-300)
-            best = cur
-            if err <= tol:
-                return cur, err
-        prev = cur
-    return best, err
-
-
-def _coeff_on_grid(profile, n, level):
-    nodes, wts = theta_grid(profile, n, level)
-    F = profile.eval_F(nodes)
-    damp = np.exp(-(n + 3.0) * F)
-    if profile.radial_constant:
-        g = profile.eval_g(nodes)
-        L = profile.eval_L(nodes)
-        W = g / np.sqrt(np.sin(nodes)) * (1.0 - np.exp(-(n + 3.0) * L)) / (n + 3.0)
-    else:
-        W = _radial_weight(profile, nodes, n)
-    P = legendre_eval(n, np.cos(nodes))
-    return float(np.sum(wts * np.sin(nodes) * P * damp * W))
-
-
-# ---------------------------------------------------------------------------
-# series
-# ---------------------------------------------------------------------------
-
-def _sweep(profile, n_max, level):
-    """All scaled coefficients for n = 0..n_max in one recurrence pass.
-
-    Only valid for density columns constant in r, where the radial factor
-    has the closed form v * (1 - e^{-(n+3)L}) / (n+3).  The Legendre
-    recurrence, the e^{-(n+3)F} damping and the radial factor are all
-    updated order by order over a shared grid built for n_max, which is at
-    least as fine as any single order requires.
+    The Legendre recurrence, the e^{-(n+3)F} damping and the radial factor
+    W_n are all updated order by order over one grid built for n_max,
+    which is at least as fine as any single order requires.  The
+    recurrence is seeded with P_{n_min} and P_{n_min-1}, and the damping
+    starts at e^{-(n_min+3)F}; nodes where it has already underflowed are
+    dropped first.  A column constant in r has the closed radial factor
+    v (1 - e^{-(n+3)L}) / (n+3) and runs in a single pass over the whole
+    grid; a general column runs in chunks of COLUMN_CHUNK colatitude nodes,
+    each carrying its own per-block radial state (see ``_ColumnRadial``),
+    and the chunk sums are added.
 
     Every COMPACT_EVERY orders the per-node state is cut down to the nodes
     whose damping pw = e^{-(n+3)F} has not underflowed to exactly 0.  pw is
@@ -237,61 +324,54 @@ def _sweep(profile, n_max, level):
     place on two scratch vectors, in the same operation order as the plain
     expressions, so every per-node term is unchanged.
     """
+    if profile.radial_constant:
+        return _sweep_nodes(profile, list(theta_grid(profile, n_max, level)), n_min, n_max)
     nodes, wts = theta_grid(profile, n_max, level)
-    x = np.cos(nodes)
-    base = wts * np.sqrt(np.sin(nodes)) * profile.eval_g(nodes)  # w sin v, v = g/sqrt(sin)
-    E = np.exp(-profile.eval_F(nodes))
-    EL = np.exp(-profile.eval_L(nodes))
-    del nodes, wts
-    pw = E**3
-    pwL = EL**3
-    p_prev = np.ones_like(x)
-    p_cur = x.copy()
-    term = np.empty_like(x)
-    tmp = np.empty_like(x)
-    out = np.empty(n_max + 1)
-    for n in range(n_max + 1):
-        P = p_prev if n == 0 else p_cur
-        # (P * pw) * (1 - pwL), then the dot
-        np.subtract(1.0, pwL, out=tmp)
-        np.multiply(P, pw, out=term)
-        np.multiply(term, tmp, out=term)
-        out[n] = np.dot(base, term) / (n + 3.0)
-        pw *= E
-        pwL *= EL
-        if n >= 1:
-            # P_{n+1} = (((2n+1) x) P_n - n P_{n-1}) / (n+1), written over P_{n-1}
-            np.multiply(x, 2 * n + 1, out=term)
-            term *= p_cur
-            p_prev *= n
-            np.subtract(term, p_prev, out=p_prev)
-            p_prev /= n + 1
-            p_cur, p_prev = p_prev, p_cur
-        if n % COMPACT_EVERY == COMPACT_EVERY - 1:
-            live = pw != 0.0
-            if not live.all():
-                # rebinding one array at a time keeps at most one extra copy alive
-                x = x[live]
-                base = base[live]
-                E = E[live]
-                EL = EL[live]
-                pw = pw[live]
-                pwL = pwL[live]
-                p_prev = p_prev[live]
-                p_cur = p_cur[live]
-                term = term[:x.size]
-                tmp = tmp[:x.size]
+    out = np.zeros(n_max - n_min + 1)
+    for i in range(0, nodes.size, COLUMN_CHUNK):
+        out += _sweep_nodes(profile, [nodes[i:i + COLUMN_CHUNK], wts[i:i + COLUMN_CHUNK]],
+                            n_min, n_max)
     return out
 
 
-def coeff_series(profile, n_min, n_max, tol=DEFAULT_TOL, jobs=1):
+# ---------------------------------------------------------------------------
+# single coefficients and series
+# ---------------------------------------------------------------------------
+
+def coeff_scaled(profile, n, tol=DEFAULT_TOL):
+    """One scaled coefficient with an absolute error estimate.
+
+    Returns ``(value, err)``; ``err <= tol`` unless the refinement ladder
+    was exhausted, in which case the best value is returned with its honest
+    error estimate (callers treat ``err > tol`` as the not-met flag).  Each
+    level runs the sweep for the single order n on the grid built for n.
+    Closed-form oracle planets bypass quadrature entirely.
+    """
+    closed = getattr(profile, "closed_coeff_scaled", None)
+    if closed is not None:
+        return closed(n), 0.0
+
+    prev = None
+    best = None
+    err = math.inf
+    for level in range(3):
+        cur = float(_sweep(profile, n, level, n_min=n)[0])
+        if prev is not None:
+            err = max(abs(cur - prev), 1e-300)
+            best = cur
+            if err <= tol:
+                return cur, err
+        prev = cur
+    return best, err
+
+def coeff_series(profile, n_min, n_max, tol=DEFAULT_TOL):
     """Scaled coefficients for every order in [n_min, n_max].
 
-    Density columns constant in r take a vectorized recurrence sweep over a
-    shared grid (two resolutions; their difference is the per-order error
-    estimate).  General columns fall back to per-order quadrature, which is
-    embarrassingly parallel (``jobs`` threads).  Raises ``ValueError`` if
-    any magnitude breaks the a-priori envelope bound 4 pi G max|v|.
+    Closed-form oracle planets use their whole-range formula.  Every other
+    planet takes the recurrence sweep (``_sweep``) over a shared grid at
+    two resolutions; their difference is the per-order error estimate.
+    Raises :class:`EnvelopeBoundError` if any magnitude breaks the
+    a-priori envelope bound 4 pi G max|v|.
     """
     if n_min > n_max:
         raise ValueError("need n_min <= n_max")
@@ -303,36 +383,18 @@ def coeff_series(profile, n_min, n_max, tol=DEFAULT_TOL, jobs=1):
         return ScaledCoeffSeries(ns, vals, errs, np.ones(ns.size, bool),
                                  profile.R, profile.fingerprint, tol)
 
-    if profile.radial_constant:
-        coarse = _sweep(profile, n_max, level=0)[n_min:]
-        fine = _sweep(profile, n_max, level=1)[n_min:]
-        errs = np.maximum(np.abs(fine - coarse), 1e-300)
-        vals = fine
-    else:
-        vals = np.empty(ns.size)
-        errs = np.empty(ns.size)
-
-        def one(i):
-            v, e = coeff_scaled(profile, int(ns[i]), tol)
-            return i, v, e
-
-        if jobs > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-                for i, v, e in pool.map(one, range(ns.size)):
-                    vals[i], errs[i] = v, e
-        else:
-            for i in range(ns.size):
-                _, vals[i], errs[i] = one(i)
+    coarse = _sweep(profile, n_max, 0, n_min)
+    vals = _sweep(profile, n_max, 1, n_min)
+    errs = np.maximum(np.abs(vals - coarse), 1e-300)
 
     bound = ENVELOPE_SAFETY * profile.G * profile.vmax
     worst = np.max(np.abs(vals))
     if worst > bound:
-        raise ValueError(
+        raise EnvelopeBoundError(
             f"coefficient magnitude {worst:.3e} breaks the envelope bound {bound:.3e}"
         )
     return ScaledCoeffSeries(ns, vals, errs, errs <= tol,
                              profile.R, profile.fingerprint, tol)
-
 
 # ---------------------------------------------------------------------------
 # potentials

@@ -16,3 +16,7 @@ class ToleranceNotMet(BrillouinError):
         super().__init__(message)
         self.value = value
         self.err = err
+
+
+class EnvelopeBoundError(BrillouinError, ValueError):
+    """A computed coefficient breaks the a-priori envelope bound 4 pi G max|v|."""

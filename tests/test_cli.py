@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import yaml
 
 import brillouin
+from brillouin import coeffs
 from brillouin.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -88,6 +90,26 @@ class TestConfigValidation:
         assert main(["coeffs", "--config", str(tmp_path / "nope.yaml"),
                      "--out", str(tmp_path)]) == EXIT_CONFIG
 
+    def test_jobs_key_is_unknown(self, tmp_path, capsys):
+        cfg = dict(POINT_MASS_CONFIG, jobs=2)
+        path = write_config(tmp_path, cfg)
+        assert main(["coeffs", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "config.jobs: unknown key" in capsys.readouterr().err
+
+    def test_non_integer_order_names_field(self, tmp_path, capsys):
+        cfg = dict(POINT_MASS_CONFIG, n_range={"n_min": 0, "n_max": "abc"})
+        path = write_config(tmp_path, cfg)
+        assert main(["coeffs", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "config.n_range.n_max" in capsys.readouterr().err
+
+    def test_reversed_order_range_leaves_no_artifact_dir(self, tmp_path, capsys):
+        cfg = dict(POINT_MASS_CONFIG, n_range={"n_min": 50, "n_max": 10})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["coeffs", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert "config.n_range" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_load_config_object(self, tmp_path):
         path = write_config(tmp_path, POINT_MASS_CONFIG)
         config = load_config(path, command="coeffs")
@@ -116,6 +138,15 @@ class TestCoeffsCommand:
         assert main(["coeffs", "--config", str(path), "--out", str(out)]) == EXIT_OK
         blobs2 = {p.name: p.read_bytes() for p in out.glob("coeffs-*/*")}
         assert blobs1 == blobs2
+
+
+    def test_envelope_bound_breach_is_numeric_failure(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(coeffs, "ENVELOPE_SAFETY", 1e-6)
+        cfg = {"schema_version": 1, "seed": 1, "planet": CUSP_PLANET,
+               "n_range": {"n_min": 0, "n_max": 20}}
+        path = write_config(tmp_path, cfg)
+        assert main(["coeffs", "--config", str(path), "--out", str(tmp_path)]) == EXIT_NUMERIC
+        assert "envelope bound" in capsys.readouterr().err
 
 
 class TestRadiusCommand:
@@ -187,6 +218,27 @@ class TestAsymptCommand:
                "asympt": {"source": "thm3"}}
         path = write_config(tmp_path, cfg)
         assert main(["asympt", "--config", str(path), "--out", str(tmp_path)]) == EXIT_NUMERIC
+
+    def test_order_zero_writes_only_finite_ratios(self, tmp_path):
+        planet = {
+            "kind": "profile", "theta0": 1.0,
+            "peak": {"variant": "quadratic", "c": 2.0},
+            "weight": {"variant": "fourier_tail", "beta0": 1.5, "eps": 0.25},
+            "delta": 0.5, "delta1": 0.4,
+        }
+        cfg = {"schema_version": 1, "seed": 3, "planet": planet,
+               "n_range": {"n_min": 0, "n_max": 600},
+               "asympt": {"source": "thm1", "a0": -0.5, "beta0": 1.5}}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["asympt", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        lines = next(out.glob("asympt-*/ratio.csv")).read_text().splitlines()
+        assert lines[1] == "n,coeff,pred,ratio,masked"
+        rows = [[float(x) for x in line.split(",")] for line in lines[2:]]
+        assert rows[0][0] == 1.0
+        assert all(math.isfinite(x) for row in rows for x in row)
+        payload = json.loads(next(out.glob("asympt-*/ratio.json")).read_text())
+        assert all(math.isfinite(v) for v in payload.values() if isinstance(v, float))
 
 
 class TestSpectralCommand:
@@ -263,7 +315,7 @@ class TestFullVerify:
         out = tmp_path / "out"
         assert main(["coeffs", "--config", str(path), "--out", str(out)]) == EXIT_OK
         assert main(["coeffs", "--config", str(path), "--out", str(out),
-                     "--tol", "1e-8", "--jobs", "2"]) == EXIT_OK
+                     "--tol", "1e-8"]) == EXIT_OK
         # different effective configs land in different artifact directories
         assert len(list(out.glob("coeffs-*"))) == 2
 
