@@ -24,8 +24,14 @@ from ._io import write_csv, write_json
 from .asymptotics import predict_thm1, predict_thm3, ratio_diagnostic
 from .balayage import mu_from_point_masses, plemelj_jump, swept_potential
 from .coeffs import coeff_series
-from .errors import BrillouinError
-from .model import PlanetSpec, build_profile, homogeneous_ball, point_mass_planet
+from .errors import BrillouinError, ParameterError
+from .model import (
+    PlanetSpec,
+    RejectDomain,
+    build_profile,
+    homogeneous_ball,
+    point_mass_planet,
+)
 
 __all__ = ["ConfigError", "ExperimentConfig", "run", "main"]
 
@@ -176,6 +182,16 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def planet(self):
+        """The configured planet.  A parameter outside its domain raises
+        ConfigError with its field path."""
+        try:
+            return self._build_planet()
+        except ParameterError as exc:
+            raise ConfigError(f"config.planet.{exc.field}: {exc}") from exc
+        except RejectDomain as exc:
+            raise ConfigError(f"config.planet.theta0: {exc}") from exc
+
+    def _build_planet(self):
         p = self.raw["planet"]
         kind = p["kind"]
         if kind == "point_mass":
@@ -207,11 +223,12 @@ def load_config(path, command=None):
 # ---------------------------------------------------------------------------
 
 def _artifact_dir(config, out_override=None):
+    """The run's artifact directory.  It is not created here: the first
+    artifact written creates it, so a run that fails before writing any
+    leaves no empty directory behind."""
     root = (out_override or config.out_dir
             or os.environ.get(OUT_ENV_VAR) or "out")
-    d = Path(root) / f"{config.command}-{config.config_hash[:12]}"
-    d.mkdir(parents=True, exist_ok=True)
-    return d
+    return Path(root) / f"{config.command}-{config.config_hash[:12]}"
 
 
 def _series_for(config, planet):
@@ -238,7 +255,7 @@ def _predictor(config, planet, ns):
         if "a0" in choice:
             a0, beta0 = complex(choice["a0"]), float(choice["beta0"])
         else:
-            fit = _fit_weight_tail(config, planet)
+            fit, _, _ = _fit_weight_tail(config, planet)
             a0, beta0 = fit.amp, fit.beta
         a1 = complex(choice.get("a1", 0.0))
         beta1 = choice.get("beta1")
@@ -248,6 +265,8 @@ def _predictor(config, planet, ns):
 
 
 def _fit_weight_tail(config, planet):
+    """Tail fit of the weight's transform; returns ``(fit, ks, vals)``
+    with the transform samples it was fitted to."""
     scfg = config.raw.get("spectral", {})
     k_base = float(scfg.get("k_base", 50.0))
     octaves = int(scfg.get("octaves", 7))
@@ -260,7 +279,7 @@ def _fit_weight_tail(config, planet):
     ])
     vals = spectral.sample_transform(prof, prof.support, ks,
                                      singularities=prof.singularities)
-    return spectral.fit_tail(ks, vals)
+    return spectral.fit_tail(ks, vals), ks, vals
 
 
 def _cmd_asympt(config, out):
@@ -309,18 +328,7 @@ def _cmd_spectral(config, out):
     planet = config.planet()
     if getattr(planet, "weight", None) is None:
         raise ConfigError("config.planet: the spectral command needs a profile with a weight")
-    fit = _fit_weight_tail(config, planet)
-    scfg = config.raw.get("spectral", {})
-    k_base = float(scfg.get("k_base", 50.0))
-    octaves = int(scfg.get("octaves", 7))
-    per = int(scfg.get("samples_per_octave", 12))
-    prof = planet.weight.tail_profile()
-    ks = -np.concatenate([
-        np.geomspace(k_base * 2.0**j, k_base * 2.0 ** (j + 1), per, endpoint=False)
-        for j in range(octaves)
-    ])
-    vals = spectral.sample_transform(prof, prof.support, ks,
-                                     singularities=prof.singularities)
+    fit, ks, vals = _fit_weight_tail(config, planet)
     write_csv(out / "transform.csv", ["k", "re", "im"],
               zip(ks.tolist(), np.real(vals).tolist(), np.imag(vals).tolist()),
               config_hash=config.config_hash)

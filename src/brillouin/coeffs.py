@@ -24,9 +24,15 @@ form and the sweep is one pass over the whole grid.  For a general column
 v(r, theta) the sweep runs in fixed chunks of colatitude nodes; within
 each octave block of orders [lo, 2 lo) the radial s-nodes are built and v
 is evaluated once, and W_n follows order by order from one multiply by
-e^{-s}.  Once e^{-(n+3)F} underflows to exactly 0 at a node, that node
-contributes exactly 0 to every later order, so the sweep drops such nodes
-every 32 orders; only the summation order of the remaining nodes changes.
+e^{-s}.  Once e^{-(n+3)F} falls below the smallest normal double at a
+node, that node's terms stay below tiny |base| max W_n at every later
+order, so the sweep drops such nodes every 32 orders (see ``_sweep`` for
+the bound); the coefficients move only by the summation order of the
+remaining nodes and by far less than 1e-300.  The damping of a node with
+e^{-F} > 1/2 stalls at the smallest subnormal instead of reaching 0, and
+subnormal operands cost an order of magnitude more per multiply than
+normal ones, so the cutoff removes most of the sweep's time, not only
+node count.
 """
 
 import math
@@ -53,8 +59,12 @@ RADIAL_EXPONENT_CAP = 40.0
 #: graded panels stop once (n+3) F changes by less than this across a panel
 PEAK_FLOOR_LEVEL = 0.5
 ENVELOPE_SAFETY = 4.0 * math.pi
-#: the sweep drops nodes whose e^{-(n+3) F} has underflowed once per this many orders
+#: the sweep drops nodes whose e^{-(n+3) F} has fallen below _TINY once per this many orders
 COMPACT_EVERY = 32
+#: the smallest normal double: damping below it only adds subnormal arithmetic
+_TINY = np.finfo(float).tiny
+#: 1 - x rounds to exactly 1.0 for every 0 <= x <= 2^-54 (round half to even)
+_ONE_MINUS_EXACT = 2.0**-54
 #: general columns are swept in chunks of this many colatitude nodes, which
 #: keeps each (nodes x radial nodes) array of the radial state near 0.2 MiB
 COLUMN_CHUNK = 256
@@ -160,19 +170,31 @@ class _ClosedRadial:
     """Radial factor of a column constant in r: W_n = v (1 - e^{-(n+3)L}) / (n+3).
 
     v is folded into the colatitude base, so ``weight`` writes
-    1 - e^{-(n+3)L} and returns the divisor n + 3.
+    1 - e^{-(n+3)L} and returns the divisor n + 3 with it.  Once every
+    pwL = e^{-(n+3)L} is at most 2^-54 the factor rounds to exactly 1.0 at
+    every node, and ``weight`` returns no factor: the multiply by it, the
+    subtract and the pwL update all stop, and every term is bitwise
+    unchanged.  The scalar ``top`` tracks a bound on max pwL without a
+    per-order reduction: rounding is monotone, so top *= max(EL) stays at
+    or above each pwL *= EL.
     """
 
     def __init__(self, profile, nodes, n_min):
         self.EL = np.exp(-profile.eval_L(nodes))
         self.pwL = self.EL ** (n_min + 3)
+        self.top = float(self.pwL.max(initial=0.0))
+        self.top_step = float(self.EL.max(initial=0.0))
 
     def weight(self, n, out):
+        if self.top <= _ONE_MINUS_EXACT:
+            return n + 3.0, None
         np.subtract(1.0, self.pwL, out=out)
-        return n + 3.0
+        return n + 3.0, out
 
     def advance(self):
-        self.pwL *= self.EL
+        if self.top > _ONE_MINUS_EXACT:
+            self.pwL *= self.EL
+            self.top *= self.top_step
 
     def compact(self, live):
         self.EL = self.EL[live]
@@ -224,7 +246,7 @@ class _ColumnRadial:
         if n == self.block_end:
             self._start_block(n)
         np.sum(self.A, axis=1, out=out)
-        return 1.0
+        return 1.0, out
 
     def advance(self):
         self.A *= self.decay
@@ -255,9 +277,9 @@ def _sweep_nodes(profile, grid, n_min, n_max):
     E = np.exp(-profile.eval_F(nodes))
     del nodes, wts
     pw = E ** (n_min + 3)
-    live = pw != 0.0
+    live = pw >= _TINY
     if not live.all():
-        # already underflowed: these nodes need no recurrence at all
+        # already below the smallest normal: these nodes need no recurrence at all
         x = x[live]
         base = base[live]
         E = E[live]
@@ -271,9 +293,10 @@ def _sweep_nodes(profile, grid, n_min, n_max):
     out = np.empty(n_max - n_min + 1)
     for n in range(n_min, n_max + 1):
         # (P * pw) * W_n, then the dot
-        div = radial.weight(n, tmp)
+        div, factor = radial.weight(n, tmp)
         np.multiply(p_cur, pw, out=term)
-        np.multiply(term, tmp, out=term)
+        if factor is not None:
+            term *= factor
         out[n - n_min] = np.dot(base, term) / div
         pw *= E
         radial.advance()
@@ -285,7 +308,7 @@ def _sweep_nodes(profile, grid, n_min, n_max):
         p_prev /= n + 1
         p_cur, p_prev = p_prev, p_cur
         if (n - n_min) % COMPACT_EVERY == COMPACT_EVERY - 1:
-            live = pw != 0.0
+            live = pw >= _TINY
             if not live.all():
                 # rebinding one array at a time keeps at most one extra copy alive
                 x = x[live]
@@ -315,14 +338,22 @@ def _sweep(profile, n_max, level, n_min=0):
     and the chunk sums are added.
 
     Every COMPACT_EVERY orders the per-node state is cut down to the nodes
-    whose damping pw = e^{-(n+3)F} has not underflowed to exactly 0.  pw is
-    a running product of factors in (0, 1], so a node that reached 0 stays
-    0, and with |P_n| <= 1 its term is exactly 0 at every later order:
-    dropping it changes no term, only the summation order of the dot.
-    Where e^{-F} > 1/2 the product stalls at the smallest subnormal instead
-    of reaching 0, so those nodes stay to the end.  The arithmetic runs in
-    place on two scratch vectors, in the same operation order as the plain
-    expressions, so every per-node term is unchanged.
+    whose damping pw = e^{-(n+3)F} is still at least the smallest normal
+    double, tiny = 2.2e-308.  pw is a running product of factors in
+    (0, 1], so it never grows back, and with |P_n| <= 1 a dropped node's
+    term obeys |base P_n pw W_n| / div < tiny |base| max W_n / div at every
+    later order.  For a column constant in r, W_n / div <= 1/3, so every
+    later order moves by less than tiny sum|base| / 3, at most 1.4e-308 on
+    the benchmark grids; for a general column W_n <= sum w |v| <= vmax L.
+    Either way the change lies far below the 1e-300 floor of every
+    reported error, so the cutoff needs no error accounting.  Without it,
+    nodes where e^{-F} > 1/2 would stall at the smallest subnormal instead
+    of reaching 0 and pay subnormal arithmetic to the end.  Apart from the
+    dropped terms only the summation order of the dot changes.  The
+    arithmetic runs in place on two scratch vectors, in the same operation
+    order as the plain expressions, so every kept per-node term is
+    unchanged (the closed radial factor is skipped only where it is
+    exactly 1.0; see ``_ClosedRadial``).
     """
     if profile.radial_constant:
         return _sweep_nodes(profile, list(theta_grid(profile, n_max, level)), n_min, n_max)

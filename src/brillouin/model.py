@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BrillouinError
+from .errors import BrillouinError, ParameterError
 from .legendre import legendre_eval
 from .spectral import appendix_function, default_taper
 
@@ -75,9 +75,9 @@ class QuadraticPeak:
 
     def __post_init__(self):
         if self.c <= 0:
-            raise ValueError("curvature c must be positive")
+            raise ParameterError("c", "curvature c must be positive")
         if self.beta <= 2:
-            raise ValueError("remainder order beta must exceed 2")
+            raise ParameterError("beta", "remainder order beta must exceed 2")
 
     def evaluate(self, x):
         x = _as_x(x)
@@ -110,11 +110,12 @@ class PowerCusp:
 
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
-            raise ValueError("alpha must lie in (0, 1]")
+            raise ParameterError("alpha", "alpha must lie in (0, 1]")
         if self.a_minus <= 0 or self.a_plus <= 0:
-            raise ValueError("one-sided coefficients must be positive")
+            raise ParameterError("a_minus" if self.a_minus <= 0 else "a_plus",
+                                 "one-sided coefficients must be positive")
         if self.remainder is not None and (self.beta is None or self.beta <= self.alpha):
-            raise ValueError("remainder order beta must exceed alpha")
+            raise ParameterError("beta", "remainder order beta must exceed alpha")
 
     def evaluate(self, x):
         x = _as_x(x)
@@ -152,9 +153,10 @@ class PowerC1:
 
     def __post_init__(self):
         if not (1.0 < self.alpha <= 2.0):
-            raise ValueError("alpha must lie in (1, 2]")
+            raise ParameterError("alpha", "alpha must lie in (1, 2]")
         if self.a_minus <= 0 or self.a_plus <= 0:
-            raise ValueError("one-sided coefficients must be positive")
+            raise ParameterError("a_minus" if self.a_minus <= 0 else "a_plus",
+                                 "one-sided coefficients must be positive")
 
     def evaluate(self, x):
         x = _as_x(x)
@@ -190,9 +192,9 @@ class SmoothPowerWeight:
 
     def __post_init__(self):
         if self.k < 1 or int(self.k) != self.k:
-            raise ValueError("k must be an integer >= 1")
+            raise ParameterError("k", "k must be an integer >= 1")
         if self.g_k == 0:
-            raise ValueError("g_k must be nonzero")
+            raise ParameterError("g_k", "g_k must be nonzero")
 
     def evaluate(self, x):
         x = _as_x(x)
@@ -219,9 +221,9 @@ class TwoSidedCuspWeight:
 
     def __post_init__(self):
         if self.k < 1:
-            raise ValueError("k must be >= 1")
+            raise ParameterError("k", "k must be >= 1")
         if self.g_plus == 0 and self.g_minus == 0:
-            raise ValueError("g_plus and g_minus must not both vanish")
+            raise ParameterError("g_plus", "g_plus and g_minus must not both vanish")
 
     def evaluate(self, x):
         x = _as_x(x)
@@ -254,7 +256,7 @@ class C1MixedWeight:
 
     def __post_init__(self):
         if not (1.0 < self.alpha <= 2.0):
-            raise ValueError("alpha must lie in (1, 2]")
+            raise ParameterError("alpha", "alpha must lie in (1, 2]")
 
     def evaluate(self, x):
         x = _as_x(x)
@@ -289,12 +291,12 @@ class FourierTailWeight:
 
     def __post_init__(self):
         if self.beta0 <= 1:
-            raise ValueError("beta0 must exceed 1")
+            raise ParameterError("beta0", "beta0 must exceed 1")
         if self.eps <= 0:
-            raise ValueError("eps must be positive")
+            raise ParameterError("eps", "eps must be positive")
         order = self.taper_order
         if order is not None and order <= self.beta0:
-            raise ValueError("taper order must exceed beta0")
+            raise ParameterError("taper_order", "taper order must exceed beta0")
 
     def tail_profile(self):
         """The underlying compact profile with declared support and
@@ -341,13 +343,14 @@ class PlanetSpec:
 
     def __post_init__(self):
         if self.R <= 0:
-            raise ValueError("Brillouin radius must be positive")
+            raise ParameterError("R", "Brillouin radius must be positive")
         if not (0.0 < self.theta0 < math.pi):
             raise RejectDomain("theta0 must lie in (0, pi)")
         if self.delta <= 0 or self.delta1 <= 0:
-            raise ValueError("delta and delta1 must be positive")
+            raise ParameterError("delta" if self.delta <= 0 else "delta1",
+                                 "delta and delta1 must be positive")
         if self.weight is None and self.v is None:
-            raise ValueError("provide a surface weight or an explicit density column v")
+            raise ParameterError("weight", "provide a surface weight or an explicit density column v")
 
     def to_dict(self):
         """Serializable parameter record; rejects callable-bearing specs."""
@@ -378,8 +381,10 @@ class PlanetSpec:
 
     @staticmethod
     def from_dict(d):
-        peak = _peak_from_params(d["peak"])
-        weight = _weight_from_params(d["weight"]) if "weight" in d else None
+        with ParameterError.within("peak"):
+            peak = _peak_from_params(d["peak"])
+        with ParameterError.within("weight"):
+            weight = _weight_from_params(d["weight"]) if "weight" in d else None
         return PlanetSpec(
             R=float(d["R"]),
             theta0=float(d["theta0"]),
@@ -636,9 +641,9 @@ class PointMassPlanet:
 
     def __init__(self, r0, theta_p, m, R=1.0, G=1.0):
         if r0 <= 0:
-            raise ValueError("r0 must be positive")
+            raise ParameterError("r0", "r0 must be positive")
         if r0 >= R:
-            raise ValueError("the mass must sit strictly inside the reference sphere")
+            raise ParameterError("r0", "the mass must sit strictly inside the reference sphere")
         object.__setattr__(self, "r0", float(r0))
         object.__setattr__(self, "theta_p", float(theta_p))
         object.__setattr__(self, "m", float(m))
@@ -684,7 +689,8 @@ class HomogeneousBall:
 
     def __init__(self, R_b, rho0, G=1.0, R=None):
         if R_b <= 0 or rho0 <= 0:
-            raise ValueError("radius and density must be positive")
+            raise ParameterError("R_b" if R_b <= 0 else "rho0",
+                                 "radius and density must be positive")
         object.__setattr__(self, "R_b", float(R_b))
         object.__setattr__(self, "rho0", float(rho0))
         object.__setattr__(self, "R", float(R if R is not None else R_b))

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 import yaml
 
 import brillouin
@@ -110,6 +111,19 @@ class TestConfigValidation:
         assert "config.n_range" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("planet, field", [
+        (dict(CUSP_PLANET, peak={"variant": "quadratic", "c": -1}), "config.planet.peak.c"),
+        ({k: v for k, v in CUSP_PLANET.items() if k != "weight"}, "config.planet.weight"),
+        (dict(CUSP_PLANET, theta0=math.pi / 2), "config.planet.theta0"),
+    ], ids=["negative-curvature", "no-weight", "theta0-equator"])
+    def test_planet_out_of_domain_names_field(self, tmp_path, capsys, planet, field):
+        cfg = {"schema_version": 1, "seed": 1, "planet": planet, "n_range": {"n_max": 20}}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["coeffs", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert f"config error: {field}: " in capsys.readouterr().err
+        assert not list(out.glob("coeffs-*"))
+
     def test_load_config_object(self, tmp_path):
         path = write_config(tmp_path, POINT_MASS_CONFIG)
         config = load_config(path, command="coeffs")
@@ -145,8 +159,11 @@ class TestCoeffsCommand:
         cfg = {"schema_version": 1, "seed": 1, "planet": CUSP_PLANET,
                "n_range": {"n_min": 0, "n_max": 20}}
         path = write_config(tmp_path, cfg)
-        assert main(["coeffs", "--config", str(path), "--out", str(tmp_path)]) == EXIT_NUMERIC
+        out = tmp_path / "out"
+        assert main(["coeffs", "--config", str(path), "--out", str(out)]) == EXIT_NUMERIC
         assert "envelope bound" in capsys.readouterr().err
+        # nothing was written, so no empty artifact directory is left behind
+        assert not list(out.glob("coeffs-*"))
 
 
 class TestRadiusCommand:
@@ -163,8 +180,11 @@ class TestRadiusCommand:
         cfg["n_range"] = {"n_min": 0, "n_max": 2000}
         cfg["expect"] = {"verdict": "ConvergesExactlyAtBrillouin"}
         path = write_config(tmp_path, cfg)
-        assert main(["radius", "--config", str(path), "--out", str(tmp_path)]) == EXIT_VERDICT
+        out = tmp_path / "out"
+        assert main(["radius", "--config", str(path), "--out", str(out)]) == EXIT_VERDICT
         assert "verdict mismatch" in capsys.readouterr().err
+        # a verdict mismatch keeps its artifacts
+        assert [p.name for p in out.glob("radius-*/*")] == ["radius.json"]
 
     def test_nan_rho_hat_fails_rho_expectation(self, tmp_path, capsys):
         # too few orders for the root test: rho_hat comes out NaN

@@ -74,19 +74,44 @@ class TestSweepCompaction:
         # the case is meaningful only if compaction dropped nodes
         assert 0 < np.count_nonzero(pw) < pw.size
 
-    def test_handful_of_live_nodes_near_peak(self, monkeypatch):
-        # a steep peak on a coarse uniform grid: by n = 3000 only the few
-        # nodes where e^{-F} > 1/2 keep a nonzero running product (it stalls
-        # at the smallest subnormal there instead of reaching 0)
+    @staticmethod
+    def _steep_peak_on_coarse_grid(monkeypatch):
         profile = build_profile(PlanetSpec(
             R=1.0, theta0=1.0, peak=PowerCusp(alpha=1.0, a_minus=50.0, a_plus=50.0),
             weight=SmoothPowerWeight(k=1, g_k=1.0), delta=0.5, delta1=0.4))
         grid = composite_nodes(np.linspace(0.0, math.pi, 65))
         monkeypatch.setattr(coeffs, "theta_grid", lambda profile, n, level=0: grid)
+        return profile, grid
+
+    def test_handful_of_live_nodes_near_peak(self, monkeypatch):
+        # a steep peak on a coarse uniform grid: by n = 3000 only the few
+        # nodes where e^{-F} > 1/2 keep a nonzero running product in the
+        # reference (it stalls at the smallest subnormal there instead of
+        # reaching 0); the sweep drops them once it falls below the smallest
+        # normal, and their terms were below it all along
+        profile, grid = self._steep_peak_on_coarse_grid(monkeypatch)
         _, _, pw = _assert_matches_reference(profile, 3000)
         live = np.flatnonzero(pw)
         assert 0 < live.size <= 10
         assert np.all(np.abs(grid[0][live] - profile.theta0) < 0.02)
+
+    def test_stalled_subnormal_nodes_are_dropped(self, monkeypatch):
+        # most nodes the reference still carries at n = 3000 hold a stalled
+        # subnormal damping; the sweep keeps only those above the smallest
+        # normal and still matches
+        profile, _ = self._steep_peak_on_coarse_grid(monkeypatch)
+        kept = []
+        compact = coeffs._ClosedRadial.compact
+
+        def recording_compact(radial, live):
+            kept.append(int(np.count_nonzero(live)))
+            compact(radial, live)
+
+        monkeypatch.setattr(coeffs._ClosedRadial, "compact", recording_compact)
+        _, _, pw = _assert_matches_reference(profile, 3000)
+        normal = np.count_nonzero(pw >= np.finfo(float).tiny)
+        assert 0 < normal < np.count_nonzero(pw)
+        assert kept[-1] == normal
 
     def test_short_sweep_is_bitwise_unchanged(self, t1_profile):
         # no compaction step runs below COMPACT_EVERY orders, so not even
@@ -94,6 +119,42 @@ class TestSweepCompaction:
         n_max = COMPACT_EVERY - 2
         got, ref, _ = _assert_matches_reference(t1_profile, n_max)
         assert np.array_equal(got, ref)
+
+
+class TestClosedRadialSkip:
+    @pytest.mark.parametrize("r_m", [0.05, None])
+    def test_factor_skipped_only_where_it_rounds_to_one(self, r_m):
+        # r_m = 0.05: a constant inner radius under a varying surface makes
+        # L vary, so 1 - e^{-(n+3)L} reaches exactly 1.0 at different orders
+        # per node; r_m = None (r_M / 2): e^{-L} = 1/2 at every node, so the
+        # factor is 1 - 2^-53 at n = 50 and exactly 1.0 from n = 51 on
+        prof = build_profile(PlanetSpec(
+            R=1.0, theta0=THETA0, peak=PowerCusp(alpha=1.0, a_minus=1.0, a_plus=1.0),
+            weight=SmoothPowerWeight(k=1, g_k=1.0), delta=0.5, delta1=0.4, r_m=r_m))
+        nodes, _ = coeffs.theta_grid(prof, 100)
+        EL = np.exp(-prof.eval_L(nodes))
+        if r_m is not None:
+            assert EL.min() < 0.25 * EL.max()
+        radial = coeffs._ClosedRadial(prof, nodes, 0)
+        pwL = EL**3
+        out = np.empty_like(nodes)
+        skipped, exact = [], []
+        for n in range(101):
+            div, factor = radial.weight(n, out)
+            ref = 1.0 - pwL
+            assert div == n + 3.0
+            exact.append(bool(np.all(ref == 1.0)))
+            skipped.append(factor is None)
+            if factor is not None:
+                assert np.array_equal(factor, ref)
+            radial.advance()
+            pwL *= EL
+        first = skipped.index(True)
+        # the switch falls mid-sweep, at most one order after the factor
+        # became exactly 1.0, and never reverts
+        assert 0 < exact.index(True) <= first <= exact.index(True) + 1
+        assert all(skipped[first:])
+        assert all(exact[n] for n in range(first, 101))
 
 
 def _old_radial_weight(profile, thetas, n):
