@@ -1,6 +1,11 @@
 """Sphere Green's function, swept surface densities, their longitudinal
 average, the half-power-to-Cauchy transform A, and Plemelj jump recovery.
 
+The longitudinal average of a point mass's swept density is closed form
+in the complete elliptic integral E (evaluated by a local AGM, with no
+tolerance), and exterior potentials of swept densities integrate over one
+cached product rule on the sphere.
+
 Everything is set in three dimensions on the unit sphere (radial units
 normalized to the Brillouin radius).  Sign convention: the swept density
 sigma and its longitudinal average mu are kept nonnegative for positive
@@ -18,6 +23,7 @@ variable zeta = 1/p it is the Cauchy transform zeta * int mu(x)/(zeta - x) dx,
 whose jump across (-1, 0) u (0, 1) returns -2 pi i x mu(x).
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -174,18 +180,46 @@ def swept_density_point(x0, y):
     return (1.0 - r2) / (4.0 * math.pi * d**3)
 
 
-def _axis_mu(m, d, x):
-    # closed form for a mass on the polar axis at height d
-    return m * (1.0 - d * d) / (2.0 * (1.0 - 2.0 * d * x + d * d) ** 1.5)
+def _ellipe(m):
+    """Complete elliptic integral of the second kind E(m) (parameter m =
+    k^2, 0 <= m <= 1) by the arithmetic-geometric mean, elementwise:
+
+        E(m) = K(m) (1 - sum_{j>=0} 2^(j-1) c_j^2),   K(m) = pi / (2 a_inf),
+
+    with a_0 = 1, b_0 = sqrt(1 - m), c_0 = sqrt(m) (DLMF 19.8.6).  The c_j
+    converge quadratically; once every c <= 1e-9 a the next term is below
+    rounding.  1 - m is floored at 2^-106, which moves E by less than 1e-30
+    (E(1) = 1 to rounding) and keeps b_0 > 0, so the loop ends in a few
+    steps; NaN lanes give NaN and do not hold it up.
+    """
+    m = np.asarray(m, dtype=float)
+    a = np.ones_like(m)
+    b = np.sqrt(np.maximum(1.0 - m, 2.0**-106))
+    c = np.sqrt(m)
+    total = 0.5 * m
+    weight = 0.5
+    while True:
+        a, b, c = 0.5 * (a + b), np.sqrt(a * b), 0.5 * (a - b)
+        weight *= 2.0
+        total += weight * c * c
+        if not np.any(c > 1e-9 * a):
+            return math.pi / (2.0 * a) * (1.0 - total)
 
 
-def mu_from_point_masses(masses, G=1.0, tol=1e-12):
+def mu_from_point_masses(masses, G=1.0):
     """Longitudinal average of the swept densities of interior point masses.
 
-    ``masses`` is a sequence of (m, (x, y, z)) with |position| < 1.  The
-    longitude integral of each swept density is smooth and periodic, so a
-    doubling trapezoid rule converges spectrally; on-axis masses reduce to
-    a closed form.  Total mass of the result equals G * sum(m).
+    ``masses`` is a sequence of (m, (x, y, z)) with |position| < 1.  At
+    x = cos(theta) the squared distance from a sphere point at longitude
+    lambda (measured from the mass's meridian) to a mass at radius r is
+    A - B cos(lambda), so its longitude integral has the closed form
+
+        int_0^{2 pi} (A - B cos l)^(-3/2) dl = 4 E(q) / ((A - B) sqrt(A + B)),
+
+    with parameter q = 2 B / (A + B) (DLMF 19.2), exact to rounding with no
+    tolerance.  On the axis and at the centre B = 0 and E(0) = pi / 2.
+    A - B and A + B are formed as sums of squares, without cancellation as
+    the mass nears the sphere.  Total mass of the result equals G * sum(m).
     """
     prepared = []
     for m, pos in masses:
@@ -202,26 +236,12 @@ def mu_from_point_masses(masses, G=1.0, tol=1e-12):
         st_x = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
         total = np.zeros_like(x)
         for m, r, ct, st in prepared:
-            if r * st < 1e-14:
-                total += _axis_mu(m, r * (1.0 if ct >= 0 else -1.0) * abs(ct) if r else 0.0, x) \
-                    if r else m * np.full_like(x, 0.5)
-                continue
-            A = 1.0 + r * r - 2.0 * r * x * ct
-            B = 2.0 * r * st_x * st
-            n_lam = 64
-            prev = None
-            while True:
-                lam = np.linspace(0.0, 2.0 * math.pi, n_lam, endpoint=False)
-                integrand = (A[:, None] - B[:, None] * np.cos(lam)[None, :]) ** -1.5
-                cur = integrand.mean(axis=1) * 2.0 * math.pi
-                if prev is not None and np.max(np.abs(cur - prev)) <= tol * max(
-                        1.0, float(np.max(np.abs(cur)))):
-                    break
-                if n_lam >= 1 << 16:
-                    break
-                prev = cur
-                n_lam *= 2
-            total += m * (1.0 - r * r) / (4.0 * math.pi) * cur
+            # A -+ B = (1 - r)^2 + r |u -+ v|^2 for the unit vectors
+            # u = (st_x, x), v = (st, ct) of the two polar angles
+            near = (1.0 - r) ** 2 + r * ((x - ct) ** 2 + (st_x - st) ** 2)
+            far = (1.0 - r) ** 2 + r * ((x - ct) ** 2 + (st_x + st) ** 2)
+            integral = 4.0 * _ellipe(1.0 - near / far) / (near * np.sqrt(far))
+            total += m * (1.0 - r * r) / (4.0 * math.pi) * integral
         return total * G
 
     def mu_scalar_ok(x):
@@ -231,24 +251,46 @@ def mu_from_point_masses(masses, G=1.0, tol=1e-12):
     return SurfaceMeasure(mu_scalar_ok, smoothness="analytic")
 
 
-def swept_potential(x0, obs, n_theta=200):
-    """Exterior potential of the swept density of a unit mass at x0,
-    integrated over the sphere: should equal 1/|obs - x0| for |obs| > 1."""
-    x0 = np.asarray(x0, dtype=float)
-    obs = np.asarray(obs, dtype=float)
+@functools.lru_cache(maxsize=4)
+def _sphere_rule(n_theta):
+    """Product rule on the unit sphere: composite Gauss-Legendre panels in
+    cos(theta) times the 2 n_theta-point trapezoid rule in longitude.
+    Returns read-only points (N, 3), stored column-major so that the
+    per-point sums over the three coordinates run on contiguous columns,
+    and weights (N,)."""
     rule_x, rule_w = composite_nodes(uniform_breakpoints(-1.0, 1.0, 2.0 / (n_theta // 16)))
     n_lam = 2 * n_theta
     lam = np.linspace(0.0, 2.0 * math.pi, n_lam, endpoint=False)
     st = np.sqrt(np.clip(1.0 - rule_x**2, 0.0, None))
-    y = np.empty((rule_x.size, n_lam, 3))
-    y[:, :, 0] = st[:, None] * np.cos(lam)[None, :]
-    y[:, :, 1] = st[:, None] * np.sin(lam)[None, :]
-    y[:, :, 2] = rule_x[:, None]
-    d_src = np.linalg.norm(y - x0[None, None, :], axis=-1)
-    sigma = (1.0 - float(x0 @ x0)) / (4.0 * math.pi * d_src**3)
-    d_obs = np.linalg.norm(y - obs[None, None, :], axis=-1)
-    vals = (sigma / d_obs).mean(axis=1) * 2.0 * math.pi
-    return float(np.sum(rule_w * vals))
+    coords = np.empty((3, rule_x.size, n_lam))
+    coords[0] = st[:, None] * np.cos(lam)[None, :]
+    coords[1] = st[:, None] * np.sin(lam)[None, :]
+    coords[2] = rule_x[:, None]
+    points = coords.reshape(3, -1).T
+    weights = np.repeat(rule_w * (2.0 * math.pi / n_lam), n_lam)
+    points.flags.writeable = weights.flags.writeable = False
+    return points, weights
+
+
+def _distances(points, centre):
+    diff = points - centre
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def swept_potential(x0, obs, n_theta=200):
+    """Exterior potential of the swept density of a unit mass at x0,
+    integrated over the sphere: should equal 1/|obs - x0| for |obs| > 1.
+
+    ``obs`` is one observer (3,), giving a float, or a stack (k, 3), giving
+    an array (k,).  The sphere rule is built once per ``n_theta`` and the
+    density once per call; each observer then takes one pass over the rule.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    obs = np.asarray(obs, dtype=float)
+    points, weights = _sphere_rule(n_theta)
+    sigma = weights * ((1.0 - float(x0 @ x0)) / (4.0 * math.pi)) / _distances(points, x0) ** 3
+    vals = np.array([sigma @ (1.0 / _distances(points, o)) for o in obs.reshape(-1, 3)])
+    return float(vals[0]) if obs.ndim == 1 else vals
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +389,10 @@ def apply_A_cauchy(measure, zeta, tol=1e-12):
     return complex(prev)
 
 
-def plemelj_jump(measure, x0, eps_seq=(1e-2, 1e-3, 1e-4), margin=1e-3):
+PLEMELJ_MARGIN = 1e-3
+
+
+def plemelj_jump(measure, x0, eps_seq=(1e-2, 1e-3, 1e-4), margin=PLEMELJ_MARGIN):
     """Boundary jump of the Cauchy transform across the cut at x0, and the
     density it recovers.
 

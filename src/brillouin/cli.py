@@ -22,7 +22,7 @@ import yaml
 from . import convergence, spectral
 from ._io import write_csv, write_json
 from .asymptotics import predict_thm1, predict_thm3, ratio_diagnostic
-from .balayage import mu_from_point_masses, plemelj_jump, swept_potential
+from .balayage import PLEMELJ_MARGIN, mu_from_point_masses, plemelj_jump, swept_potential
 from .coeffs import coeff_series
 from .errors import BrillouinError, ParameterError
 from .model import (
@@ -31,6 +31,7 @@ from .model import (
     build_profile,
     homogeneous_ball,
     point_mass_planet,
+    read_param,
 )
 
 __all__ = ["ConfigError", "ExperimentConfig", "run", "main"]
@@ -75,6 +76,7 @@ _NRANGE_KEYS = {"n_min", "n_max"}
 _ASYMPT_KEYS = {"source", "a0", "beta0", "a1", "beta1"}
 _SPECTRAL_KEYS = {"k_base", "octaves", "samples_per_octave"}
 _BALAYAGE_KEYS = {"masses", "probe_x", "n_exterior", "obs_radius"}
+_MASS_KEYS = {"m", "position"}
 
 
 def _require(cond, path, msg):
@@ -87,6 +89,66 @@ def _check_keys(d, allowed, path):
     for key in d:
         if key not in allowed:
             raise ConfigError(f"{path}.{key}: unknown key")
+
+
+def _is_number(value):
+    """True for a finite number, also one given as a string (YAML 1.1 reads
+    ``1e-3`` as a string); the commands convert with ``float``."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(float(value))
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _is_count(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_spectral(scfg):
+    path = "config.spectral"
+    _check_keys(scfg, _SPECTRAL_KEYS, path)
+    k_base = scfg.get("k_base", 50.0)
+    _require(_is_number(k_base) and float(k_base) > 0, f"{path}.k_base",
+             "must be a positive number")
+    for field, value in (("octaves", scfg.get("octaves", 7)),
+                         ("samples_per_octave", scfg.get("samples_per_octave", 12))):
+        _require(_is_count(value) and value >= 1, f"{path}.{field}",
+                 "must be an integer >= 1")
+    # the tail fit's own requirements on the grid
+    mag = -_tail_grid(scfg)
+    _require(mag.size >= spectral.MIN_TAIL_SAMPLES, f"{path}.samples_per_octave",
+             f"octaves * samples_per_octave must be >= {spectral.MIN_TAIL_SAMPLES}")
+    _require(mag.max() / mag.min() >= spectral.MIN_TAIL_SPAN, f"{path}.octaves",
+             f"the samples must span a ratio of at least {spectral.MIN_TAIL_SPAN:g} in k")
+
+
+def _check_balayage(bcfg):
+    path = "config.balayage"
+    _check_keys(bcfg, _BALAYAGE_KEYS, path)
+    masses = bcfg.get("masses")
+    _require(isinstance(masses, list) and masses, f"{path}.masses",
+             "mandatory, a non-empty list")
+    for i, mass in enumerate(masses):
+        mpath = f"{path}.masses[{i}]"
+        _check_keys(mass, _MASS_KEYS, mpath)
+        _require(_is_number(mass.get("m")), f"{mpath}.m", "mandatory, a finite number")
+        pos = mass.get("position")
+        _require(isinstance(pos, list) and len(pos) == 3 and all(map(_is_number, pos)),
+                 f"{mpath}.position", "mandatory, a list of three finite numbers")
+        _require(np.linalg.norm(np.asarray(pos, dtype=float)) < 1.0, f"{mpath}.position",
+                 "must lie strictly inside the unit sphere")
+    probes = bcfg.get("probe_x", [])
+    _require(isinstance(probes, list), f"{path}.probe_x", "must be a list")
+    for i, x0 in enumerate(probes):
+        _require(_is_number(x0) and PLEMELJ_MARGIN < abs(float(x0)) < 1.0 - PLEMELJ_MARGIN,
+                 f"{path}.probe_x[{i}]",
+                 f"must be a number with {PLEMELJ_MARGIN:g} < |x| < {1.0 - PLEMELJ_MARGIN:g}")
+    n_ext = bcfg.get("n_exterior", 10)
+    _require(_is_count(n_ext) and n_ext >= 0, f"{path}.n_exterior",
+             "must be an integer >= 0")
+    obs_radius = bcfg.get("obs_radius", 2.0)
+    _require(_is_number(obs_radius) and float(obs_radius) > 1.0, f"{path}.obs_radius",
+             "must be a number > 1 (outside the unit sphere)")
 
 
 class ExperimentConfig:
@@ -143,8 +205,7 @@ class ExperimentConfig:
             _require("n_max" in n_range, "config.n_range.n_max", "mandatory")
         for field in ("n_min", "n_max"):
             value = n_range.get(field, 0)
-            _require(isinstance(value, int) and not isinstance(value, bool),
-                     f"config.n_range.{field}", "must be an integer")
+            _require(_is_count(value), f"config.n_range.{field}", "must be an integer")
             _require(value >= 0, f"config.n_range.{field}", "must be >= 0")
         if "n_range" in raw:
             _require(n_range.get("n_min", 0) <= n_range["n_max"], "config.n_range",
@@ -161,14 +222,18 @@ class ExperimentConfig:
         if "asympt" in raw:
             _check_keys(raw["asympt"], _ASYMPT_KEYS, "config.asympt")
         if "spectral" in raw:
-            _check_keys(raw["spectral"], _SPECTRAL_KEYS, "config.spectral")
+            _check_spectral(raw["spectral"])
+        if self.command == "balayage":
+            _require("balayage" in raw, "config.balayage",
+                     "mandatory for the balayage command")
         if "balayage" in raw:
-            _check_keys(raw["balayage"], _BALAYAGE_KEYS, "config.balayage")
-            _require("masses" in raw["balayage"], "config.balayage.masses", "mandatory")
+            _check_balayage(raw["balayage"])
 
         self.raw = raw
         self.seed = raw["seed"]
-        self.tol = float(raw.get("tol", 1e-10))
+        tol = raw.get("tol", 1e-10)
+        _require(_is_number(tol) and float(tol) > 0, "config.tol", "must be a positive number")
+        self.tol = float(tol)
         self.n_min = n_range.get("n_min", 0)
         self.n_max = n_range.get("n_max", 0)
         self.expect = raw.get("expect", {})
@@ -195,13 +260,19 @@ class ExperimentConfig:
         p = self.raw["planet"]
         kind = p["kind"]
         if kind == "point_mass":
-            theta_p = (float(p["theta_p"]) if "theta_p" in p
-                       else math.acos(float(p["cos_theta_p"])))
-            return point_mass_planet(float(p["r0"]), theta_p, float(p["m"]),
-                                     R=float(p.get("R", 1.0)), G=float(p.get("G", 1.0)))
+            if "theta_p" in p:
+                theta_p = read_param(p, "theta_p")
+            else:
+                cos_theta_p = read_param(p, "cos_theta_p")
+                if abs(cos_theta_p) > 1.0:
+                    raise ParameterError("cos_theta_p", "must lie in [-1, 1]")
+                theta_p = math.acos(cos_theta_p)
+            return point_mass_planet(read_param(p, "r0"), theta_p, read_param(p, "m"),
+                                     R=read_param(p, "R", default=1.0),
+                                     G=read_param(p, "G", default=1.0))
         if kind == "ball":
-            return homogeneous_ball(float(p["R_b"]), float(p["rho0"]),
-                                    G=float(p.get("G", 1.0)))
+            return homogeneous_ball(read_param(p, "R_b"), read_param(p, "rho0"),
+                                    G=read_param(p, "G", default=1.0))
         spec = PlanetSpec.from_dict({**p, "R": p.get("R", 1.0)})
         return build_profile(spec)
 
@@ -264,19 +335,23 @@ def _predictor(config, planet, ns):
     return predict_thm3(planet.peak, planet.weight, planet.R, planet.theta0, ns)
 
 
-def _fit_weight_tail(config, planet):
-    """Tail fit of the weight's transform; returns ``(fit, ks, vals)``
-    with the transform samples it was fitted to."""
-    scfg = config.raw.get("spectral", {})
+def _tail_grid(scfg):
+    """The negative k grid of the tail fit: ``samples_per_octave`` geometric
+    samples in each of ``octaves`` octaves from ``k_base``."""
     k_base = float(scfg.get("k_base", 50.0))
-    octaves = int(scfg.get("octaves", 7))
-    per = int(scfg.get("samples_per_octave", 12))
-    prof = planet.weight.tail_profile()
-
-    ks = -np.concatenate([
+    octaves = scfg.get("octaves", 7)
+    per = scfg.get("samples_per_octave", 12)
+    return -np.concatenate([
         np.geomspace(k_base * 2.0**j, k_base * 2.0 ** (j + 1), per, endpoint=False)
         for j in range(octaves)
     ])
+
+
+def _fit_weight_tail(config, planet):
+    """Tail fit of the weight's transform; returns ``(fit, ks, vals)``
+    with the transform samples it was fitted to."""
+    prof = planet.weight.tail_profile()
+    ks = _tail_grid(config.raw.get("spectral", {}))
     vals = spectral.sample_transform(prof, prof.support, ks,
                                      singularities=prof.singularities)
     return spectral.fit_tail(ks, vals), ks, vals
@@ -349,26 +424,22 @@ def _cmd_spectral(config, out):
 
 
 def _cmd_balayage(config, out):
-    bcfg = config.raw.get("balayage")
-    if bcfg is None:
-        raise ConfigError("config.balayage: mandatory for the balayage command")
-    masses = [(float(m["m"]), tuple(float(c) for c in m["position"]))
+    bcfg = config.raw["balayage"]
+    masses = [(float(m["m"]), np.asarray(m["position"], dtype=float))
               for m in bcfg["masses"]]
     measure = mu_from_point_masses(masses)
     xs = np.linspace(-0.99, 0.99, 199)
     measure.to_csv(out / "mu.csv", xs, config_hash=config.config_hash)
 
     rng = np.random.default_rng(config.seed)
-    n_ext = int(bcfg.get("n_exterior", 10))
+    n_ext = bcfg.get("n_exterior", 10)
     obs_radius = float(bcfg.get("obs_radius", 2.0))
-    worst_rel = 0.0
-    for _ in range(n_ext):
-        direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
-        obs = obs_radius * direction
-        direct = sum(m / np.linalg.norm(obs - np.asarray(p)) for m, p in masses)
-        swept = sum(m * swept_potential(np.asarray(p), obs) for m, p in masses)
-        worst_rel = max(worst_rel, abs(swept - direct) / abs(direct))
+    directions = rng.normal(size=(n_ext, 3))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    obs = obs_radius * directions
+    direct = sum(m / np.linalg.norm(obs - p, axis=1) for m, p in masses)
+    swept = sum(m * swept_potential(p, obs) for m, p in masses)
+    worst_rel = float(np.max(np.abs(swept - direct) / np.abs(direct), initial=0.0))
 
     recoveries = []
     for x0 in bcfg.get("probe_x", [0.5]):

@@ -14,6 +14,7 @@ R^(n+3) scaling applied on output.
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -40,6 +41,7 @@ __all__ = [
     "homogeneous_ball",
     "PointMassPlanet",
     "HomogeneousBall",
+    "read_param",
 ]
 
 THETA_DOMAIN_TOL = 1e-9
@@ -56,6 +58,29 @@ class RejectDomain(BrillouinError):
 
 def _as_x(x):
     return np.asarray(x, dtype=float)
+
+
+_REQUIRED = object()
+
+
+def read_param(params, key, convert=float, default=_REQUIRED):
+    """``convert(params[key])`` for a finite number, or ``default`` when the
+    key is absent or null.  A missing mandatory key, a boolean, or a value
+    that ``convert`` rejects or maps to a non-finite number raises
+    ParameterError naming ``key``."""
+    raw = params.get(key)
+    if raw is None:
+        if default is _REQUIRED:
+            raise ParameterError(key, "is mandatory")
+        return default
+    try:
+        value = convert(raw)
+        ok = not isinstance(raw, bool) and math.isfinite(value)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ParameterError(key, f"must be a finite number, got {raw!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -386,14 +411,14 @@ class PlanetSpec:
         with ParameterError.within("weight"):
             weight = _weight_from_params(d["weight"]) if "weight" in d else None
         return PlanetSpec(
-            R=float(d["R"]),
-            theta0=float(d["theta0"]),
+            R=read_param(d, "R"),
+            theta0=read_param(d, "theta0"),
             peak=peak,
             weight=weight,
-            delta=float(d.get("delta", 0.5)),
-            delta1=float(d.get("delta1", 0.05)),
-            r_m=d.get("r_m"),
-            G=float(d.get("G", 1.0)),
+            delta=read_param(d, "delta", default=0.5),
+            delta1=read_param(d, "delta1", default=0.05),
+            r_m=read_param(d, "r_m", default=None),
+            G=read_param(d, "G", default=1.0),
         )
 
     def fingerprint(self):
@@ -428,30 +453,32 @@ class PlanetSpec:
 def _peak_from_params(p):
     variant = p["variant"]
     if variant == "quadratic":
-        return QuadraticPeak(c=float(p["c"]), beta=float(p.get("beta", 4.0)))
+        return QuadraticPeak(c=read_param(p, "c"), beta=read_param(p, "beta", default=4.0))
     if variant == "power_cusp":
-        return PowerCusp(alpha=float(p["alpha"]), a_minus=float(p["a_minus"]),
-                         a_plus=float(p["a_plus"]),
-                         beta=None if p.get("beta") is None else float(p["beta"]))
+        return PowerCusp(alpha=read_param(p, "alpha"), a_minus=read_param(p, "a_minus"),
+                         a_plus=read_param(p, "a_plus"),
+                         beta=read_param(p, "beta", default=None))
     if variant == "power_c1":
-        return PowerC1(alpha=float(p["alpha"]), a_minus=float(p["a_minus"]),
-                       a_plus=float(p["a_plus"]))
+        return PowerC1(alpha=read_param(p, "alpha"), a_minus=read_param(p, "a_minus"),
+                       a_plus=read_param(p, "a_plus"))
     raise ValueError(f"unknown peak variant {variant!r}")
 
 
 def _weight_from_params(p):
     variant = p["variant"]
     if variant == "smooth_power":
-        return SmoothPowerWeight(k=int(p["k"]), g_k=float(p["g_k"]))
+        return SmoothPowerWeight(k=read_param(p, "k", convert=int), g_k=read_param(p, "g_k"))
     if variant == "two_sided_cusp":
-        return TwoSidedCuspWeight(k=float(p["k"]), g_plus=float(p["g_plus"]),
-                                  g_minus=float(p["g_minus"]))
+        return TwoSidedCuspWeight(k=read_param(p, "k"), g_plus=read_param(p, "g_plus"),
+                                  g_minus=read_param(p, "g_minus"))
     if variant == "c1_mixed":
-        return C1MixedWeight(g1=float(p["g1"]), g_plus=float(p["g_plus"]),
-                             g_minus=float(p["g_minus"]), alpha=float(p["alpha"]))
+        return C1MixedWeight(g1=read_param(p, "g1"), g_plus=read_param(p, "g_plus"),
+                             g_minus=read_param(p, "g_minus"), alpha=read_param(p, "alpha"))
     if variant == "fourier_tail":
-        return FourierTailWeight(beta0=float(p["beta0"]), eps=float(p["eps"]),
-                                 taper_order=p.get("taper_order"))
+        # operator.pos keeps an integer taper order an integer
+        return FourierTailWeight(beta0=read_param(p, "beta0"), eps=read_param(p, "eps"),
+                                 taper_order=read_param(p, "taper_order",
+                                                        convert=operator.pos, default=None))
     raise ValueError(f"unknown weight variant {variant!r}")
 
 

@@ -222,6 +222,8 @@ def appendix_oracle(beta, eps, taper=None):
 
 K_BASE = -50.0  # innermost edge of the geometric fit windows
 DRIFT_LIMIT = 0.20
+MIN_TAIL_SAMPLES = 20
+MIN_TAIL_SPAN = 100.0  # largest over smallest |k|: two decades
 
 
 @dataclass(frozen=True)
@@ -243,7 +245,8 @@ class TailFit:
 def fit_tail(ks, fhat, k_base=K_BASE, drift_limit=DRIFT_LIMIT):
     """Fit ``fhat ~ amp * (-k)^(-beta)`` from samples on a negative k grid.
 
-    Needs at least 20 samples spanning at least two decades.  The exponent
+    Needs at least 20 samples spanning at least two decades (the
+    ``MIN_TAIL_SAMPLES`` and ``MIN_TAIL_SPAN`` constants).  The exponent
     comes from a log-log least squares fit; the amplitude from windowed
     means of (-k)^beta * fhat over geometric windows [2^j, 2^(j+1)] * |k_base|.
     Raises :class:`NoPowerLaw` when the windowed amplitude keeps drifting.
@@ -252,10 +255,10 @@ def fit_tail(ks, fhat, k_base=K_BASE, drift_limit=DRIFT_LIMIT):
     fhat = np.asarray(fhat, dtype=complex)
     if np.any(ks >= 0):
         raise ValueError("tail fitting expects negative frequencies")
-    if ks.size < 20:
-        raise ValueError("need at least 20 samples")
+    if ks.size < MIN_TAIL_SAMPLES:
+        raise ValueError(f"need at least {MIN_TAIL_SAMPLES} samples")
     mag = np.abs(ks)
-    if mag.max() / mag.min() < 100.0:
+    if mag.max() / mag.min() < MIN_TAIL_SPAN:
         raise ValueError("samples must span at least two decades")
 
     # exponent from the outer half of the sampled decades, where the

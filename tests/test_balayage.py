@@ -1,10 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gamma as sp_gamma
 
 from brillouin.balayage import (
+    _ellipe,
     CONSISTENT,
     INCONCLUSIVE,
     NON_ANALYTIC,
@@ -102,6 +104,34 @@ class TestSweptDensity:
             want = 1.0 / np.linalg.norm(obs - x0)
             assert got == pytest.approx(want, rel=1e-8)
 
+    def test_stacked_observers_match_scalar_calls(self):
+        rng = np.random.default_rng(5)
+        x0 = np.array([0.1, -0.5, 0.45])
+        obs = rng.normal(size=(7, 3))
+        obs *= rng.uniform(1.2, 3.0, size=(7, 1)) / np.linalg.norm(obs, axis=1, keepdims=True)
+        stacked = swept_potential(x0, obs)
+        assert stacked.shape == (7,)
+        scalar = [swept_potential(x0, o) for o in obs]
+        assert all(type(v) is float for v in scalar)
+        assert np.max(np.abs(stacked - scalar) / np.abs(scalar)) <= 1e-15
+
+
+class TestEllipe:
+    @pytest.mark.parametrize("m", [0.0, 0.5, 0.9, 1.0 - 1e-6, 1.0 - 1e-12])
+    def test_against_mpmath(self, m):
+        with mpmath.workdps(40):
+            want = mpmath.ellipe(mpmath.mpf(m))
+            assert abs(_ellipe(m) - want) <= 1e-14 * want
+
+    def test_vectorized_matches_scalar(self):
+        ms = np.array([0.0, 0.25, 0.5, 0.99, 1.0 - 1e-12])
+        assert np.array_equal(_ellipe(ms), [_ellipe(m) for m in ms])
+
+    def test_unit_parameter_and_nan_end_the_loop(self):
+        got = _ellipe(np.array([1.0, 1.0 - 2.0**-53, math.nan]))
+        assert got[:2] == pytest.approx([1.0, 1.0], rel=1e-14)
+        assert math.isnan(got[2])
+
 
 class TestMuFromPointMasses:
     def test_center_mass_uniform(self):
@@ -128,6 +158,31 @@ class TestMuFromPointMasses:
     def test_interior_required(self):
         with pytest.raises(ValueError):
             mu_from_point_masses([(1.0, (0.0, 0.0, 1.2))])
+
+    @pytest.mark.parametrize("radius", [0.3, 0.9, 0.99])
+    def test_off_axis_matches_longitude_quadrature(self, radius):
+        # mu(x) = (1 - r^2) / (4 pi) int_0^{2 pi} (A - B cos l)^(-3/2) dl, with
+        # A and B formed in 30 digits from the same double inputs; the
+        # integrand peaks at l = 0 with width ~ sqrt(A - B) / r
+        ct = 0.6
+        pos = radius * np.array([0.8 * 0.6, 0.8 * 0.8, ct])
+        measure = mu_from_point_masses([(1.0, tuple(pos))])
+        xs = np.concatenate([np.linspace(-0.95, 0.95, 7), [ct - 0.01, ct, ct + 1e-3]])
+        got = measure(xs)
+        with mpmath.workdps(30):
+            r = mpmath.sqrt(sum(mpmath.mpf(c) ** 2 for c in pos))
+            ct_mp = mpmath.mpf(pos[2]) / r
+            st_mp = mpmath.sqrt(1 - ct_mp**2)
+            for x, value in zip(xs, got):
+                x = mpmath.mpf(x)
+                A = 1 + r * r - 2 * r * x * ct_mp
+                B = 2 * r * mpmath.sqrt(1 - x * x) * st_mp
+                width = mpmath.sqrt(A - B) / r
+                cuts = [0] + [c * width for c in (0.25, 1, 4) if c * width < mpmath.pi]
+                integral = 2 * mpmath.quad(lambda lam: (A - B * mpmath.cos(lam)) ** -1.5,
+                                           cuts + [mpmath.pi])
+                want = (1 - r * r) / (4 * mpmath.pi) * integral
+                assert abs(value - want) <= 1e-13 * want
 
 
 class TestBuildQ:

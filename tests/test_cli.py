@@ -97,6 +97,12 @@ class TestConfigValidation:
         assert main(["coeffs", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "config.jobs: unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["abc", 0.0, float("nan")])
+    def test_bad_tolerance_names_field(self, tmp_path, capsys, tol):
+        path = write_config(tmp_path, dict(POINT_MASS_CONFIG, tol=tol))
+        assert main(["coeffs", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "config error: config.tol: " in capsys.readouterr().err
+
     def test_non_integer_order_names_field(self, tmp_path, capsys):
         cfg = dict(POINT_MASS_CONFIG, n_range={"n_min": 0, "n_max": "abc"})
         path = write_config(tmp_path, cfg)
@@ -115,7 +121,13 @@ class TestConfigValidation:
         (dict(CUSP_PLANET, peak={"variant": "quadratic", "c": -1}), "config.planet.peak.c"),
         ({k: v for k, v in CUSP_PLANET.items() if k != "weight"}, "config.planet.weight"),
         (dict(CUSP_PLANET, theta0=math.pi / 2), "config.planet.theta0"),
-    ], ids=["negative-curvature", "no-weight", "theta0-equator"])
+        (dict(CUSP_PLANET, peak={"variant": "quadratic"}), "config.planet.peak.c"),
+        (dict(CUSP_PLANET, peak={"variant": "quadratic", "c": "abc"}), "config.planet.peak.c"),
+        (dict(CUSP_PLANET, weight={"variant": "smooth_power", "k": 1, "g_k": True}),
+         "config.planet.weight.g_k"),
+        (dict(POINT_MASS_CONFIG["planet"], cos_theta_p=1.5), "config.planet.cos_theta_p"),
+    ], ids=["negative-curvature", "no-weight", "theta0-equator", "missing-curvature",
+            "non-numeric-curvature", "boolean-weight", "cos-theta-out-of-range"])
     def test_planet_out_of_domain_names_field(self, tmp_path, capsys, planet, field):
         cfg = {"schema_version": 1, "seed": 1, "planet": planet, "n_range": {"n_max": 20}}
         path = write_config(tmp_path, cfg)
@@ -281,15 +293,79 @@ class TestSpectralCommand:
         assert csv_head == "k,re,im"
 
 
-class TestBalayageCommand:
-    def test_axial_mass_checks(self, tmp_path):
-        cfg = {
-            "schema_version": 1, "seed": 5,
-            "planet": {"kind": "ball", "R_b": 1.0, "rho0": 1.0},
-            "balayage": {"masses": [{"m": 1.0, "position": [0.0, 0.0, 0.6]}],
-                          "probe_x": [0.5, -0.4], "n_exterior": 4},
-        }
+class TestSpectralConfig:
+    @pytest.mark.parametrize("spectral, field", [
+        ({"samples_per_octave": 1}, "config.spectral.samples_per_octave"),
+        ({"samples_per_octave": 2.5}, "config.spectral.samples_per_octave"),
+        ({"octaves": 3, "samples_per_octave": 12}, "config.spectral.octaves"),
+        ({"k_base": -5.0}, "config.spectral.k_base"),
+    ], ids=["too-few-samples", "non-integer", "short-span", "negative-base"])
+    def test_tail_grid_errors_name_field(self, tmp_path, capsys, spectral, field):
+        cfg = {"schema_version": 1, "seed": 1,
+               "planet": dict(CUSP_PLANET, weight={"variant": "fourier_tail",
+                                                   "beta0": 1.5, "eps": 0.25}),
+               "spectral": spectral}
         path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["spectral", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert f"config error: {field}: " in capsys.readouterr().err
+        assert not out.exists()
+
+
+BALAYAGE_CONFIG = {
+    "schema_version": 1, "seed": 5,
+    "planet": {"kind": "ball", "R_b": 1.0, "rho0": 1.0},
+    "balayage": {"masses": [{"m": 1.0, "position": [0.0, 0.0, 0.6]}],
+                 "probe_x": [0.5, -0.4], "n_exterior": 4},
+}
+
+
+class TestBalayageCommand:
+    @pytest.mark.parametrize("change, field", [
+        ({"masses": [{"m": 1.0, "position": [0.0, 0.5]}]}, "masses[0].position"),
+        ({"masses": [{"m": 1.0, "position": [0.0, 0.6, 0.8]}]}, "masses[0].position"),
+        ({"masses": [{"m": 1.0, "position": [0.0, "a", 0.1]}]}, "masses[0].position"),
+        ({"masses": [{"position": [0.0, 0.0, 0.5]}]}, "masses[0].m"),
+        ({"masses": [{"m": 1.0, "position": [0.0, 0.0, 0.5]},
+                     {"m": "abc", "position": [0.0, 0.0, 0.5]}]}, "masses[1].m"),
+        ({"masses": [{"m": 1.0, "position": [0.0, 0.0, 0.5], "q": 1}]}, "masses[0].q"),
+        ({"masses": []}, "masses"),
+        ({"probe_x": [0.5, 0.0]}, "probe_x[1]"),
+        ({"probe_x": [1.0]}, "probe_x[0]"),
+        ({"n_exterior": -1}, "n_exterior"),
+        ({"n_exterior": 2.5}, "n_exterior"),
+        ({"obs_radius": 1.0}, "obs_radius"),
+        ({"obs_radius": "far"}, "obs_radius"),
+    ], ids=["short-position", "on-sphere", "non-numeric-position", "missing-m",
+            "non-numeric-m", "unknown-mass-key", "no-masses", "probe-at-zero",
+            "probe-at-pole", "negative-exterior", "fractional-exterior",
+            "observer-on-sphere", "non-numeric-radius"])
+    def test_config_errors_name_field_and_write_nothing(self, tmp_path, capsys,
+                                                         change, field):
+        cfg = dict(BALAYAGE_CONFIG, balayage={**BALAYAGE_CONFIG["balayage"], **change})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["balayage", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert f"config error: config.balayage.{field}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_section_mandatory(self, tmp_path, capsys):
+        cfg = {k: v for k, v in BALAYAGE_CONFIG.items() if k != "balayage"}
+        path = write_config(tmp_path, cfg)
+        assert main(["balayage", "--config", str(path), "--out", str(tmp_path / "out")]) \
+            == EXIT_CONFIG
+        assert "config error: config.balayage: " in capsys.readouterr().err
+
+    def test_no_exterior_observers(self, tmp_path):
+        cfg = dict(BALAYAGE_CONFIG, balayage={**BALAYAGE_CONFIG["balayage"], "n_exterior": 0})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["balayage", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        payload = json.loads(next(out.glob("balayage-*/balayage.json")).read_text())
+        assert payload["exterior_worst_rel_err"] == 0.0
+
+    def test_axial_mass_checks(self, tmp_path):
+        path = write_config(tmp_path, BALAYAGE_CONFIG)
         out = tmp_path / "out"
         assert main(["balayage", "--config", str(path), "--out", str(out)]) == EXIT_OK
         payload = json.loads(next(out.glob("balayage-*/balayage.json")).read_text())
@@ -352,4 +428,20 @@ def test_module_entry_point(tmp_path):
          "--config", str(path), "--out", str(tmp_path / "out")],
         capture_output=True, text=True, cwd="/", env=env,
     )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_import_and_balayage_leave_scipy_unloaded():
+    # scipy is a test dependency only; importing it would add to every
+    # command's start-up time and memory
+    package_root = str(Path(brillouin.__file__).resolve().parent.parent)
+    code = ("import sys, brillouin.cli\n"
+            "from brillouin.balayage import mu_from_point_masses\n"
+            "mu_from_point_masses([(1.0, (0.2, -0.1, 0.4))])(0.3)\n"
+            "assert 'scipy' not in sys.modules, sorted(sys.modules)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd="/", env=env)
     assert proc.returncode == 0, proc.stderr
