@@ -28,6 +28,7 @@ from .errors import BrillouinError, ParameterError
 from .model import (
     PlanetSpec,
     RejectDomain,
+    RejectNonGeneric,
     build_profile,
     homogeneous_ball,
     point_mass_planet,
@@ -74,6 +75,7 @@ _EXPECT_KEYS = {"verdict", "rho", "rho_tol", "median_ratio_window", "beta",
                 "beta_tol", "max_abs_coeff"}
 _NRANGE_KEYS = {"n_min", "n_max"}
 _ASYMPT_KEYS = {"source", "a0", "beta0", "a1", "beta1"}
+_ASYMPT_SOURCES = ("auto", "thm1", "thm3")
 _SPECTRAL_KEYS = {"k_base", "octaves", "samples_per_octave"}
 _BALAYAGE_KEYS = {"masses", "probe_x", "n_exterior", "obs_radius"}
 _MASS_KEYS = {"m", "position"}
@@ -102,6 +104,48 @@ def _is_number(value):
 
 def _is_count(value):
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_complex(value):
+    """True for a complex number with finite parts, also one given as a
+    number or a string such as ``1-2j``."""
+    try:
+        z = complex(value)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return not isinstance(value, bool) and math.isfinite(z.real) and math.isfinite(z.imag)
+
+
+def _check_expect(ecfg):
+    path = "config.expect"
+    _check_keys(ecfg, _EXPECT_KEYS, path)
+    for field in ("rho", "max_abs_coeff", "beta"):
+        if field in ecfg:
+            _require(_is_number(ecfg[field]), f"{path}.{field}", "must be a finite number")
+    for field in ("rho_tol", "beta_tol"):
+        if field in ecfg:
+            _require(_is_number(ecfg[field]) and float(ecfg[field]) >= 0, f"{path}.{field}",
+                     "must be a number >= 0")
+    if "median_ratio_window" in ecfg:
+        window = ecfg["median_ratio_window"]
+        _require(isinstance(window, list) and len(window) == 2
+                 and all(map(_is_number, window)) and float(window[0]) <= float(window[1]),
+                 f"{path}.median_ratio_window", "must be two numbers [lo, hi] with lo <= hi")
+
+
+def _check_asympt(acfg):
+    path = "config.asympt"
+    _check_keys(acfg, _ASYMPT_KEYS, path)
+    _require(acfg.get("source", "auto") in _ASYMPT_SOURCES, f"{path}.source",
+             f"must be one of {_ASYMPT_SOURCES}")
+    for field in ("a0", "a1"):
+        if field in acfg:
+            _require(_is_complex(acfg[field]), f"{path}.{field}", "must be a complex number")
+    for field in ("beta0", "beta1"):
+        if field in acfg:
+            _require(_is_number(acfg[field]), f"{path}.{field}", "must be a finite number")
+    if "a0" in acfg:
+        _require("beta0" in acfg, f"{path}.beta0", "mandatory with a0")
 
 
 def _check_spectral(scfg):
@@ -218,9 +262,9 @@ class ExperimentConfig:
             _require(n_range["n_max"] >= 1, "config.n_range.n_max",
                      "must be >= 1 for the asympt command")
         if "expect" in raw:
-            _check_keys(raw["expect"], _EXPECT_KEYS, "config.expect")
+            _check_expect(raw["expect"])
         if "asympt" in raw:
-            _check_keys(raw["asympt"], _ASYMPT_KEYS, "config.asympt")
+            _check_asympt(raw["asympt"])
         if "spectral" in raw:
             _check_spectral(raw["spectral"])
         if self.command == "balayage":
@@ -255,6 +299,8 @@ class ExperimentConfig:
             raise ConfigError(f"config.planet.{exc.field}: {exc}") from exc
         except RejectDomain as exc:
             raise ConfigError(f"config.planet.theta0: {exc}") from exc
+        except RejectNonGeneric as exc:
+            raise ConfigError(f"config.planet.{exc.field}: {exc}") from exc
 
     def _build_planet(self):
         p = self.raw["planet"]

@@ -24,19 +24,25 @@ form and the sweep is one pass over the whole grid.  For a general column
 v(r, theta) the sweep runs in fixed chunks of colatitude nodes; within
 each octave block of orders [lo, 2 lo) the radial s-nodes are built and v
 is evaluated once, and W_n follows order by order from one multiply by
-e^{-s}.  Once e^{-(n+3)F} falls below the smallest normal double at a
-node, that node's terms stay below tiny |base| max W_n at every later
-order, so the sweep drops such nodes every 32 orders (see ``_sweep`` for
-the bound); the coefficients move only by the summation order of the
-remaining nodes and by far less than 1e-300.  The damping of a node with
-e^{-F} > 1/2 stalls at the smallest subnormal instead of reaching 0, and
-subnormal operands cost an order of magnitude more per multiply than
-normal ones, so the cutoff removes most of the sweep's time, not only
-node count.
+e^{-s}.
+
+Every reported error (see ``coeff_series``) has a rounding floor and
+accounts for what the sweep leaves out.  With each value the sweep returns
+a rounding floor, taken from one more dot product against the magnitudes
+of the terms, and uses that floor as a budget: every 32 orders it drops
+the nodes whose terms, bounded from |P_n| <= 1, the damping and the
+largest radial factor, sum to at most a fixed fraction of the order's
+floor at every later order, and adds what it dropped to the error (see
+``_sweep``).  On a peaked planet most of the grid's damping falls below
+anything that can move a double result long before the last order, so
+the budget removes most of the sweep's work while the error still
+accounts for it.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -59,9 +65,14 @@ RADIAL_EXPONENT_CAP = 40.0
 #: graded panels stop once (n+3) F changes by less than this across a panel
 PEAK_FLOOR_LEVEL = 0.5
 ENVELOPE_SAFETY = 4.0 * math.pi
-#: the sweep drops nodes whose e^{-(n+3) F} has fallen below _TINY once per this many orders
+#: the sweep drops nodes below its error budget once per this many orders
 COMPACT_EVERY = 32
-#: the smallest normal double: damping below it only adds subnormal arithmetic
+#: the rounding floor of order n is FLOOR_C (n + 3) eps sum|terms| (see ``_sweep``)
+FLOOR_C = 2.0
+#: one compaction drops nodes whose later terms sum to at most this fraction of the floor
+DROP_FRAC = 0.25
+_EPS = np.finfo(float).eps
+#: the smallest normal double: no node is kept for terms below it
 _TINY = np.finfo(float).tiny
 #: 1 - x rounds to exactly 1.0 for every 0 <= x <= 2^-54 (round half to even)
 _ONE_MINUS_EXACT = 2.0**-54
@@ -76,9 +87,12 @@ _U_EDGES = np.array([0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 28.0, RADIAL_EXPONENT_CAP])
 class ScaledCoeffSeries:
     """Scaled coefficients C~_n = C_n R^{-(n+3)} over a contiguous n range.
 
-    ``errors`` are absolute quadrature error estimates per order; ``ok``
-    flags whether each met the requested tolerance.  ``fingerprint``
-    identifies the generating planet.
+    ``errors`` are absolute error estimates per order (see ``coeff_series``);
+    ``ok`` flags whether each met the requested tolerance.  ``fingerprint``
+    identifies the generating planet.  A swept series also carries the
+    rounding floor of each value and, per sweep level, the colatitude grid
+    size and the node-orders the recurrence visited; a closed-form series
+    has none of these.
     """
 
     n: np.ndarray
@@ -88,6 +102,9 @@ class ScaledCoeffSeries:
     R: float
     fingerprint: str
     tol: float
+    floor: Optional[np.ndarray] = None
+    grid_nodes: tuple = ()
+    node_orders: tuple = ()
 
     @property
     def n_min(self):
@@ -104,13 +121,15 @@ class ScaledCoeffSeries:
 
     def window(self, lo, hi):
         m = (self.n >= lo) & (self.n <= hi)
-        return ScaledCoeffSeries(self.n[m], self.values[m], self.errors[m],
-                                 self.ok[m], self.R, self.fingerprint, self.tol)
+        return dataclasses.replace(
+            self, n=self.n[m], values=self.values[m], errors=self.errors[m], ok=self.ok[m],
+            floor=None if self.floor is None else self.floor[m])
 
     def scaled_by(self, factor):
         """Series with all masses multiplied by ``factor``."""
-        return ScaledCoeffSeries(self.n, self.values * factor, self.errors * abs(factor),
-                                 self.ok, self.R, self.fingerprint, self.tol)
+        return dataclasses.replace(
+            self, values=self.values * factor, errors=self.errors * abs(factor),
+            floor=None if self.floor is None else self.floor * abs(factor))
 
     def to_csv(self, path, config_hash=None):
         rows = zip(self.n.tolist(), self.values.tolist(), self.errors.tolist())
@@ -126,7 +145,12 @@ class ScaledCoeffSeries:
             "values": self.values.tolist(),
             "errors": self.errors.tolist(),
             "ok": self.ok.tolist(),
+            "grid_nodes": list(self.grid_nodes),
+            "node_orders": list(self.node_orders),
+            "worst_err_over_floor": None,
         }
+        if self.floor is not None and np.all(self.floor > 0):
+            d["worst_err_over_floor"] = float(np.max(self.errors / self.floor))
         if config_hash is not None:
             d["config_hash"] = config_hash
         return d
@@ -179,6 +203,9 @@ class _ClosedRadial:
     or above each pwL *= EL.
     """
 
+    #: W_n / div <= wmax / (n + 3)
+    wmax = 1.0
+
     def __init__(self, profile, nodes, n_min):
         self.EL = np.exp(-profile.eval_L(nodes))
         self.pwL = self.EL ** (n_min + 3)
@@ -224,6 +251,8 @@ class _ColumnRadial:
         self.s_hi = np.full(nodes.size, np.nan)
         self.decay = self.A = np.empty((nodes.size, 0))
         self.block_end = n_min
+        # |W_n| <= wmax / (n + 3)
+        self.wmax = profile.vmax
 
     def _start_block(self, lo):
         self.block_end = max(2 * lo, lo + 1)
@@ -245,7 +274,7 @@ class _ColumnRadial:
     def weight(self, n, out):
         if n == self.block_end:
             self._start_block(n)
-        np.sum(self.A, axis=1, out=out)
+        np.add.reduce(self.A, axis=1, out=out)
         return 1.0, out
 
     def advance(self):
@@ -260,13 +289,36 @@ class _ColumnRadial:
         self.A = self.A[live]
 
 
+class _Sweep(NamedTuple):
+    """One level's sweep: per-order values, rounding floors and dropped-node
+    bounds, with the grid size and the node-orders the recurrence visited."""
+
+    values: np.ndarray
+    floor: np.ndarray
+    dropped: np.ndarray
+    grid_nodes: int
+    node_orders: int
+
+
+def _dropped_bound(events, n_min, n_max):
+    """Per-order bound on the terms of dropped nodes.  Each event
+    ``(first, bound, e_max)`` drops nodes whose terms sum to at most
+    ``bound`` at order ``first``; their damping shrinks by at least
+    ``e_max`` per order after it."""
+    out = np.zeros(n_max - n_min + 1)
+    for first, bound, e_max in events:
+        k = first - n_min
+        out[k:] += bound * e_max ** np.arange(out.size - k)
+    return out
+
+
 def _sweep_nodes(profile, grid, n_min, n_max):
-    """Coefficients n_min..n_max contributed by the colatitude nodes and
-    weights in the list ``grid``.  The list is emptied, so the caller holds
-    no reference that would keep the grid alive once the per-node state is
-    formed."""
+    """The sweep of ``_sweep`` over the colatitude nodes and weights in the
+    list ``grid``.  The list is emptied, so the caller holds no reference
+    that would keep the grid alive once the per-node state is formed."""
     nodes, wts = grid
     grid.clear()
+    grid_nodes = nodes.size
     x = np.cos(nodes)
     if profile.radial_constant:
         base = wts * np.sqrt(np.sin(nodes)) * profile.eval_g(nodes)  # w sin v, v = g/sqrt(sin)
@@ -278,26 +330,45 @@ def _sweep_nodes(profile, grid, n_min, n_max):
     del nodes, wts
     pw = E ** (n_min + 3)
     live = pw >= _TINY
+    events = []
     if not live.all():
-        # already below the smallest normal: these nodes need no recurrence at all
+        # before the first order there is no floor yet: only nodes whose
+        # damping is already below the smallest normal double are dropped
+        gone = ~live
+        events.append((n_min, float(np.abs(base[gone]) @ pw[gone]) * radial.wmax / (n_min + 3.0),
+                       float(E[gone].max())))
         x = x[live]
         base = base[live]
         E = E[live]
         pw = pw[live]
         radial.compact(live)
-    # P_{n_min} and P_{n_min - 1} (P_{-1} = 0) seed the recurrence
+    del live
+    # P_{n_min} and P_{n_min - 1} (P_{-1} = 0) seed the recurrence; the sign
+    # of base moves into them, which is exact and leaves base = |base|
     p_cur = legendre_eval(n_min, x)
     p_prev = legendre_eval(n_min - 1, x) if n_min else np.zeros_like(x)
+    neg = base < 0
+    if neg.any():
+        np.negative(p_cur, out=p_cur, where=neg)
+        np.negative(p_prev, out=p_prev, where=neg)
+        np.abs(base, out=base)
+    del neg
     term = np.empty_like(x)
     tmp = np.empty_like(x)
     out = np.empty(n_max - n_min + 1)
+    floor = np.empty_like(out)
+    node_orders = 0
     for n in range(n_min, n_max + 1):
-        # (P * pw) * W_n, then the dot
+        i = n - n_min
+        # (P * pw) * W_n, then the dot and the dot of the magnitudes
         div, factor = radial.weight(n, tmp)
         np.multiply(p_cur, pw, out=term)
         if factor is not None:
             term *= factor
-        out[n - n_min] = np.dot(base, term) / div
+        out[i] = np.dot(base, term) / div
+        np.abs(term, out=term)
+        floor[i] = FLOOR_C * _EPS * (n + 3) * (np.dot(base, term) / div)
+        node_orders += x.size
         pw *= E
         radial.advance()
         # P_{n+1} = (((2n+1) x) P_n - n P_{n-1}) / (n+1), written over P_{n-1}
@@ -307,9 +378,16 @@ def _sweep_nodes(profile, grid, n_min, n_max):
         np.subtract(term, p_prev, out=p_prev)
         p_prev /= n + 1
         p_cur, p_prev = p_prev, p_cur
-        if (n - n_min) % COMPACT_EVERY == COMPACT_EVERY - 1:
-            live = pw >= _TINY
+        if i % COMPACT_EVERY == COMPACT_EVERY - 1:
+            # N times each node's bound on its term at every later order
+            np.multiply(base, pw, out=tmp)
+            tmp *= radial.wmax * x.size / (n + 4.0)
+            live = tmp > max(DROP_FRAC * floor[i], _TINY)
             if not live.all():
+                gone = ~live
+                events.append((n + 1, float(np.sum(tmp, where=gone)) / x.size,
+                               float(np.max(E, where=gone, initial=0.0))))
+                del gone
                 # rebinding one array at a time keeps at most one extra copy alive
                 x = x[live]
                 base = base[live]
@@ -320,54 +398,92 @@ def _sweep_nodes(profile, grid, n_min, n_max):
                 p_cur = p_cur[live]
                 term = term[:x.size]
                 tmp = tmp[:x.size]
-    return out
+    return _Sweep(out, floor, _dropped_bound(events, n_min, n_max),
+                  grid_nodes, node_orders)
 
 
 def _sweep(profile, n_max, level, n_min=0):
-    """Scaled coefficients for n = n_min..n_max in one recurrence pass.
+    """The scaled coefficients n_min..n_max in one recurrence pass, as a
+    ``_Sweep``: values, rounding floors, dropped-node bounds and run facts.
 
     The Legendre recurrence, the e^{-(n+3)F} damping and the radial factor
     W_n are all updated order by order over one grid built for n_max,
     which is at least as fine as any single order requires.  The
     recurrence is seeded with P_{n_min} and P_{n_min-1}, and the damping
-    starts at e^{-(n_min+3)F}; nodes where it has already underflowed are
-    dropped first.  A column constant in r has the closed radial factor
-    v (1 - e^{-(n+3)L}) / (n+3) and runs in a single pass over the whole
-    grid; a general column runs in chunks of COLUMN_CHUNK colatitude nodes,
-    each carrying its own per-block radial state (see ``_ColumnRadial``),
-    and the chunk sums are added.
+    starts at e^{-(n_min+3)F}.  A column constant in r has the closed
+    radial factor v (1 - e^{-(n+3)L}) / (n+3) and runs in a single pass
+    over the whole grid; a general column runs in chunks of COLUMN_CHUNK
+    colatitude nodes, each carrying its own per-block radial state (see
+    ``_ColumnRadial``), and the chunk results are added.
 
-    Every COMPACT_EVERY orders the per-node state is cut down to the nodes
-    whose damping pw = e^{-(n+3)F} is still at least the smallest normal
-    double, tiny = 2.2e-308.  pw is a running product of factors in
-    (0, 1], so it never grows back, and with |P_n| <= 1 a dropped node's
-    term obeys |base P_n pw W_n| / div < tiny |base| max W_n / div at every
-    later order.  For a column constant in r, W_n / div <= 1/3, so every
-    later order moves by less than tiny sum|base| / 3, at most 1.4e-308 on
-    the benchmark grids; for a general column W_n <= sum w |v| <= vmax L.
-    Either way the change lies far below the 1e-300 floor of every
-    reported error, so the cutoff needs no error accounting.  Without it,
-    nodes where e^{-F} > 1/2 would stall at the smallest subnormal instead
-    of reaching 0 and pay subnormal arithmetic to the end.  Apart from the
-    dropped terms only the summation order of the dot changes.  The
-    arithmetic runs in place on two scratch vectors, in the same operation
-    order as the plain expressions, so every kept per-node term is
-    unchanged (the closed radial factor is skipped only where it is
-    exactly 1.0; see ``_ClosedRadial``).
+    Rounding floor.  The sign of the colatitude weight base is moved into
+    the seeds of P (exact, and the recurrence is linear), so base =
+    |base|.  After each order's dot the scratch term vector is replaced by
+    its magnitude, and one more dot gives S_n = sum |base P_n pw W_n| /
+    div.  The floor is
+
+        floor_n = FLOOR_C (n + 3) eps S_n.
+
+    The n + 3 is the shape of the first-order bound on a recurrence of n
+    steps (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3):
+    the Legendre recurrence carries its rounding forward, and where graded
+    nodes cluster at the peak their errors add rather than cancel.  FLOOR_C
+    comes from an extended-precision (np.longdouble) replica of the level-1
+    sweep on the same grid without any cutoff, run on the cusp alpha=1/2,
+    the alpha=1 cusp with a k=1 weight and the quadratic peak with a
+    Fourier-tail weight up to n = 4000: |double - extended| / ((n+3) eps
+    S_n) is at most 0.33 (at n = 0, where the dot dominates) and at most
+    0.084 for n >= 100 (the cusp), against FLOOR_C = 2.  Without the n + 3
+    no constant works: |double - extended| / (eps S_n) reaches 24 at n 737
+    and 329 at n 3910 on the cusp.
+
+    Budget cutoff.  Every COMPACT_EVERY orders, after order n, each node's
+    term at every later order m > n obeys
+
+        |base P_m pw_m W_m| / div <= |base| pw_{n+1} wmax / (n + 4) = b,
+
+    since pw is a running product of factors in (0, 1], |P_m| <= 1 and
+    W_m / div <= wmax / (m + 3): wmax = 1 for the closed radial factor,
+    and the profile's vmax = max|v| for a general column.  A node is
+    dropped when b <= DROP_FRAC floor_n / N, with N the nodes still live,
+    so one compaction drops at most DROP_FRAC of the order's floor.  The
+    comparison never keeps a node whose N b is below the smallest normal
+    double, so a stalled subnormal damping is always dropped.  Each drop
+    is recorded as (n + 1, the summed b, the largest e^{-F} of the dropped
+    nodes); from there their terms shrink at least geometrically, and
+    ``dropped`` sums these bounds per order.  Before the first order there
+    is no floor yet, and only nodes whose damping is already below the
+    smallest normal double are dropped, with their bound recorded the
+    same way.
+
+    Apart from the dropped terms only the summation order of the dot
+    changes.  The arithmetic runs in place on two scratch vectors, in the
+    same operation order as the plain expressions, so every kept per-node
+    term is unchanged (the closed radial factor is skipped only where it
+    is exactly 1.0; see ``_ClosedRadial``).  ``grid_nodes`` is the grid
+    size and ``node_orders`` the node-orders the recurrence visited.
     """
     if profile.radial_constant:
         return _sweep_nodes(profile, list(theta_grid(profile, n_max, level)), n_min, n_max)
     nodes, wts = theta_grid(profile, n_max, level)
-    out = np.zeros(n_max - n_min + 1)
+    total = None
     for i in range(0, nodes.size, COLUMN_CHUNK):
-        out += _sweep_nodes(profile, [nodes[i:i + COLUMN_CHUNK], wts[i:i + COLUMN_CHUNK]],
+        part = _sweep_nodes(profile, [nodes[i:i + COLUMN_CHUNK], wts[i:i + COLUMN_CHUNK]],
                             n_min, n_max)
-    return out
+        total = part if total is None else _Sweep(*(a + b for a, b in zip(total, part)))
+    return total
 
 
 # ---------------------------------------------------------------------------
 # single coefficients and series
 # ---------------------------------------------------------------------------
+
+def _error_bar(fine, coarse):
+    """Error of the ``fine`` values: their difference from ``coarse``,
+    never below the rounding floor of ``fine``, plus both dropped bounds."""
+    return (np.maximum(np.abs(fine.values - coarse.values), fine.floor)
+            + fine.dropped + coarse.dropped)
+
 
 def coeff_scaled(profile, n, tol=DEFAULT_TOL):
     """One scaled coefficient with an absolute error estimate.
@@ -375,32 +491,36 @@ def coeff_scaled(profile, n, tol=DEFAULT_TOL):
     Returns ``(value, err)``; ``err <= tol`` unless the refinement ladder
     was exhausted, in which case the best value is returned with its honest
     error estimate (callers treat ``err > tol`` as the not-met flag).  Each
-    level runs the sweep for the single order n on the grid built for n.
-    Closed-form oracle planets bypass quadrature entirely.
+    level runs the sweep for the single order n on the grid built for n;
+    the error is that of ``coeff_series``.  Closed-form oracle planets
+    bypass quadrature entirely.
     """
     closed = getattr(profile, "closed_coeff_scaled", None)
     if closed is not None:
         return closed(n), 0.0
 
-    prev = None
-    best = None
-    err = math.inf
-    for level in range(3):
-        cur = float(_sweep(profile, n, level, n_min=n)[0])
-        if prev is not None:
-            err = max(abs(cur - prev), 1e-300)
-            best = cur
-            if err <= tol:
-                return cur, err
+    prev = _sweep(profile, n, 0, n_min=n)
+    for level in (1, 2):
+        cur = _sweep(profile, n, level, n_min=n)
+        err = float(_error_bar(cur, prev)[0])
+        if err <= tol:
+            break
         prev = cur
-    return best, err
+    return float(cur.values[0]), err
+
 
 def coeff_series(profile, n_min, n_max, tol=DEFAULT_TOL):
     """Scaled coefficients for every order in [n_min, n_max].
 
     Closed-form oracle planets use their whole-range formula.  Every other
     planet takes the recurrence sweep (``_sweep``) over a shared grid at
-    two resolutions; their difference is the per-order error estimate.
+    two resolutions, and reports the level-1 values.  The error of order n
+    is
+
+        err_n = max(|v1_n - v0_n|, floor1_n) + D0_n + D1_n,
+
+    the difference of the two levels, never below the rounding floor of
+    the level-1 sum, plus the bounds on the nodes either level dropped.
     Raises :class:`EnvelopeBoundError` if any magnitude breaks the
     a-priori envelope bound 4 pi G max|v|.
     """
@@ -415,8 +535,9 @@ def coeff_series(profile, n_min, n_max, tol=DEFAULT_TOL):
                                  profile.R, profile.fingerprint, tol)
 
     coarse = _sweep(profile, n_max, 0, n_min)
-    vals = _sweep(profile, n_max, 1, n_min)
-    errs = np.maximum(np.abs(vals - coarse), 1e-300)
+    fine = _sweep(profile, n_max, 1, n_min)
+    vals = fine.values
+    errs = _error_bar(fine, coarse)
 
     bound = ENVELOPE_SAFETY * profile.G * profile.vmax
     worst = np.max(np.abs(vals))
@@ -424,8 +545,10 @@ def coeff_series(profile, n_min, n_max, tol=DEFAULT_TOL):
         raise EnvelopeBoundError(
             f"coefficient magnitude {worst:.3e} breaks the envelope bound {bound:.3e}"
         )
-    return ScaledCoeffSeries(ns, vals, errs, errs <= tol,
-                             profile.R, profile.fingerprint, tol)
+    return ScaledCoeffSeries(ns, vals, errs, errs <= tol, profile.R, profile.fingerprint, tol,
+                             floor=fine.floor,
+                             grid_nodes=(coarse.grid_nodes, fine.grid_nodes),
+                             node_orders=(coarse.node_orders, fine.node_orders))
 
 # ---------------------------------------------------------------------------
 # potentials

@@ -49,7 +49,12 @@ SECOND_MAX_TOL = 1e-12
 
 
 class RejectNonGeneric(BrillouinError):
-    """The shape violates the single-highest-peak (genericity) assumptions."""
+    """The shape violates the single-highest-peak (genericity) assumptions;
+    ``field`` names the planet parameter at fault."""
+
+    def __init__(self, message, field="peak"):
+        super().__init__(message)
+        self.field = field
 
 
 class RejectDomain(BrillouinError):
@@ -583,7 +588,8 @@ def build_profile(spec, grid_points=20001):
                 "second global maximum of r_M detected away from theta0"
             )
         raise RejectNonGeneric(
-            f"F dips to {low:.3e} <= delta1={spec.delta1} outside the peak neighborhood"
+            f"F dips to {low:.3e} <= delta1={spec.delta1} outside the peak neighborhood",
+            field="delta1",
         )
     inside = (np.abs(x) < spec.delta) & (np.abs(x) > 0)
     if np.any(F[inside] <= 0.0):
@@ -595,7 +601,7 @@ def build_profile(spec, grid_points=20001):
     if wt is not None:
         corr = getattr(wt, "correction", None)
         if corr is not None and abs(float(corr(0.0))) > 1e-10:
-            raise RejectNonGeneric("weight correction must vanish at the peak")
+            raise RejectNonGeneric("weight correction must vanish at the peak", field="weight")
 
     # inner radius: default half the surface radius, pointwise
     rM = spec.R * np.exp(-F)
@@ -613,7 +619,7 @@ def build_profile(spec, grid_points=20001):
 
     rm = np.asarray(rm_callable(thetas), dtype=float)
     if np.any(rm <= 0) or np.any(rm >= rM):
-        raise RejectNonGeneric("need 0 < r_m(theta) < r_M(theta) everywhere")
+        raise RejectNonGeneric("need 0 < r_m(theta) < r_M(theta) everywhere", field="r_m")
 
     if spec.v is not None:
         v_callable = spec.v

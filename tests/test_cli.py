@@ -136,6 +136,40 @@ class TestConfigValidation:
         assert f"config error: {field}: " in capsys.readouterr().err
         assert not list(out.glob("coeffs-*"))
 
+    @pytest.mark.parametrize("command, change, field", [
+        ("radius", {"expect": {"rho": "abc"}}, "config.expect.rho"),
+        ("coeffs", {"expect": {"max_abs_coeff": "abc"}}, "config.expect.max_abs_coeff"),
+        ("radius", {"expect": {"rho": 1.0, "rho_tol": -0.1}}, "config.expect.rho_tol"),
+        ("spectral", {"expect": {"beta": [1.5]}}, "config.expect.beta"),
+        ("spectral", {"expect": {"beta": 1.5, "beta_tol": "wide"}}, "config.expect.beta_tol"),
+        ("asympt", {"expect": {"median_ratio_window": [0.9]}},
+         "config.expect.median_ratio_window"),
+        ("asympt", {"expect": {"median_ratio_window": [1.1, 0.9]}},
+         "config.expect.median_ratio_window"),
+        ("asympt", {"asympt": {"source": "bogus"}}, "config.asympt.source"),
+        ("asympt", {"asympt": {"source": "thm1", "a0": "abc", "beta0": 1.5}},
+         "config.asympt.a0"),
+        ("asympt", {"asympt": {"source": "thm1", "a0": -0.5, "beta0": "abc"}},
+         "config.asympt.beta0"),
+        ("asympt", {"asympt": {"source": "thm1", "a0": -0.5}}, "config.asympt.beta0"),
+        ("asympt", {"asympt": {"a1": "1+", "beta1": 2.0}}, "config.asympt.a1"),
+        ("coeffs", {"planet": dict(CUSP_PLANET, r_m=2.0)}, "config.planet.r_m"),
+    ], ids=["rho", "max-abs-coeff", "negative-rho-tol", "list-beta",
+            "beta-tol", "one-sided-window", "reversed-window", "unknown-source",
+            "non-complex-a0", "non-numeric-beta0", "a0-without-beta0", "non-complex-a1",
+            "inner-radius-outside"])
+    def test_expect_asympt_and_shape_errors_name_field(self, tmp_path, capsys, command,
+                                                       change, field):
+        cfg = {"schema_version": 1, "seed": 1,
+               "planet": dict(CUSP_PLANET, weight={"variant": "fourier_tail",
+                                                   "beta0": 1.5, "eps": 0.25}),
+               "n_range": {"n_max": 20}, **change}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert f"config error: {field}: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_load_config_object(self, tmp_path):
         path = write_config(tmp_path, POINT_MASS_CONFIG)
         config = load_config(path, command="coeffs")
@@ -165,6 +199,23 @@ class TestCoeffsCommand:
         blobs2 = {p.name: p.read_bytes() for p in out.glob("coeffs-*/*")}
         assert blobs1 == blobs2
 
+
+    def test_swept_run_facts_rerun_byte_identical(self, tmp_path):
+        cfg = {"schema_version": 1, "seed": 1, "planet": CUSP_PLANET,
+               "n_range": {"n_min": 0, "n_max": 300}}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["coeffs", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        blobs1 = {p.name: p.read_bytes() for p in out.glob("coeffs-*/*")}
+        assert main(["coeffs", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        blobs2 = {p.name: p.read_bytes() for p in out.glob("coeffs-*/*")}
+        assert blobs1 == blobs2
+        payload = json.loads(blobs1["coeffs.json"])
+        planet = load_config(path, command="coeffs").planet()
+        grids = [coeffs.theta_grid(planet, 300, level)[0].size for level in (0, 1)]
+        assert payload["grid_nodes"] == grids
+        assert all(0 < v < g * 301 for v, g in zip(payload["node_orders"], grids))
+        assert payload["worst_err_over_floor"] >= 1.0
 
     def test_envelope_bound_breach_is_numeric_failure(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(coeffs, "ENVELOPE_SAFETY", 1e-6)

@@ -27,24 +27,27 @@ from brillouin.model import (
 from conftest import THETA0, make_mollified
 
 
-def _reference_sweep(profile, n_max, level):
+def _reference_sweep(profile, n_max, level, dtype=float):
     """The sweep without node compaction, in plain array expressions.
 
+    The arithmetic runs in ``dtype`` on the double-precision inputs (nodes,
+    weights, e^{-F}, e^{-L}), so ``np.longdouble`` gives an extended-
+    precision replica whose only difference is the rounding of the sweep.
     Returns the values, sum |terms| / (n+3) per order (the scale of the
     rounding a change of summation order may cause), and the damping
     e^{-(n_max+4) F} left at the end.
     """
     nodes, wts = coeffs.theta_grid(profile, n_max, level)
-    x = np.cos(nodes)
-    base = wts * np.sqrt(np.sin(nodes)) * profile.eval_g(nodes)
-    E = np.exp(-profile.eval_F(nodes))
-    EL = np.exp(-profile.eval_L(nodes))
+    x = np.cos(nodes).astype(dtype)
+    base = (wts * np.sqrt(np.sin(nodes)) * profile.eval_g(nodes)).astype(dtype)
+    E = np.exp(-profile.eval_F(nodes)).astype(dtype)
+    EL = np.exp(-profile.eval_L(nodes)).astype(dtype)
     pw = E**3
     pwL = EL**3
     p_prev = np.ones_like(x)
     p_cur = x.copy()
-    out = np.empty(n_max + 1)
-    scale = np.empty(n_max + 1)
+    out = np.empty(n_max + 1, dtype)
+    scale = np.empty(n_max + 1, dtype)
     for n in range(n_max + 1):
         P = p_prev if n == 0 else p_cur
         term = P * pw * (1.0 - pwL)
@@ -58,13 +61,41 @@ def _reference_sweep(profile, n_max, level):
 
 
 def _assert_matches_reference(profile, n_max, level=0):
-    """Compare the sweep with the reference; returns both and the final
-    reference damping."""
+    """Compare the sweep with the reference; returns both values and the
+    final reference damping."""
     ref, scale, pw = _reference_sweep(profile, n_max, level)
     got = _sweep(profile, n_max, level)
-    assert np.all(np.isfinite(got))
-    assert np.all(np.abs(got - ref) <= np.maximum(1e-14 * np.abs(ref), 1e-14 * scale))
-    return got, ref, pw
+    assert np.all(np.isfinite(got.values))
+    gap = np.abs(got.values - ref)
+    assert np.all(gap <= np.maximum(1e-14 * np.abs(ref), 1e-14 * scale))
+    # the budget contract: a new summation order and the dropped terms
+    assert np.all(gap <= got.floor + got.dropped)
+    return got.values, ref, pw
+
+
+def _replay_budget(profile, grid, floor, n_max):
+    """The sweep's compaction rule replayed from its reported floors on a
+    closed-radial planet swept from n = 0.  Returns the live mask of each
+    compaction that dropped nodes, the live count at every order, the
+    damping left at the end and the nodes still live there."""
+    nodes, wts = grid
+    base = np.abs(wts * np.sqrt(np.sin(nodes)) * profile.eval_g(nodes))
+    E = np.exp(-profile.eval_F(nodes))
+    pw = E**3
+    live = np.arange(nodes.size)
+    masks, counts = [], []
+    for n in range(n_max + 1):
+        counts.append(live.size)
+        pw *= E
+        if n % COMPACT_EVERY == COMPACT_EVERY - 1:
+            # live count times each node's bound on its later terms
+            bound = base[live] * pw[live]
+            bound *= 1.0 * live.size / (n + 4.0)
+            keep = bound > max(coeffs.DROP_FRAC * floor[n], np.finfo(float).tiny)
+            if not keep.all():
+                masks.append(keep)
+                live = live[keep]
+    return masks, np.array(counts), pw, live
 
 
 class TestSweepCompaction:
@@ -87,31 +118,78 @@ class TestSweepCompaction:
         # a steep peak on a coarse uniform grid: by n = 3000 only the few
         # nodes where e^{-F} > 1/2 keep a nonzero running product in the
         # reference (it stalls at the smallest subnormal there instead of
-        # reaching 0); the sweep drops them once it falls below the smallest
-        # normal, and their terms were below it all along
+        # reaching 0); the sweep has dropped them long before, and still
+        # matches
         profile, grid = self._steep_peak_on_coarse_grid(monkeypatch)
         _, _, pw = _assert_matches_reference(profile, 3000)
         live = np.flatnonzero(pw)
         assert 0 < live.size <= 10
         assert np.all(np.abs(grid[0][live] - profile.theta0) < 0.02)
 
-    def test_stalled_subnormal_nodes_are_dropped(self, monkeypatch):
-        # most nodes the reference still carries at n = 3000 hold a stalled
-        # subnormal damping; the sweep keeps only those above the smallest
-        # normal and still matches
-        profile, _ = self._steep_peak_on_coarse_grid(monkeypatch)
-        kept = []
+    @staticmethod
+    def _recorded_sweep(monkeypatch, profile, n_max):
+        masks = []
         compact = coeffs._ClosedRadial.compact
 
         def recording_compact(radial, live):
-            kept.append(int(np.count_nonzero(live)))
+            masks.append(live.copy())
             compact(radial, live)
 
         monkeypatch.setattr(coeffs._ClosedRadial, "compact", recording_compact)
-        _, _, pw = _assert_matches_reference(profile, 3000)
-        normal = np.count_nonzero(pw >= np.finfo(float).tiny)
-        assert 0 < normal < np.count_nonzero(pw)
-        assert kept[-1] == normal
+        return _sweep(profile, n_max, 0), masks
+
+    def test_stalled_subnormal_nodes_are_dropped(self, monkeypatch):
+        # the budget rule: at every compaction the sweep keeps exactly the
+        # nodes whose bound on their later terms, times the live count,
+        # exceeds DROP_FRAC of the order's floor; that drops every node
+        # whose damping the reference carries on as a stalled subnormal
+        profile, grid = self._steep_peak_on_coarse_grid(monkeypatch)
+        got, masks = self._recorded_sweep(monkeypatch, profile, 3000)
+        want, counts, pw, live = _replay_budget(profile, grid, got.floor, 3000)
+        assert len(masks) == len(want) > 1
+        assert all(np.array_equal(a, b) for a, b in zip(masks, want))
+        assert got.node_orders == counts.sum() < grid[0].size * 3001
+        stalled = (pw > 0) & (pw < np.finfo(float).tiny)
+        assert stalled.any() and not stalled[live].any()
+
+    def test_dropped_bound_covers_dropped_terms(self, monkeypatch):
+        # at every order the terms of the nodes dropped so far, taken from
+        # the uncompacted sweep, sum to no more than the reported bound
+        profile, grid = self._steep_peak_on_coarse_grid(monkeypatch)
+        n_max = 600
+        got, masks = self._recorded_sweep(monkeypatch, profile, n_max)
+        _, counts, _, _ = _replay_budget(profile, grid, got.floor, n_max)
+        nodes, wts = grid
+        x = np.cos(nodes)
+        base = wts * np.sqrt(np.sin(nodes)) * profile.eval_g(nodes)
+        E = np.exp(-profile.eval_F(nodes))
+        EL = np.exp(-profile.eval_L(nodes))
+        p_prev, p_cur = np.zeros_like(x), np.ones_like(x)
+        live = np.arange(nodes.size)
+        left = iter(masks)
+        seen = []
+        for n in range(n_max + 1):
+            terms = np.abs(base * p_cur * E ** (n + 3) * (1.0 - EL ** (n + 3))) / (n + 3.0)
+            dropped = np.sum(np.delete(terms, live))
+            assert dropped <= got.dropped[n]
+            seen.append(dropped)
+            if n < n_max and counts[n + 1] < counts[n]:
+                live = live[next(left)]
+            p_cur, p_prev = ((2 * n + 1) * x * p_cur - n * p_prev) / (n + 1), p_cur
+        assert next(left, None) is None
+        assert max(seen) > 0
+
+    def test_late_start_bounds_the_nodes_it_skips(self, monkeypatch):
+        # a sweep starting at n = 200 never visits the nodes whose damping
+        # is already below the smallest normal double, and bounds their terms
+        profile, (nodes, wts) = self._steep_peak_on_coarse_grid(monkeypatch)
+        got = _sweep(profile, 200, 0, n_min=200)
+        pw = np.exp(-profile.eval_F(nodes)) ** 203
+        skipped = pw < np.finfo(float).tiny
+        assert got.node_orders == np.count_nonzero(~skipped) < nodes.size
+        base = wts * np.sqrt(np.sin(nodes)) * profile.eval_g(nodes)
+        terms = base * legendre_eval(200, np.cos(nodes)) * pw / 203.0
+        assert 0 < np.sum(np.abs(terms[skipped])) <= got.dropped[0]
 
     def test_short_sweep_is_bitwise_unchanged(self, t1_profile):
         # no compaction step runs below COMPACT_EVERY orders, so not even
@@ -119,6 +197,40 @@ class TestSweepCompaction:
         n_max = COMPACT_EVERY - 2
         got, ref, _ = _assert_matches_reference(t1_profile, n_max)
         assert np.array_equal(got, ref)
+
+
+class TestRoundingFloor:
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="np.longdouble is no wider than double here")
+    @pytest.mark.parametrize("name", ["cusp_profile", "alpha1_profile", "t1_profile"])
+    def test_floor_bounds_extended_precision_rounding(self, request, name):
+        # the level-1 sweep replayed in extended precision on the same grid
+        # and inputs, with no node dropped: the double sweep, compaction
+        # included, stays within its rounding floor at every order
+        profile = request.getfixturevalue(name)
+        ext, _, _ = _reference_sweep(profile, 1000, 1, dtype=np.longdouble)
+        got = _sweep(profile, 1000, 1)
+        assert np.all(np.abs(got.values - ext) <= got.floor)
+        assert np.all(got.dropped < got.floor)
+
+    @pytest.mark.parametrize("name", ["mollified", "column", "cusp"])
+    def test_single_order_error_is_the_series_error(self, cusp_profile, name):
+        # coeff_scaled reports err = max(|v1 - v0|, floor1) + D0 + D1 of
+        # its own single-order sweeps
+        if name == "mollified":
+            prof, n, tol = make_mollified(0.6, 2.0, 1.0, 0.03)[0], 7, 1e-9
+        elif name == "column":
+            prof, n, tol = _column_planet(), 30, 1e-10
+        else:
+            prof, n, tol = cusp_profile, 3000, 1e-10
+        value, err = coeff_scaled(prof, n, tol=tol)
+        sweeps = [_sweep(prof, n, level, n_min=n) for level in (0, 1, 2)]
+        bars = [max(abs(fine.values[0] - coarse.values[0]), fine.floor[0])
+                + coarse.dropped[0] + fine.dropped[0]
+                for coarse, fine in zip(sweeps, sweeps[1:])]
+        level = 1 if bars[0] <= tol else 2
+        assert (value, err) == (sweeps[level].values[0], bars[level - 1])
+        assert err >= sweeps[level].floor[0] > 0
 
 
 class TestClosedRadialSkip:
@@ -218,7 +330,7 @@ class TestColumnEngine:
         for n in ns:
             ref, err_ref = _old_coeff_scaled(profile, n, tol)
             new, err_new = series.value_at(n), series.errors[n]
-            assert abs(new - ref) <= 10 * (err_new + err_ref) + 1e-15
+            assert abs(new - ref) <= 10 * (err_new + err_ref)
 
     def test_mollified_column_matches_old_path(self):
         prof, _ = make_mollified(0.6, 2.0, 1.0, 0.03)
@@ -232,7 +344,7 @@ class TestColumnEngine:
         # g / sqrt(sin); orders up to 200 cross blocks where the radial cap binds
         prof = _column_planet(radial_power=2)
         n_max = 200
-        got = _sweep(prof, n_max, 1)
+        got = _sweep(prof, n_max, 1).values
         nodes, wts = coeffs.theta_grid(prof, n_max, 1)
         L = prof.eval_L(nodes)
         base = wts * np.sqrt(np.sin(nodes)) * prof.weight.evaluate(nodes - THETA0) \
@@ -247,15 +359,15 @@ class TestColumnEngine:
     def test_late_start_matches_full_sweep(self, request, name):
         # orders below n_min only advance the recurrence
         prof = _column_planet() if name == "column" else request.getfixturevalue(name)
-        full = _sweep(prof, 300, 0)
-        late = _sweep(prof, 300, 0, n_min=150)
+        full = _sweep(prof, 300, 0).values
+        late = _sweep(prof, 300, 0, n_min=150).values
         assert late.size == 151
         assert np.all(np.abs(late - full[150:]) <= 1e-13 * np.max(np.abs(full[150:])))
 
     @pytest.mark.parametrize("name", ["mollified", "column"])
     def test_single_order_matches_series(self, name):
-        # the two differ only in grid (built for n against n_max) and rounding;
-        # 1e-15 covers rounding where an error estimate reads below it
+        # the two differ only in grid (built for n against n_max) and
+        # rounding, which both errors cover
         if name == "mollified":
             prof, n_max, tol = make_mollified(0.6, 2.0, 1.0, 0.03)[0], 12, 1e-9
         else:
@@ -263,7 +375,7 @@ class TestColumnEngine:
         series = coeff_series(prof, 0, n_max, tol=tol)
         for n in (1, n_max // 2, n_max):
             single, err = coeff_scaled(prof, n, tol=tol)
-            assert abs(single - series.value_at(n)) <= err + series.errors[n] + 1e-15
+            assert abs(single - series.value_at(n)) <= err + series.errors[n]
 
 
 class TestOraclePaths:
@@ -350,8 +462,8 @@ class TestQuadraturePath:
 
     def test_doubling_changes_less_than_reported_error(self, cusp_profile):
         from brillouin.coeffs import _sweep
-        coarse = _sweep(cusp_profile, 600, level=0)
-        fine = _sweep(cusp_profile, 600, level=1)
+        coarse = _sweep(cusp_profile, 600, level=0).values
+        fine = _sweep(cusp_profile, 600, level=1).values
         series = coeff_series(cusp_profile, 0, 600, tol=1e-10)
         assert np.all(np.abs(fine - coarse)[series.n] <= series.errors)
 
@@ -368,6 +480,20 @@ class TestSeries:
     def test_error_estimates_positive(self, cusp_series):
         assert np.all(cusp_series.errors > 0)
         assert np.all(cusp_series.ok)
+
+    def test_run_facts(self, cusp_profile, cusp_series, point_mass_series):
+        grids = tuple(coeffs.theta_grid(cusp_profile, 4000, level)[0].size for level in (0, 1))
+        assert cusp_series.grid_nodes == grids
+        # the budget leaves well under half of every grid's node-orders
+        assert all(0 < v < g * cusp_series.n.size / 2
+                   for v, g in zip(cusp_series.node_orders, grids))
+        assert np.all(cusp_series.errors >= cusp_series.floor)
+        assert np.all(cusp_series.floor > 0)
+        d = cusp_series.window(100, 200).to_json_dict()
+        assert d["grid_nodes"] == list(grids)
+        assert d["worst_err_over_floor"] >= 1.0
+        closed = point_mass_series.to_json_dict()
+        assert (closed["grid_nodes"], closed["worst_err_over_floor"]) == ([], None)
 
     def test_window_and_value_access(self, cusp_series):
         w = cusp_series.window(100, 200)
