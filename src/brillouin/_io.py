@@ -5,27 +5,37 @@ endings, so re-running a command with the same configuration reproduces
 byte-identical artifacts.
 """
 
+import itertools
 import json
 from pathlib import Path
 
+import numpy as np
 
-def fmt(value):
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    if isinstance(value, complex):
-        return f"{value.real:.17g}{value.imag:+.17g}j"
-    return str(value)
+#: the %-format of one CSV value by the kind of its column's dtype
+_FIELD = {"f": "%.17g", "c": "%.17g%+.17gj"}
+#: CSV rows formatted per call: few calls, and little text held at once
+CSV_ROWS = 256
 
 
-def write_csv(path, header, rows, config_hash=None):
+def write_csv(path, columns, config_hash=None):
+    """Write ``columns``, a dict of header -> 1-D array of one length, as
+    CSV with one row per index.  Floats take 17 significant digits, complex
+    values ``re+imj`` with both parts so, and every other value its str().
+    A %-template of CSV_ROWS rows formats each run of rows in one call."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    arrays = [np.asarray(c) for c in columns.values()]
+    streams = []
+    for a in arrays:
+        streams += [a.real.tolist(), a.imag.tolist()] if a.dtype.kind == "c" else [a.tolist()]
+    row = ",".join(_FIELD.get(a.dtype.kind, "%s") for a in arrays) + "\n"
     with open(path, "w", newline="\n") as fh:
         if config_hash is not None:
             fh.write(f"# config_hash: {config_hash}\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        fh.write(",".join(columns) + "\n")
+        rows = zip(*streams)
+        while run := list(itertools.islice(rows, CSV_ROWS)):
+            fh.write((row * len(run)) % tuple(itertools.chain.from_iterable(run)))
     return path
 
 

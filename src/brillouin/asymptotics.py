@@ -320,9 +320,8 @@ class RatioReport:
     verdict: str
 
     def to_csv(self, path, config_hash=None):
-        rows = zip(self.n.tolist(), self.coeff.tolist(), self.pred.tolist(),
-                   self.ratio.tolist(), [int(m) for m in self.masked])
-        write_csv(path, ["n", "coeff", "pred", "ratio", "masked"], rows,
+        write_csv(path, {"n": self.n, "coeff": self.coeff, "pred": self.pred,
+                         "ratio": self.ratio, "masked": np.asarray(self.masked, dtype=int)},
                   config_hash=config_hash)
 
     def to_json_dict(self, config_hash=None):

@@ -90,8 +90,7 @@ class SurfaceMeasure:
 
     def to_csv(self, path, xs, config_hash=None):
         xs, vals = self.sample(xs)
-        write_csv(path, ["x", "mu"], zip(xs.tolist(), vals.tolist()),
-                  config_hash=config_hash)
+        write_csv(path, {"x": xs, "mu": vals}, config_hash=config_hash)
 
     @staticmethod
     def from_samples(xs, vals, smoothness=None):
@@ -289,7 +288,9 @@ def swept_potential(x0, obs, n_theta=200):
     obs = np.asarray(obs, dtype=float)
     points, weights = _sphere_rule(n_theta)
     sigma = weights * ((1.0 - float(x0 @ x0)) / (4.0 * math.pi)) / _distances(points, x0) ** 3
-    vals = np.array([sigma @ (1.0 / _distances(points, o)) for o in obs.reshape(-1, 3)])
+    # a pairwise numpy sum, not a BLAS dot, whose rounding would depend on
+    # the BLAS thread count
+    vals = np.array([np.add.reduce(sigma / _distances(points, o)) for o in obs.reshape(-1, 3)])
     return float(vals[0]) if obs.ndim == 1 else vals
 
 

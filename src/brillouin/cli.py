@@ -450,8 +450,7 @@ def _cmd_spectral(config, out):
     if getattr(planet, "weight", None) is None:
         raise ConfigError("config.planet: the spectral command needs a profile with a weight")
     fit, ks, vals = _fit_weight_tail(config, planet)
-    write_csv(out / "transform.csv", ["k", "re", "im"],
-              zip(ks.tolist(), np.real(vals).tolist(), np.imag(vals).tolist()),
+    write_csv(out / "transform.csv", {"k": ks, "re": np.real(vals), "im": np.imag(vals)},
               config_hash=config.config_hash)
     write_json(out / "tailfit.json", {
         "beta": fit.beta,

@@ -26,13 +26,23 @@ each octave block of orders [lo, 2 lo) the radial s-nodes are built and v
 is evaluated once, and W_n follows order by order from one multiply by
 e^{-s}.
 
+Each order's value is a sum over the colatitude nodes.  The sweep writes
+the per-node terms of several consecutive orders as the rows of one block
+and sums every row pairwise in numpy (``np.add.reduce``), one call per
+block: the O(log N) eps error bound of pairwise summation (Higham,
+Accuracy and Stability of Numerical Algorithms, ch. 4), no BLAS call,
+so no result depends on the BLAS build or its thread count, and one call
+per block rather than per order once the live grid is small.  The block
+holds at most SUM_BLOCK elements and, on a large grid, is the term vector
+the sweep needs anyway (see ``_sweep``).
+
 Every reported error (see ``coeff_series``) has a rounding floor and
 accounts for what the sweep leaves out.  With each value the sweep returns
-a rounding floor, taken from one more dot product against the magnitudes
-of the terms, and uses that floor as a budget: every 32 orders it drops
-the nodes whose terms, bounded from |P_n| <= 1, the damping and the
-largest radial factor, sum to at most a fixed fraction of the order's
-floor at every later order, and adds what it dropped to the error (see
+a rounding floor, taken from one more sum over the magnitudes of the
+terms, and uses that floor as a budget: every 32 orders it drops the
+nodes whose terms, bounded from |P_n| <= 1, the damping and the largest
+radial factor, sum to at most a fixed fraction of the order's floor at
+every later order, and adds what it dropped to the error (see
 ``_sweep``).  On a peaked planet most of the grid's damping falls below
 anything that can move a double result long before the last order, so
 the budget removes most of the sweep's work while the error still
@@ -79,6 +89,10 @@ _ONE_MINUS_EXACT = 2.0**-54
 #: general columns are swept in chunks of this many colatitude nodes, which
 #: keeps each (nodes x radial nodes) array of the radial state near 0.2 MiB
 COLUMN_CHUNK = 256
+#: the sweep sums the terms of up to COMPACT_EVERY orders per reduction call,
+#: in a block of at most this many elements (256 KiB, within a core's L2
+#: cache), or of one row where a row is more (see ``_sweep``)
+SUM_BLOCK = 2**15
 #: radial panel edges, equispaced in the decay exponent u = (n+3) s
 _U_EDGES = np.array([0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 28.0, RADIAL_EXPONENT_CAP])
 
@@ -132,8 +146,8 @@ class ScaledCoeffSeries:
             floor=None if self.floor is None else self.floor * abs(factor))
 
     def to_csv(self, path, config_hash=None):
-        rows = zip(self.n.tolist(), self.values.tolist(), self.errors.tolist())
-        write_csv(path, ["n", "C_scaled", "err"], rows, config_hash=config_hash)
+        write_csv(path, {"n": self.n, "C_scaled": self.values, "err": self.errors},
+                  config_hash=config_hash)
 
     def to_json_dict(self, config_hash=None):
         d = {
@@ -207,6 +221,8 @@ class _ClosedRadial:
     wmax = 1.0
 
     def __init__(self, profile, nodes, n_min):
+        # max|v| of the column folded into the colatitude base
+        self.vmax = profile.vmax
         self.EL = np.exp(-profile.eval_L(nodes))
         self.pwL = self.EL ** (n_min + 3)
         self.top = float(self.pwL.max(initial=0.0))
@@ -240,6 +256,11 @@ class _ColumnRadial:
     panels built for lo resolve every later order of the block.  While the
     cap binds at no node the panels do not depend on lo, and A is carried
     on into the next block.
+
+    ``wmax`` bounds |v| for the sweep's budget: it starts at the profile's
+    vmax, taken from a few radial probes that can miss a narrow feature, and
+    is raised to the largest |v| among the samples of each block as the
+    block is built, so before any of the block's compactions.
     """
 
     def __init__(self, profile, nodes, n_min):
@@ -247,12 +268,12 @@ class _ColumnRadial:
         self.theta = nodes
         self.rM = profile.eval_rM(nodes)
         self.L = profile.eval_L(nodes)
-        # no block yet: the first call of ``weight`` builds the block at n_min
-        self.s_hi = np.full(nodes.size, np.nan)
-        self.decay = self.A = np.empty((nodes.size, 0))
-        self.block_end = n_min
         # |W_n| <= wmax / (n + 3)
         self.wmax = profile.vmax
+        # the first block is built before the sweep drops any node, so that
+        # its samples raise wmax for every bound the sweep records
+        self.s_hi = np.full(nodes.size, np.nan)
+        self._start_block(n_min)
 
     def _start_block(self, lo):
         self.block_end = max(2 * lo, lo + 1)
@@ -269,7 +290,12 @@ class _ColumnRadial:
         self.decay = np.exp(-s)
         theta = np.repeat(self.theta[:, None], s.shape[1], axis=1)
         vals = self.profile.eval_v(self.rM[:, None] * self.decay, theta)
+        self.wmax = max(self.wmax, float(np.max(np.abs(vals), initial=0.0)))
         self.A = w * np.exp(-(lo + 3.0) * s) * vals
+
+    @property
+    def vmax(self):
+        return self.wmax
 
     def weight(self, n, out):
         if n == self.block_end:
@@ -291,13 +317,16 @@ class _ColumnRadial:
 
 class _Sweep(NamedTuple):
     """One level's sweep: per-order values, rounding floors and dropped-node
-    bounds, with the grid size and the node-orders the recurrence visited."""
+    bounds, with the grid size, the node-orders the recurrence visited and
+    the largest |v| the sweep used (the profile's vmax, raised to every
+    sampled |v| of a general column)."""
 
     values: np.ndarray
     floor: np.ndarray
     dropped: np.ndarray
     grid_nodes: int
     node_orders: int
+    vmax: float
 
 
 def _dropped_bound(events, n_min, n_max):
@@ -310,6 +339,14 @@ def _dropped_bound(events, n_min, n_max):
         k = first - n_min
         out[k:] += bound * e_max ** np.arange(out.size - k)
     return out
+
+
+def _term_block(buf, size):
+    """The sweep's term block in the term vector ``buf`` for ``size`` live
+    nodes: as many rows of ``size`` as fit in ``buf`` and in SUM_BLOCK
+    elements, at least one and at most COMPACT_EVERY."""
+    rows = max(1, min(COMPACT_EVERY, min(buf.size, SUM_BLOCK) // max(size, 1)))
+    return buf[:rows * size].reshape(rows, size)
 
 
 def _sweep_nodes(profile, grid, n_min, n_max):
@@ -335,8 +372,8 @@ def _sweep_nodes(profile, grid, n_min, n_max):
         # before the first order there is no floor yet: only nodes whose
         # damping is already below the smallest normal double are dropped
         gone = ~live
-        events.append((n_min, float(np.abs(base[gone]) @ pw[gone]) * radial.wmax / (n_min + 3.0),
-                       float(E[gone].max())))
+        events.append((n_min, float(np.add.reduce(np.abs(base[gone]) * pw[gone]))
+                       * radial.wmax / (n_min + 3.0), float(E[gone].max())))
         x = x[live]
         base = base[live]
         E = E[live]
@@ -353,32 +390,48 @@ def _sweep_nodes(profile, grid, n_min, n_max):
         np.negative(p_prev, out=p_prev, where=neg)
         np.abs(base, out=base)
     del neg
-    term = np.empty_like(x)
+    # row j of the term block holds the terms of the block's j-th order; only
+    # a grid small enough for a whole block gets a term vector of more rows
+    rows = COMPACT_EVERY if COMPACT_EVERY * x.size <= SUM_BLOCK else 1
+    term = np.empty(rows * x.size)
+    blk = _term_block(term, x.size)
     tmp = np.empty_like(x)
+    div = np.empty(COMPACT_EVERY)
     out = np.empty(n_max - n_min + 1)
     floor = np.empty_like(out)
     node_orders = 0
+    first = 0  # the index of the block's first order
     for n in range(n_min, n_max + 1):
         i = n - n_min
-        # (P * pw) * W_n, then the dot and the dot of the magnitudes
-        div, factor = radial.weight(n, tmp)
-        np.multiply(p_cur, pw, out=term)
+        j = i - first
+        # the terms (P * pw) * W_n of order n
+        div[j], factor = radial.weight(n, tmp)
+        row = np.multiply(p_cur, pw, out=blk[j])
         if factor is not None:
-            term *= factor
-        out[i] = np.dot(base, term) / div
-        np.abs(term, out=term)
-        floor[i] = FLOOR_C * _EPS * (n + 3) * (np.dot(base, term) / div)
+            row *= factor
         node_orders += x.size
         pw *= E
         radial.advance()
         # P_{n+1} = (((2n+1) x) P_n - n P_{n-1}) / (n+1), written over P_{n-1}
-        np.multiply(x, 2 * n + 1, out=term)
-        term *= p_cur
-        p_prev *= n
-        np.subtract(term, p_prev, out=p_prev)
-        p_prev /= n + 1
+        np.multiply(x, float(2 * n + 1), out=tmp)
+        tmp *= p_cur
+        p_prev *= float(n)
+        np.subtract(tmp, p_prev, out=p_prev)
+        p_prev /= float(n + 1)
         p_cur, p_prev = p_prev, p_cur
-        if i % COMPACT_EVERY == COMPACT_EVERY - 1:
+        compact = i % COMPACT_EVERY == COMPACT_EVERY - 1
+        if j + 1 < blk.shape[0] and not compact and n < n_max:
+            continue
+        # the block ends: the pairwise sum of each row of base * terms, then
+        # of its magnitudes
+        terms = blk[:j + 1]
+        terms *= base
+        out[first:i + 1] = np.add.reduce(terms, axis=1) / div[:j + 1]
+        np.abs(terms, out=terms)
+        floor[first:i + 1] = (FLOOR_C * _EPS * np.arange(n_min + first + 3.0, n + 4.0)
+                              * (np.add.reduce(terms, axis=1) / div[:j + 1]))
+        first = i + 1
+        if compact:
             # N times each node's bound on its term at every later order
             np.multiply(base, pw, out=tmp)
             tmp *= radial.wmax * x.size / (n + 4.0)
@@ -396,10 +449,10 @@ def _sweep_nodes(profile, grid, n_min, n_max):
                 radial.compact(live)
                 p_prev = p_prev[live]
                 p_cur = p_cur[live]
-                term = term[:x.size]
                 tmp = tmp[:x.size]
+                blk = _term_block(term, x.size)
     return _Sweep(out, floor, _dropped_bound(events, n_min, n_max),
-                  grid_nodes, node_orders)
+                  grid_nodes, node_orders, radial.vmax)
 
 
 def _sweep(profile, n_max, level, n_min=0):
@@ -416,11 +469,27 @@ def _sweep(profile, n_max, level, n_min=0):
     colatitude nodes, each carrying its own per-block radial state (see
     ``_ColumnRadial``), and the chunk results are added.
 
+    Summation.  Order n writes its per-node terms (P_n pw) W_n as one row
+    of a block of up to COMPACT_EVERY rows.  When the block ends, it is
+    multiplied by base, each row is summed pairwise (``np.add.reduce`` along
+    the row, the same sum as on that row alone) and divided by its div,
+    then the block is replaced by its magnitudes and summed again for the
+    floors below.  Blocks end at every compaction order, so the budget
+    reads each floor at the same order as it would unblocked.  The block
+    holds at most SUM_BLOCK elements, or one row where a row is more.  A
+    grid of N > SUM_BLOCK / COMPACT_EVERY nodes keeps the one N-sized term
+    vector the sweep needs anyway and uses it as the block: one row until
+    the compactions shrink the live grid to half of N (and of SUM_BLOCK),
+    then more rows as the grid shrinks, so blocking adds no memory.  A
+    smaller grid, such as a column chunk, has a term vector of
+    COMPACT_EVERY rows from the start.  No BLAS routine runs on per-node
+    arrays: a threaded BLAS dot splits its sum by thread count, and its
+    idle threads spin on the CPU.
+
     Rounding floor.  The sign of the colatitude weight base is moved into
     the seeds of P (exact, and the recurrence is linear), so base =
-    |base|.  After each order's dot the scratch term vector is replaced by
-    its magnitude, and one more dot gives S_n = sum |base P_n pw W_n| /
-    div.  The floor is
+    |base|.  The sum of the magnitudes of each row gives S_n = sum |base
+    P_n pw W_n| / div.  The floor is
 
         floor_n = FLOOR_C (n + 3) eps S_n.
 
@@ -432,10 +501,11 @@ def _sweep(profile, n_max, level, n_min=0):
     sweep on the same grid without any cutoff, run on the cusp alpha=1/2,
     the alpha=1 cusp with a k=1 weight and the quadratic peak with a
     Fourier-tail weight up to n = 4000: |double - extended| / ((n+3) eps
-    S_n) is at most 0.33 (at n = 0, where the dot dominates) and at most
-    0.084 for n >= 100 (the cusp), against FLOOR_C = 2.  Without the n + 3
-    no constant works: |double - extended| / (eps S_n) reaches 24 at n 737
-    and 329 at n 3910 on the cusp.
+    S_n) was at most 0.33 (at n = 0, where the sum dominates) and at most
+    0.084 for n >= 100 (the cusp) with a BLAS dot, against FLOOR_C = 2;
+    with the pairwise sums the worst on the cusp up to n = 4000 is 0.042
+    (at n 3910).  Without the n + 3 no constant works: |double - extended|
+    / (eps S_n) reaches 24 at n 737 and 329 at n 3910 on the cusp.
 
     Budget cutoff.  Every COMPACT_EVERY orders, after order n, each node's
     term at every later order m > n obeys
@@ -444,7 +514,8 @@ def _sweep(profile, n_max, level, n_min=0):
 
     since pw is a running product of factors in (0, 1], |P_m| <= 1 and
     W_m / div <= wmax / (m + 3): wmax = 1 for the closed radial factor,
-    and the profile's vmax = max|v| for a general column.  A node is
+    and for a general column the largest |v| of the profile's probes and
+    of every radial sample so far (see ``_ColumnRadial``).  A node is
     dropped when b <= DROP_FRAC floor_n / N, with N the nodes still live,
     so one compaction drops at most DROP_FRAC of the order's floor.  The
     comparison never keeps a node whose N b is below the smallest normal
@@ -456,12 +527,13 @@ def _sweep(profile, n_max, level, n_min=0):
     smallest normal double are dropped, with their bound recorded the
     same way.
 
-    Apart from the dropped terms only the summation order of the dot
-    changes.  The arithmetic runs in place on two scratch vectors, in the
+    Apart from the dropped terms only the summation order changes.  The
+    arithmetic runs in place on the block and one scratch vector, in the
     same operation order as the plain expressions, so every kept per-node
-    term is unchanged (the closed radial factor is skipped only where it
-    is exactly 1.0; see ``_ClosedRadial``).  ``grid_nodes`` is the grid
-    size and ``node_orders`` the node-orders the recurrence visited.
+    term base ((P_n pw) W_n) is unchanged (the closed radial factor is
+    skipped only where it is exactly 1.0; see ``_ClosedRadial``).
+    ``grid_nodes`` is the grid size, ``node_orders`` the node-orders the
+    recurrence visited and ``vmax`` the largest |v| the sweep used.
     """
     if profile.radial_constant:
         return _sweep_nodes(profile, list(theta_grid(profile, n_max, level)), n_min, n_max)
@@ -470,7 +542,8 @@ def _sweep(profile, n_max, level, n_min=0):
     for i in range(0, nodes.size, COLUMN_CHUNK):
         part = _sweep_nodes(profile, [nodes[i:i + COLUMN_CHUNK], wts[i:i + COLUMN_CHUNK]],
                             n_min, n_max)
-        total = part if total is None else _Sweep(*(a + b for a, b in zip(total, part)))
+        total = part if total is None else _Sweep(
+            *(a + b for a, b in zip(total[:-1], part[:-1])), max(total.vmax, part.vmax))
     return total
 
 
@@ -522,7 +595,8 @@ def coeff_series(profile, n_min, n_max, tol=DEFAULT_TOL):
     the difference of the two levels, never below the rounding floor of
     the level-1 sum, plus the bounds on the nodes either level dropped.
     Raises :class:`EnvelopeBoundError` if any magnitude breaks the
-    a-priori envelope bound 4 pi G max|v|.
+    a-priori envelope bound 4 pi G max|v|, with max|v| the largest the
+    sweeps used (see ``_Sweep``).
     """
     if n_min > n_max:
         raise ValueError("need n_min <= n_max")
@@ -539,7 +613,7 @@ def coeff_series(profile, n_min, n_max, tol=DEFAULT_TOL):
     vals = fine.values
     errs = _error_bar(fine, coarse)
 
-    bound = ENVELOPE_SAFETY * profile.G * profile.vmax
+    bound = ENVELOPE_SAFETY * profile.G * max(coarse.vmax, fine.vmax)
     worst = np.max(np.abs(vals))
     if worst > bound:
         raise EnvelopeBoundError(

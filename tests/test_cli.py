@@ -467,32 +467,63 @@ class TestFullVerify:
         assert len(list(out.glob("coeffs-*"))) == 2
 
 
-def test_module_entry_point(tmp_path):
-    path = write_config(tmp_path, POINT_MASS_CONFIG)
-    # the child runs from "/", so a relative PYTHONPATH would not resolve
+def _child_env(**extra):
+    """The environment of a child interpreter that imports this package; the
+    child runs from "/", so a relative PYTHONPATH would not resolve."""
     package_root = str(Path(brillouin.__file__).resolve().parent.parent)
-    env = dict(os.environ)
+    env = dict(os.environ, **extra)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_module_entry_point(tmp_path):
+    path = write_config(tmp_path, POINT_MASS_CONFIG)
     proc = subprocess.run(
         [sys.executable, "-m", "brillouin.cli", "coeffs",
          "--config", str(path), "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, cwd="/", env=env,
+        capture_output=True, text=True, cwd="/", env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("command, body", [
+    ("coeffs", {"planet": dict(CUSP_PLANET, R=1.0), "n_range": {"n_min": 0, "n_max": 1000}}),
+    ("balayage", {
+        "planet": {"kind": "profile", "R": 1.0, "theta0": 1.0,
+                   "peak": {"variant": "quadratic", "c": 2.0},
+                   "weight": {"variant": "fourier_tail", "beta0": 1.5, "eps": 0.25},
+                   "delta": 0.5, "delta1": 0.4},
+        "balayage": {"masses": [{"m": 1.0, "position": [0.3, 0.2, 0.5]},
+                                {"m": 0.5, "position": [-0.4, 0.1, -0.2]},
+                                {"m": 0.25, "position": [0.5, -0.6, 0.4]}],
+                     "probe_x": [-0.6, -0.3, 0.3, 0.6], "n_exterior": 20}}),
+], ids=["coeffs", "balayage"])
+def test_artifacts_do_not_depend_on_blas_threads(tmp_path, command, body):
+    # the README cusp planet's sweep and the three-mass sphere quadrature,
+    # each run on one and on two BLAS threads: the artifacts are the same bytes
+    path = write_config(tmp_path, {"schema_version": 1, "seed": 3, **body})
+    blobs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"out{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "brillouin.cli", command,
+             "--config", str(path), "--out", str(out)],
+            capture_output=True, text=True, cwd="/",
+            env=_child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
+        )
+        assert proc.returncode == 0, proc.stderr
+        blobs.append({p.name: p.read_bytes() for p in out.glob(f"{command}-*/*")})
+    assert blobs[0] and blobs[0] == blobs[1]
 
 
 def test_import_and_balayage_leave_scipy_unloaded():
     # scipy is a test dependency only; importing it would add to every
     # command's start-up time and memory
-    package_root = str(Path(brillouin.__file__).resolve().parent.parent)
     code = ("import sys, brillouin.cli\n"
             "from brillouin.balayage import mu_from_point_masses\n"
             "mu_from_point_masses([(1.0, (0.2, -0.1, 0.4))])(0.3)\n"
             "assert 'scipy' not in sys.modules, sorted(sys.modules)\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          cwd="/", env=env)
+                          cwd="/", env=_child_env())
     assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -28,7 +29,9 @@ from conftest import THETA0, make_mollified
 
 
 def _reference_sweep(profile, n_max, level, dtype=float):
-    """The sweep without node compaction, in plain array expressions.
+    """The sweep without node compaction, in plain array expressions, summed
+    as the sweep sums: pairwise, by ``np.add.reduce`` over each order's
+    products.
 
     The arithmetic runs in ``dtype`` on the double-precision inputs (nodes,
     weights, e^{-F}, e^{-L}), so ``np.longdouble`` gives an extended-
@@ -51,7 +54,7 @@ def _reference_sweep(profile, n_max, level, dtype=float):
     for n in range(n_max + 1):
         P = p_prev if n == 0 else p_cur
         term = P * pw * (1.0 - pwL)
-        out[n] = np.dot(base, term) / (n + 3.0)
+        out[n] = np.add.reduce(base * term) / (n + 3.0)
         scale[n] = np.sum(np.abs(base * term)) / (n + 3.0)
         pw *= E
         pwL *= EL
@@ -322,6 +325,22 @@ def _column_planet(radial_power=0):
         weight=weight, v=v, delta=0.5, delta1=0.4))
 
 
+def _ring_column_planet(width):
+    """A steep peak whose column is a Gaussian shell of width ``width``
+    r_M(theta) at r = 0.6875 r_M(theta), between two of the radial probes
+    build_profile takes for vmax (r_m + t (r_M - r_m), t in steps of 1/4,
+    with r_m = r_M / 2), so that the probes see none of its mass."""
+    spec = PlanetSpec(R=1.0, theta0=THETA0, peak=PowerCusp(alpha=1.0, a_minus=50.0, a_plus=50.0),
+                      weight=None, v=lambda r, theta: np.ones_like(r), delta=0.5, delta1=0.4)
+    surface = build_profile(spec).eval_rM
+
+    def v(r, theta):
+        u = (r / surface(theta) - 0.6875) / width
+        return np.where(np.abs(u) <= 4.0, np.exp(-0.5 * u * u), 0.0)
+
+    return build_profile(dataclasses.replace(spec, v=v))
+
+
 class TestColumnEngine:
     """General columns v(r, theta) go through the same sweep as the rest."""
 
@@ -376,6 +395,70 @@ class TestColumnEngine:
         for n in (1, n_max // 2, n_max):
             single, err = coeff_scaled(prof, n, tol=tol)
             assert abs(single - series.value_at(n)) <= err + series.errors[n]
+
+    @pytest.mark.parametrize("width", [0.002, 0.005])
+    def test_narrow_ring_series_uses_sampled_vmax(self, width):
+        # the radial probes of build_profile miss most of a narrow ring (at
+        # width 0.002 all of it, vmax = 0); the sweep raises its bound to the
+        # |v| it samples, so no order is dropped wholesale and the envelope
+        # check compares against the ring's real peak
+        prof, _ = make_mollified(0.6, 2.0, 1.0, width)
+        series = coeff_series(prof, 0, 96, tol=1e-9)
+        sampled = max(_sweep(prof, 96, level).vmax for level in (0, 1))
+        assert prof.vmax < sampled / 10
+        assert np.all(series.values != 0)
+        assert np.max(np.abs(series.values)) <= coeffs.ENVELOPE_SAFETY * prof.G * sampled
+
+    @pytest.mark.parametrize("width", [0.002, 0.005])
+    def test_dropped_bound_covers_narrow_ring(self, monkeypatch, width):
+        # a ring the radial probes miss entirely, on a steep peak that drops
+        # nodes early: at every order the terms of the dropped nodes, taken
+        # from an uncompacted replay of the same radial factor, sum to no
+        # more than the reported bound
+        prof = _ring_column_planet(width)
+        assert prof.vmax == 0.0
+        nodes, wts = grid = composite_nodes(np.linspace(0.0, math.pi, 17))
+        assert nodes.size <= coeffs.COLUMN_CHUNK
+        monkeypatch.setattr(coeffs, "theta_grid", lambda profile, n, level=0: grid)
+        masks, events = [], []
+        compact, dropped_bound = coeffs._ColumnRadial.compact, coeffs._dropped_bound
+
+        def recording_compact(radial, live):
+            masks.append(live.copy())
+            compact(radial, live)
+
+        def recording_bound(evts, n_min, n_max):
+            events.extend(evts)
+            return dropped_bound(evts, n_min, n_max)
+
+        monkeypatch.setattr(coeffs._ColumnRadial, "compact", recording_compact)
+        monkeypatch.setattr(coeffs, "_dropped_bound", recording_bound)
+        n_max = 400
+        got = _sweep(prof, n_max, 0)
+        assert len(masks) == len(events) > 0
+        radial = coeffs._ColumnRadial(prof, nodes, 0)
+        x = np.cos(nodes)
+        base = wts * np.sin(nodes)
+        E = np.exp(-prof.eval_F(nodes))
+        W = np.empty_like(x)
+        p_prev, p_cur = np.zeros_like(x), np.ones_like(x)
+        live = np.arange(nodes.size)
+        drops = iter(zip((first for first, _, _ in events), masks))
+        first, mask = next(drops)
+        seen = []
+        for n in range(n_max + 1):
+            if n == first:
+                live = live[mask]
+                first, mask = next(drops, (None, None))
+            radial.weight(n, W)
+            radial.advance()
+            terms = np.abs(base * p_cur * E ** (n + 3) * W)
+            dropped = np.sum(np.delete(terms, live))
+            assert dropped <= got.dropped[n]
+            seen.append(dropped)
+            p_cur, p_prev = ((2 * n + 1) * x * p_cur - n * p_prev) / (n + 1), p_cur
+        assert first is None
+        assert max(seen) > 0
 
 
 class TestOraclePaths:
