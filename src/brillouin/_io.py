@@ -5,7 +5,6 @@ endings, so re-running a command with the same configuration reproduces
 byte-identical artifacts.
 """
 
-import itertools
 import json
 from pathlib import Path
 
@@ -13,15 +12,13 @@ import numpy as np
 
 #: the %-format of one CSV value by the kind of its column's dtype
 _FIELD = {"f": "%.17g", "c": "%.17g%+.17gj"}
-#: CSV rows formatted per call: few calls, and little text held at once
-CSV_ROWS = 256
 
 
 def write_csv(path, columns, config_hash=None):
     """Write ``columns``, a dict of header -> 1-D array of one length, as
     CSV with one row per index.  Floats take 17 significant digits, complex
-    values ``re+imj`` with both parts so, and every other value its str().
-    A %-template of CSV_ROWS rows formats each run of rows in one call."""
+    values ``re+imj`` with both parts so, and every other value its str(),
+    through one %-template per row."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     arrays = [np.asarray(c) for c in columns.values()]
@@ -33,9 +30,7 @@ def write_csv(path, columns, config_hash=None):
         if config_hash is not None:
             fh.write(f"# config_hash: {config_hash}\n")
         fh.write(",".join(columns) + "\n")
-        rows = zip(*streams)
-        while run := list(itertools.islice(rows, CSV_ROWS)):
-            fh.write((row * len(run)) % tuple(itertools.chain.from_iterable(run)))
+        fh.writelines(row % vals for vals in zip(*streams))
     return path
 
 

@@ -15,7 +15,8 @@ The colatitude quadrature uses composite 16-point Gauss panels no wider
 than one oscillation wavelength 2 pi / (n + 1/2) (16 nodes per wavelength),
 with geometrically graded panels shrinking toward theta0 far enough to
 resolve both the e^{-(n+3)F} peak factor and any surface-weight cusp.
-Error estimates come from recomputing on a grid with halved panels.
+Error estimates come from recomputing on a grid with halved panels and,
+for a general column, a radial rule with twice the points per panel.
 
 One engine, the recurrence sweep ``_sweep``, computes every coefficient:
 a range of orders over a shared grid, or a single order on the grid built
@@ -93,6 +94,12 @@ COLUMN_CHUNK = 256
 #: in a block of at most this many elements (256 KiB, within a core's L2
 #: cache), or of one row where a row is more (see ``_sweep``)
 SUM_BLOCK = 2**15
+#: Gauss points per radial panel at sweep level 0; each level doubles them,
+#: so the difference of two levels sees the radial error (see ``_ColumnRadial``)
+RADIAL_ORDER = 8
+#: two levels whose samples of a column disagree on max|v| by more than this
+#: factor do not resolve it (see ``_check_resolved``)
+RESOLVE_RATIO = 2.0
 #: radial panel edges, equispaced in the decay exponent u = (n+3) s
 _U_EDGES = np.array([0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 28.0, RADIAL_EXPONENT_CAP])
 
@@ -250,12 +257,14 @@ class _ColumnRadial:
 
     The s-nodes are Gauss panels on [0, min(L, RADIAL_EXPONENT_CAP/(lo+3))],
     equispaced in the decay exponent u = (lo+3) s, built once per octave
-    block of orders [lo, 2 lo).  v is evaluated once per block; the carried
-    A = w v e^{-(n+3) s} takes one multiply by e^{-s} per order, and
-    W_n = A.sum(axis=1).  Within a block the decay only steepens, so the
-    panels built for lo resolve every later order of the block.  While the
-    cap binds at no node the panels do not depend on lo, and A is carried
-    on into the next block.
+    block of orders [lo, 2 lo), with RADIAL_ORDER 2^level points per panel:
+    like the colatitude grid, the radial rule refines with the sweep level,
+    so the difference of two levels also sees the radial error.  v is
+    evaluated once per block; the carried A = w v e^{-(n+3) s} takes one
+    multiply by e^{-s} per order, and W_n = A.sum(axis=1).  Within a block
+    the decay only steepens, so the panels built for lo resolve every later
+    order of the block.  While the cap binds at no node the panels do not
+    depend on lo, and A is carried on into the next block.
 
     ``wmax`` bounds |v| for the sweep's budget: it starts at the profile's
     vmax, taken from a few radial probes that can miss a narrow feature, and
@@ -263,8 +272,9 @@ class _ColumnRadial:
     block is built, so before any of the block's compactions.
     """
 
-    def __init__(self, profile, nodes, n_min):
+    def __init__(self, profile, nodes, n_min, level):
         self.profile = profile
+        self.order = RADIAL_ORDER << level
         self.theta = nodes
         self.rM = profile.eval_rM(nodes)
         self.L = profile.eval_L(nodes)
@@ -284,7 +294,7 @@ class _ColumnRadial:
         bp = _U_EDGES / RADIAL_EXPONENT_CAP * s_hi[:, None]
         a = bp[:, :-1, None]
         h = np.diff(bp, axis=1)[:, :, None]
-        gx, gw = _rule01()
+        gx, gw = _rule01(self.order)
         s = (a + h * gx).reshape(s_hi.size, -1)
         w = (h * gw).reshape(s_hi.size, -1)
         self.decay = np.exp(-s)
@@ -349,7 +359,7 @@ def _term_block(buf, size):
     return buf[:rows * size].reshape(rows, size)
 
 
-def _sweep_nodes(profile, grid, n_min, n_max):
+def _sweep_nodes(profile, grid, n_min, n_max, level):
     """The sweep of ``_sweep`` over the colatitude nodes and weights in the
     list ``grid``.  The list is emptied, so the caller holds no reference
     that would keep the grid alive once the per-node state is formed."""
@@ -362,7 +372,7 @@ def _sweep_nodes(profile, grid, n_min, n_max):
         radial = _ClosedRadial(profile, nodes, n_min)
     else:
         base = wts * np.sin(nodes)
-        radial = _ColumnRadial(profile, nodes, n_min)
+        radial = _ColumnRadial(profile, nodes, n_min, level)
     E = np.exp(-profile.eval_F(nodes))
     del nodes, wts
     pw = E ** (n_min + 3)
@@ -466,8 +476,9 @@ def _sweep(profile, n_max, level, n_min=0):
     starts at e^{-(n_min+3)F}.  A column constant in r has the closed
     radial factor v (1 - e^{-(n+3)L}) / (n+3) and runs in a single pass
     over the whole grid; a general column runs in chunks of COLUMN_CHUNK
-    colatitude nodes, each carrying its own per-block radial state (see
-    ``_ColumnRadial``), and the chunk results are added.
+    colatitude nodes, each carrying its own per-block radial state, whose
+    rule has RADIAL_ORDER 2^level points per panel (see ``_ColumnRadial``),
+    and the chunk results are added.
 
     Summation.  Order n writes its per-node terms (P_n pw) W_n as one row
     of a block of up to COMPACT_EVERY rows.  When the block ends, it is
@@ -536,12 +547,13 @@ def _sweep(profile, n_max, level, n_min=0):
     recurrence visited and ``vmax`` the largest |v| the sweep used.
     """
     if profile.radial_constant:
-        return _sweep_nodes(profile, list(theta_grid(profile, n_max, level)), n_min, n_max)
+        return _sweep_nodes(profile, list(theta_grid(profile, n_max, level)), n_min, n_max,
+                            level)
     nodes, wts = theta_grid(profile, n_max, level)
     total = None
     for i in range(0, nodes.size, COLUMN_CHUNK):
         part = _sweep_nodes(profile, [nodes[i:i + COLUMN_CHUNK], wts[i:i + COLUMN_CHUNK]],
-                            n_min, n_max)
+                            n_min, n_max, level)
         total = part if total is None else _Sweep(
             *(a + b for a, b in zip(total[:-1], part[:-1])), max(total.vmax, part.vmax))
     return total
@@ -550,6 +562,19 @@ def _sweep(profile, n_max, level, n_min=0):
 # ---------------------------------------------------------------------------
 # single coefficients and series
 # ---------------------------------------------------------------------------
+
+def _check_resolved(coarse, fine):
+    """Raise :class:`ToleranceNotMet` if the samples of a general column at
+    two sweep levels disagree on its largest |v| by more than RESOLVE_RATIO.
+    Both levels sample a feature they resolve close to its peak; a larger
+    gap means a feature narrower than the node spacing, which the
+    difference of the two levels does not bound."""
+    lo, hi = sorted((coarse.vmax, fine.vmax))
+    if hi > RESOLVE_RATIO * lo:
+        raise ToleranceNotMet(
+            f"the sweep levels sample the column's max|v| at {coarse.vmax:.3e} and "
+            f"{fine.vmax:.3e}: the grids do not resolve the column")
+
 
 def _error_bar(fine, coarse):
     """Error of the ``fine`` values: their difference from ``coarse``,
@@ -565,7 +590,8 @@ def coeff_scaled(profile, n, tol=DEFAULT_TOL):
     was exhausted, in which case the best value is returned with its honest
     error estimate (callers treat ``err > tol`` as the not-met flag).  Each
     level runs the sweep for the single order n on the grid built for n;
-    the error is that of ``coeff_series``.  Closed-form oracle planets
+    the error is that of ``coeff_series``, and so is the check that the
+    last two levels resolve a general column.  Closed-form oracle planets
     bypass quadrature entirely.
     """
     closed = getattr(profile, "closed_coeff_scaled", None)
@@ -576,9 +602,10 @@ def coeff_scaled(profile, n, tol=DEFAULT_TOL):
     for level in (1, 2):
         cur = _sweep(profile, n, level, n_min=n)
         err = float(_error_bar(cur, prev)[0])
-        if err <= tol:
+        if err <= tol or level == 2:
             break
         prev = cur
+    _check_resolved(prev, cur)
     return float(cur.values[0]), err
 
 
@@ -594,9 +621,11 @@ def coeff_series(profile, n_min, n_max, tol=DEFAULT_TOL):
 
     the difference of the two levels, never below the rounding floor of
     the level-1 sum, plus the bounds on the nodes either level dropped.
-    Raises :class:`EnvelopeBoundError` if any magnitude breaks the
-    a-priori envelope bound 4 pi G max|v|, with max|v| the largest the
-    sweeps used (see ``_Sweep``).
+    Raises :class:`ToleranceNotMet` if the two levels do not resolve a
+    general column (see ``_check_resolved``), and
+    :class:`EnvelopeBoundError` if any magnitude breaks the a-priori
+    envelope bound 4 pi G max|v|, with max|v| the largest the sweeps used
+    (see ``_Sweep``).
     """
     if n_min > n_max:
         raise ValueError("need n_min <= n_max")
@@ -610,6 +639,7 @@ def coeff_series(profile, n_min, n_max, tol=DEFAULT_TOL):
 
     coarse = _sweep(profile, n_max, 0, n_min)
     fine = _sweep(profile, n_max, 1, n_min)
+    _check_resolved(coarse, fine)
     vals = fine.values
     errs = _error_bar(fine, coarse)
 

@@ -16,7 +16,7 @@ from brillouin.coeffs import (
     potential_partial_sum,
 )
 from brillouin.errors import ToleranceNotMet
-from brillouin.legendre import legendre_eval
+from brillouin.legendre import gauss_nodes, legendre_eval
 from brillouin.model import (
     PlanetSpec,
     PowerCusp,
@@ -376,10 +376,12 @@ class TestColumnEngine:
 
     @pytest.mark.parametrize("name", ["alpha1_profile", "column"])
     def test_late_start_matches_full_sweep(self, request, name):
-        # orders below n_min only advance the recurrence
+        # orders below n_min only advance the recurrence; a late start also
+        # moves the octave blocks of a column's radial rule, which at level 1
+        # is converged far below the bound
         prof = _column_planet() if name == "column" else request.getfixturevalue(name)
-        full = _sweep(prof, 300, 0).values
-        late = _sweep(prof, 300, 0, n_min=150).values
+        full = _sweep(prof, 300, 1).values
+        late = _sweep(prof, 300, 1, n_min=150).values
         assert late.size == 151
         assert np.all(np.abs(late - full[150:]) <= 1e-13 * np.max(np.abs(full[150:])))
 
@@ -396,25 +398,38 @@ class TestColumnEngine:
             single, err = coeff_scaled(prof, n, tol=tol)
             assert abs(single - series.value_at(n)) <= err + series.errors[n]
 
-    @pytest.mark.parametrize("width", [0.002, 0.005])
-    def test_narrow_ring_series_uses_sampled_vmax(self, width):
-        # the radial probes of build_profile miss most of a narrow ring (at
-        # width 0.002 all of it, vmax = 0); the sweep raises its bound to the
-        # |v| it samples, so no order is dropped wholesale and the envelope
-        # check compares against the ring's real peak
-        prof, _ = make_mollified(0.6, 2.0, 1.0, width)
+    def test_narrow_ring_matches_oracle_within_err(self):
+        # the radial probes of build_profile see |v| 451 on a ring of width
+        # 0.005 whose peak is 1.9e4; the radial rule refines with the level,
+        # so the error covers its radial error, and the envelope check uses
+        # the |v| the sweeps sampled
+        width = 0.005
+        prof, eta = make_mollified(0.6, 2.0, 1.0, width)
         series = coeff_series(prof, 0, 96, tol=1e-9)
         sampled = max(_sweep(prof, 96, level).vmax for level in (0, 1))
         assert prof.vmax < sampled / 10
-        assert np.all(series.values != 0)
         assert np.max(np.abs(series.values)) <= coeffs.ENVELOPE_SAFETY * prof.G * sampled
+        want = np.array([_mollified_oracle(eta, 0.6, 2.0, width, n) for n in series.n])
+        assert np.all(np.abs(series.values - want) <= series.errors)
 
-    @pytest.mark.parametrize("width", [0.002, 0.005])
-    def test_dropped_bound_covers_narrow_ring(self, monkeypatch, width):
+    @pytest.mark.parametrize("width", [0.001, 0.002])
+    def test_unresolved_ring_raises(self, width):
+        # the level-0 rules sample a ring this narrow far from its peak (or
+        # not at all), so the two levels disagree on max|v| and the
+        # difference of their values would not bound the error
+        prof, _ = make_mollified(0.6, 2.0, 1.0, width)
+        with pytest.raises(ToleranceNotMet, match="do not resolve"):
+            coeff_series(prof, 0, 96, tol=1e-9)
+
+    @pytest.mark.parametrize("width, level", [(0.002, 1), (0.005, 0), (0.005, 1)])
+    def test_dropped_bound_covers_narrow_ring(self, monkeypatch, width, level):
         # a ring the radial probes miss entirely, on a steep peak that drops
         # nodes early: at every order the terms of the dropped nodes, taken
         # from an uncompacted replay of the same radial factor, sum to no
-        # more than the reported bound
+        # more than the reported bound.  At level 0 the rule samples the
+        # 0.005 ring near its peak only from the block at n = 64 on; a 0.002
+        # ring it does not sample before that block at all (see
+        # test_unresolved_ring_raises)
         prof = _ring_column_planet(width)
         assert prof.vmax == 0.0
         nodes, wts = grid = composite_nodes(np.linspace(0.0, math.pi, 17))
@@ -434,9 +449,9 @@ class TestColumnEngine:
         monkeypatch.setattr(coeffs._ColumnRadial, "compact", recording_compact)
         monkeypatch.setattr(coeffs, "_dropped_bound", recording_bound)
         n_max = 400
-        got = _sweep(prof, n_max, 0)
+        got = _sweep(prof, n_max, level)
         assert len(masks) == len(events) > 0
-        radial = coeffs._ColumnRadial(prof, nodes, 0)
+        radial = coeffs._ColumnRadial(prof, nodes, 0, level)
         x = np.cos(nodes)
         base = wts * np.sin(nodes)
         E = np.exp(-prof.eval_F(nodes))
@@ -491,29 +506,25 @@ class TestOraclePaths:
         assert rel.max() <= 1e-10
 
 
+def _mollified_oracle(eta, r0, theta_p, width, n):
+    """C~_n of ``make_mollified``'s ring from its two 1D factors."""
+    rule = gauss_nodes(64)
+    x, w = rule.map_to(theta_p - 4 * width, theta_p + 4 * width)
+    factor_theta = float(np.sum(w * legendre_eval(n, np.cos(x)) * eta(x - theta_p)))
+    x, w = rule.map_to(r0 - 4 * width, r0 + 4 * width)
+    return -factor_theta * float(np.sum(w * x**n * eta(x - r0)))
+
+
 class TestQuadraturePath:
     def test_mollified_masses_match_factorized_oracle(self):
         # the quadrature path is validated against a separable bump whose
         # coefficients factor into two 1D integrals
-        from brillouin.legendre import gauss_nodes
-        rule = gauss_nodes(64)
-        r0, theta_p = 0.6, 2.0
         for width in (0.04, 0.02, 0.01):
-            prof, eta = make_mollified(r0, theta_p, 1.0, width)
-
-            def factor_theta(n):
-                x, w = rule.map_to(theta_p - 4 * width, theta_p + 4 * width)
-                from brillouin.legendre import legendre_eval
-                return float(np.sum(w * legendre_eval(n, np.cos(x)) * eta(x - theta_p)))
-
-            def factor_r(n):
-                x, w = rule.map_to(r0 - 4 * width, r0 + 4 * width)
-                return float(np.sum(w * x**n * eta(x - r0)))
-
+            prof, eta = make_mollified(0.6, 2.0, 1.0, width)
             for n in (0, 5, 12):
                 got, err = coeff_scaled(prof, n, tol=1e-9)
-                want = -factor_theta(n) * factor_r(n)
-                assert got == pytest.approx(want, rel=5e-4)
+                assert got == pytest.approx(_mollified_oracle(eta, 0.6, 2.0, width, n),
+                                            rel=5e-4)
 
     def test_mollified_masses_approach_point_limit(self, point_mass):
         pm = point_mass_planet(0.6, 2.0, 1.0)

@@ -1,6 +1,6 @@
 import numpy as np
 
-from brillouin._io import CSV_ROWS, write_csv
+from brillouin._io import write_csv
 
 
 def test_csv_bytes_are_pinned(tmp_path):
@@ -23,10 +23,3 @@ def test_csv_of_empty_columns_is_the_header(tmp_path):
     path = write_csv(tmp_path / "t.csv", {"n": np.arange(0), "v": np.zeros(0)})
     assert path.read_bytes() == b"n,v\n"
 
-
-def test_csv_rows_span_several_format_runs(tmp_path):
-    n = np.arange(2 * CSV_ROWS + 3)
-    v = np.sqrt(n) / 7.0
-    path = write_csv(tmp_path / "t.csv", {"n": n, "v": v})
-    want = "n,v\n" + "".join(f"{k},{x:.17g}\n" for k, x in zip(n.tolist(), v.tolist()))
-    assert path.read_bytes() == want.encode()
