@@ -296,12 +296,16 @@ class _ColumnRadial:
         h = np.diff(bp, axis=1)[:, :, None]
         gx, gw = _rule01(self.order)
         s = (a + h * gx).reshape(s_hi.size, -1)
-        w = (h * gw).reshape(s_hi.size, -1)
         self.decay = np.exp(-s)
-        theta = np.repeat(self.theta[:, None], s.shape[1], axis=1)
-        vals = self.profile.eval_v(self.rM[:, None] * self.decay, theta)
+        vals = self.profile.eval_v(self.rM[:, None] * self.decay,
+                                   np.repeat(self.theta[:, None], s.shape[1], axis=1))
         self.wmax = max(self.wmax, float(np.max(np.abs(vals), initial=0.0)))
-        self.A = w * np.exp(-(lo + 3.0) * s) * vals
+        # A = w e^{-(lo+3) s} v, formed in the storage of s
+        s *= -(lo + 3.0)
+        np.exp(s, out=s)
+        s *= (h * gw).reshape(s_hi.size, -1)
+        s *= vals
+        self.A = s
 
     @property
     def vmax(self):
