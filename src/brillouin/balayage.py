@@ -271,9 +271,18 @@ def _sphere_rule(n_theta):
     return points, weights
 
 
-def _distances(points, centre):
-    diff = points - centre
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+def _distances(points, centre, out, tmp):
+    """|p - centre| for each row p of ``points``, written to ``out`` and
+    returned.  The squares are summed one coordinate column at a time in
+    the order ((x^2 + y^2) + z^2), in the buffers ``out`` and ``tmp`` of
+    one entry per point: no (N, 3) difference array is formed."""
+    np.subtract(points[:, 0], centre[0], out=out)
+    out *= out
+    for c in (1, 2):
+        np.subtract(points[:, c], centre[c], out=tmp)
+        tmp *= tmp
+        out += tmp
+    return np.sqrt(out, out=out)
 
 
 def swept_potential(x0, obs, n_theta=200):
@@ -287,10 +296,14 @@ def swept_potential(x0, obs, n_theta=200):
     x0 = np.asarray(x0, dtype=float)
     obs = np.asarray(obs, dtype=float)
     points, weights = _sphere_rule(n_theta)
-    sigma = weights * ((1.0 - float(x0 @ x0)) / (4.0 * math.pi)) / _distances(points, x0) ** 3
+    # two buffers serve every observer, so the per-observer pass allocates nothing
+    dist, tmp = np.empty(weights.size), np.empty(weights.size)
+    sigma = (weights * ((1.0 - float(x0 @ x0)) / (4.0 * math.pi))
+             / _distances(points, x0, dist, tmp) ** 3)
     # a pairwise numpy sum, not a BLAS dot, whose rounding would depend on
     # the BLAS thread count
-    vals = np.array([np.add.reduce(sigma / _distances(points, o)) for o in obs.reshape(-1, 3)])
+    vals = np.array([np.add.reduce(np.divide(sigma, _distances(points, o, dist, tmp), out=tmp))
+                     for o in obs.reshape(-1, 3)])
     return float(vals[0]) if obs.ndim == 1 else vals
 
 

@@ -158,6 +158,16 @@ def _check_spectral(scfg):
                          ("samples_per_octave", scfg.get("samples_per_octave", 12))):
         _require(_is_count(value) and value >= 1, f"{path}.{field}",
                  "must be an integer >= 1")
+    # bounds on the grid, checked before it is built: every sample's rule
+    # must stay under spectral.MAX_RULE_NODES
+    octaves = scfg.get("octaves", 7)
+    _require(octaves * scfg.get("samples_per_octave", 12) <= spectral.MAX_TAIL_SAMPLES,
+             f"{path}.samples_per_octave",
+             f"octaves * samples_per_octave must be <= {spectral.MAX_TAIL_SAMPLES}")
+    k_field = "octaves" if float(k_base) <= spectral.MAX_TAIL_K / 2.0 else "k_base"
+    _require(math.log2(float(k_base)) + octaves <= math.log2(spectral.MAX_TAIL_K),
+             f"{path}.{k_field}",
+             f"k_base * 2**octaves must be <= {spectral.MAX_TAIL_K:g}")
     # the tail fit's own requirements on the grid
     mag = -_tail_grid(scfg)
     _require(mag.size >= spectral.MIN_TAIL_SAMPLES, f"{path}.samples_per_octave",

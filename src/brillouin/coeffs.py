@@ -226,6 +226,8 @@ class _ClosedRadial:
 
     #: W_n / div <= wmax / (n + 3)
     wmax = 1.0
+    #: the closed form covers the whole radial range
+    capped = False
 
     def __init__(self, profile, nodes, n_min):
         # max|v| of the column folded into the colatitude base
@@ -270,7 +272,13 @@ class _ColumnRadial:
     vmax, taken from a few radial probes that can miss a narrow feature, and
     is raised to the largest |v| among the samples of each block as the
     block is built, so before any of the block's compactions.
+
+    Where the cap binds (s_hi < L) the rule leaves out the range (s_hi, L];
+    ``capped`` is then set until the sweep takes that block's bound from
+    ``cap_event``.
     """
+
+    capped = False
 
     def __init__(self, profile, nodes, n_min, level):
         self.profile = profile
@@ -284,6 +292,7 @@ class _ColumnRadial:
         # its samples raise wmax for every bound the sweep records
         self.s_hi = np.full(nodes.size, np.nan)
         self._start_block(n_min)
+        self.capped = bool(np.any(self.s_hi < self.L))
 
     def _start_block(self, lo):
         self.block_end = max(2 * lo, lo + 1)
@@ -291,6 +300,8 @@ class _ColumnRadial:
         if np.array_equal(s_hi, self.s_hi):
             return
         self.s_hi = s_hi
+        # after the first block s_hi moves only where the smaller cap binds
+        self.capped = True
         bp = _U_EDGES / RADIAL_EXPONENT_CAP * s_hi[:, None]
         a = bp[:, :-1, None]
         h = np.diff(bp, axis=1)[:, :, None]
@@ -316,6 +327,20 @@ class _ColumnRadial:
             self._start_block(n)
         np.add.reduce(self.A, axis=1, out=out)
         return 1.0, out
+
+    def cap_event(self, n, base, pw, E):
+        """The dropped-node event (see ``_dropped_bound``) of the range
+        (s_hi, L] that the block from order n leaves out where the cap
+        binds, so where s_hi is the cap RADIAL_EXPONENT_CAP / (n+3): there
+        |v| <= wmax gives a left-out part of W_m of at most
+        wmax e^{-(m+3) s_hi} / (m+3) at every order m >= n, and a node's
+        term shrinks by E e^{-s_hi} per order."""
+        self.capped = False
+        cut = self.s_hi < self.L
+        s_hi = RADIAL_EXPONENT_CAP / (n + 3.0)
+        bound = float(np.add.reduce(base[cut] * pw[cut])) * math.exp(-(n + 3.0) * s_hi)
+        return (n, bound * self.wmax / (n + 3.0),
+                float(np.max(E[cut], initial=0.0)) * math.exp(-s_hi))
 
     def advance(self):
         self.A *= self.decay
@@ -420,6 +445,8 @@ def _sweep_nodes(profile, grid, n_min, n_max, level):
         j = i - first
         # the terms (P * pw) * W_n of order n
         div[j], factor = radial.weight(n, tmp)
+        if radial.capped:
+            events.append(radial.cap_event(n, base, pw, E))
         row = np.multiply(p_cur, pw, out=blk[j])
         if factor is not None:
             row *= factor

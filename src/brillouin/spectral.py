@@ -7,7 +7,11 @@ All transforms use the unitary-in-frequency convention
     fhat(k) = (1 / sqrt(2 pi)) * integral e^{-i k x} f(x) dx,
 
 and every consumer of a transform in this package assumes that
-normalization.  Closed-form tail predictions for the half-integer-cusp
+normalization.  A transform integrates over the declared support of its
+function, which is where the function can be nonzero: the rule's outer
+panel edges sit at the support's ends, so a function truncated to zero
+there keeps the Gauss panels' full convergence rate, and no node is spent
+on zeros.  Closed-form tail predictions for the half-integer-cusp
 family are produced by :func:`appendix_oracle` in the same convention.
 """
 
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._panels import composite_nodes, graded_offsets, uniform_breakpoints
+from ._panels import PANEL_ORDER, composite_nodes, graded_offsets, uniform_breakpoints
 from .errors import BrillouinError, ToleranceNotMet
 
 __all__ = [
@@ -62,7 +66,10 @@ class SmoothCutoff:
 
     def __call__(self, x):
         u = np.abs(np.asarray(x, dtype=float) - self.center) / self.eps
-        out = np.where(u <= 1.0, 1.0, np.where(u >= 2.0, 0.0, _smooth_step(2.0 - u)))
+        out = np.where(u <= 1.0, 1.0, 0.0)
+        # the smooth step only on the band between the plateau and the support edge
+        band = ~((u <= 1.0) | (u >= 2.0))
+        out[band] = _smooth_step(2.0 - u[band])
         if np.ndim(x) == 0:
             return float(out)
         return out
@@ -90,25 +97,26 @@ def _transform_breakpoints(support, k, singularities, level):
     a, b = support
     wavelength = 2.0 * math.pi / max(abs(k), 1e-30)
     base = min(wavelength / 2.0**level, (b - a) / 4.0)
-    bp = set(uniform_breakpoints(a, b, base))
+    pts = [uniform_breakpoints(a, b, base)]
     for s in singularities:
         if a < s < b:
             offs = graded_offsets(max(1e-12 / 2.0**level, 1e-16), base)
-            for off in offs:
-                for p in (s - off, s + off):
-                    if a <= p <= b:
-                        bp.add(p)
-    bp = np.array(sorted(bp))
-    keep = np.concatenate([[True], np.diff(bp) > 0])
-    return bp[keep]
+            graded = np.concatenate([s - offs, s + offs])
+            pts.append(graded[(graded >= a) & (graded <= b)])
+    # sort and drop repeats; np.unique would do the same, but its first call
+    # imports numpy.ma, which holds about 1 MiB resident
+    bp = np.sort(np.concatenate(pts))
+    return bp[np.concatenate([[True], np.diff(bp) > 0])]
 
 
 def fourier_eval(f, k, support, singularities=(), tol=None):
     """Transform of a compactly supported real function at frequency ``k``.
 
-    Composite Gauss panels no wider than one oscillation wavelength
-    (16 nodes per wavelength), with geometric refinement toward any
-    declared singular points of ``f``.  The result carries the
+    ``support`` is where ``f`` can be nonzero; its ends are panel edges,
+    so a kink of ``f`` there (such as a truncation to zero) costs no
+    accuracy.  Composite Gauss panels no wider than one oscillation
+    wavelength (16 nodes per wavelength), with geometric refinement toward
+    any declared singular points of ``f``.  The result carries the
     1/sqrt(2 pi) prefactor.  With ``tol`` set, the panel width is halved
     once and :class:`ToleranceNotMet` is raised if the two evaluations
     disagree by more than ``tol``.
@@ -149,16 +157,26 @@ def default_taper(beta, eps, order=None):
 
     def taper(x):
         u = np.asarray(x, dtype=float) / eps
-        return np.where(np.abs(u) <= 1.0, (1.0 - u * u) ** q, 0.0)
+        inside = np.abs(u) <= 1.0
+        out = np.zeros_like(u)
+        w = u[inside]
+        out[inside] = (1.0 - w * w) ** q
+        return out
 
     taper.order = q
+    taper.support = (-eps, eps)
     return taper
 
 
 def appendix_function(beta, eps, taper=None):
     """The cusp profile |x|^(beta-1) * P(x) * cutoff(x) used as a canonical
     power-law-tail sample; P is the polynomial taper, the cutoff has
-    plateau half-width eps and support 2 eps."""
+    plateau half-width eps and support 2 eps.
+
+    The declared ``support`` is where f can be nonzero: the cutoff's
+    (-2 eps, 2 eps), cut down to the taper's own ``support`` when the taper
+    declares one.  For the default taper that is (-eps, eps), so the
+    transform rule puts panel edges at the taper's truncation kinks."""
     P = taper if taper is not None else default_taper(beta, eps)
     phi = SmoothCutoff(0.0, eps)
 
@@ -166,7 +184,9 @@ def appendix_function(beta, eps, taper=None):
         x = np.asarray(x, dtype=float)
         return np.abs(x) ** (beta - 1.0) * P(x) * phi(x)
 
-    f.support = (-2.0 * eps, 2.0 * eps)
+    lo, hi = phi.support
+    p_lo, p_hi = getattr(P, "support", (lo, hi))
+    f.support = (max(lo, p_lo), min(hi, p_hi))
     f.singularities = (0.0,)
     return f
 
@@ -224,6 +244,17 @@ K_BASE = -50.0  # innermost edge of the geometric fit windows
 DRIFT_LIMIT = 0.20
 MIN_TAIL_SAMPLES = 20
 MIN_TAIL_SPAN = 100.0  # largest over smallest |k|: two decades
+#: one transform sample's rule holds at most about this many nodes: its
+#: transient arrays (nodes, weights, values, the complex kernel and their
+#: products) take about 80 B a node, so one sample stays near 160 MiB
+MAX_RULE_NODES = 2**21
+#: the largest |k| whose rule stays under MAX_RULE_NODES on a support
+#: inside (-pi, pi), where a weight's argument theta - theta0 lies: the
+#: wavelength panels take at most half the nodes, leaving the rest for the
+#: graded panels toward a singularity, of which there are about a hundred
+MAX_TAIL_K = MAX_RULE_NODES / (2 * PANEL_ORDER)
+#: a tail fit takes at most this many samples, one rule each (84 by default)
+MAX_TAIL_SAMPLES = 4096
 
 
 @dataclass(frozen=True)

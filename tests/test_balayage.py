@@ -6,7 +6,9 @@ import pytest
 from scipy.special import gamma as sp_gamma
 
 from brillouin.balayage import (
+    _distances,
     _ellipe,
+    _sphere_rule,
     CONSISTENT,
     INCONCLUSIVE,
     NON_ANALYTIC,
@@ -114,6 +116,17 @@ class TestSweptDensity:
         scalar = [swept_potential(x0, o) for o in obs]
         assert all(type(v) is float for v in scalar)
         assert np.max(np.abs(stacked - scalar) / np.abs(scalar)) <= 1e-15
+
+    def test_distances_match_difference_array_form(self):
+        # summed per coordinate column, the distances are bitwise those of
+        # the (N, 3) difference array and its row-wise einsum
+        points, _ = _sphere_rule(200)
+        rng = np.random.default_rng(8)
+        for centre in [np.zeros(3), *rng.normal(size=(5, 3))]:
+            diff = points - centre
+            want = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            got = _distances(points, centre, np.empty(len(points)), np.empty(len(points)))
+            assert got.tobytes() == want.tobytes()
 
 
 class TestEllipe:

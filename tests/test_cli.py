@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 import brillouin
-from brillouin import coeffs
+from brillouin import cli, coeffs
 from brillouin.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -20,6 +20,7 @@ from brillouin.cli import (
     main,
     run,
 )
+from brillouin.spectral import MAX_TAIL_K, MAX_TAIL_SAMPLES
 
 POINT_MASS_CONFIG = {
     "schema_version": 1,
@@ -350,7 +351,13 @@ class TestSpectralConfig:
         ({"samples_per_octave": 2.5}, "config.spectral.samples_per_octave"),
         ({"octaves": 3, "samples_per_octave": 12}, "config.spectral.octaves"),
         ({"k_base": -5.0}, "config.spectral.k_base"),
-    ], ids=["too-few-samples", "non-integer", "short-span", "negative-base"])
+        # the grid's largest |k| and its size are bounded before it is built
+        ({"k_base": 1.0e300}, "config.spectral.k_base"),
+        ({"k_base": MAX_TAIL_K / 2**7 * (1 + 1e-9)}, "config.spectral.octaves"),
+        ({"k_base": 1.0, "octaves": 8, "samples_per_octave": MAX_TAIL_SAMPLES // 8 + 1},
+         "config.spectral.samples_per_octave"),
+    ], ids=["too-few-samples", "non-integer", "short-span", "negative-base", "huge-base",
+            "past-k-bound", "too-many-samples"])
     def test_tail_grid_errors_name_field(self, tmp_path, capsys, spectral, field):
         cfg = {"schema_version": 1, "seed": 1,
                "planet": dict(CUSP_PLANET, weight={"variant": "fourier_tail",
@@ -361,6 +368,12 @@ class TestSpectralConfig:
         assert main(["spectral", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
         assert f"config error: {field}: " in capsys.readouterr().err
         assert not out.exists()
+
+    def test_grid_at_bounds_accepted(self):
+        # the config check alone: no transform is sampled
+        cli._check_spectral({"k_base": MAX_TAIL_K / 2**7})
+        cli._check_spectral({"k_base": 1.0, "octaves": 8,
+                             "samples_per_octave": MAX_TAIL_SAMPLES // 8})
 
 
 BALAYAGE_CONFIG = {

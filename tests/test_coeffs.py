@@ -412,6 +412,18 @@ class TestColumnEngine:
         want = np.array([_mollified_oracle(eta, 0.6, 2.0, width, n) for n in series.n])
         assert np.all(np.abs(series.values - want) <= series.errors)
 
+    def test_capped_radial_range_has_error_bar(self):
+        # from n = 256 the ring's mass lies beyond the radial cap
+        # RADIAL_EXPONENT_CAP / (n + 3) at every node, so the values are 0;
+        # the range the cap leaves out is bounded in the error instead
+        width = 0.01
+        prof, eta = make_mollified(0.6, 2.0, 1.0, width)
+        series = coeff_series(prof, 0, 300)
+        assert np.all(series.values[256:] == 0.0)
+        want = np.array([_mollified_oracle(eta, 0.6, 2.0, width, n) for n in series.n])
+        assert np.all(np.abs(series.values - want) <= series.errors)
+        assert np.all(series.errors > 0)
+
     @pytest.mark.parametrize("width", [0.001, 0.002])
     def test_unresolved_ring_raises(self, width):
         # the level-0 rules sample a ring this narrow far from its peak (or
@@ -435,22 +447,30 @@ class TestColumnEngine:
         nodes, wts = grid = composite_nodes(np.linspace(0.0, math.pi, 17))
         assert nodes.size <= coeffs.COLUMN_CHUNK
         monkeypatch.setattr(coeffs, "theta_grid", lambda profile, n, level=0: grid)
-        masks, events = [], []
+        masks, events, caps = [], [], []
         compact, dropped_bound = coeffs._ColumnRadial.compact, coeffs._dropped_bound
+        cap_event = coeffs._ColumnRadial.cap_event
 
         def recording_compact(radial, live):
             masks.append(live.copy())
             compact(radial, live)
 
+        def recording_cap(radial, *args):
+            caps.append(cap_event(radial, *args))
+            return caps[-1]
+
         def recording_bound(evts, n_min, n_max):
-            events.extend(evts)
+            # the events of the compactions, without those of the radial cap
+            events.extend(e for e in evts if not any(e is c for c in caps))
             return dropped_bound(evts, n_min, n_max)
 
         monkeypatch.setattr(coeffs._ColumnRadial, "compact", recording_compact)
+        monkeypatch.setattr(coeffs._ColumnRadial, "cap_event", recording_cap)
         monkeypatch.setattr(coeffs, "_dropped_bound", recording_bound)
         n_max = 400
         got = _sweep(prof, n_max, level)
         assert len(masks) == len(events) > 0
+        assert caps
         radial = coeffs._ColumnRadial(prof, nodes, 0, level)
         x = np.cos(nodes)
         base = wts * np.sin(nodes)
