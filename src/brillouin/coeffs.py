@@ -35,7 +35,11 @@ Accuracy and Stability of Numerical Algorithms, ch. 4), no BLAS call,
 so no result depends on the BLAS build or its thread count, and one call
 per block rather than per order once the live grid is small.  The block
 holds at most SUM_BLOCK elements and, on a large grid, is the term vector
-the sweep needs anyway (see ``_sweep``).
+the sweep needs anyway (see ``_sweep``).  Once the live grid is small an
+order costs little more than its fixed numpy call overhead, so the sweep
+keeps the calls per order few: the colatitude weight rides in the running
+damping, the Legendre step takes four in-place calls, the radial factor
+at most one call, and nodes of weight exactly 0 are never swept.
 
 Every reported error (see ``coeff_series``) has a rounding floor and
 accounts for what the sweep leaves out.  With each value the sweep returns
@@ -214,20 +218,23 @@ def _graded_floor(profile, n):
 class _ClosedRadial:
     """Radial factor of a column constant in r: W_n = v (1 - e^{-(n+3)L}) / (n+3).
 
-    v is folded into the colatitude base, so ``weight`` writes
-    1 - e^{-(n+3)L} and returns the divisor n + 3 with it.  Once every
-    pwL = e^{-(n+3)L} is at most 2^-54 the factor rounds to exactly 1.0 at
-    every node, and ``weight`` returns no factor: the multiply by it, the
-    subtract and the pwL update all stop, and every term is bitwise
-    unchanged.  The scalar ``top`` tracks a bound on max pwL without a
-    per-order reduction: rounding is monotone, so top *= max(EL) stays at
-    or above each pwL *= EL.
+    v is folded into the colatitude base, so ``weight`` writes the factor
+    1 - e^{-(n+3)L} of order n and advances pwL = e^{-(n+3)L} to the next
+    order, and the sweep divides each order's sum by n + 3 (``divides``).
+    Once every pwL is at most 2^-54 the factor rounds to exactly 1.0 at
+    every node, and ``weight`` returns None: the sweep stops calling it, so
+    the multiply by the factor, the subtract and the pwL update all stop,
+    and every term is bitwise unchanged.  The scalar ``top`` tracks a bound
+    on max pwL without a per-order reduction: rounding is monotone, so top
+    *= max(EL) stays at or above each pwL *= EL.
     """
 
-    #: W_n / div <= wmax / (n + 3)
+    #: W_n / (n + 3) <= wmax / (n + 3)
     wmax = 1.0
     #: the closed form covers the whole radial range
     capped = False
+    #: the sweep divides the sum of order n by n + 3
+    divides = True
 
     def __init__(self, profile, nodes, n_min):
         # max|v| of the column folded into the colatitude base
@@ -239,14 +246,11 @@ class _ClosedRadial:
 
     def weight(self, n, out):
         if self.top <= _ONE_MINUS_EXACT:
-            return n + 3.0, None
+            return None
         np.subtract(1.0, self.pwL, out=out)
-        return n + 3.0, out
-
-    def advance(self):
-        if self.top > _ONE_MINUS_EXACT:
-            self.pwL *= self.EL
-            self.top *= self.top_step
+        self.pwL *= self.EL
+        self.top *= self.top_step
+        return out
 
     def compact(self, live):
         self.EL = self.EL[live]
@@ -263,7 +267,8 @@ class _ColumnRadial:
     like the colatitude grid, the radial rule refines with the sweep level,
     so the difference of two levels also sees the radial error.  v is
     evaluated once per block; the carried A = w v e^{-(n+3) s} takes one
-    multiply by e^{-s} per order, and W_n = A.sum(axis=1).  Within a block
+    multiply by e^{-s} per order, and ``weight`` writes W_n =
+    A.sum(axis=1), which the sweep does not divide (``divides``).  Within a block
     the decay only steepens, so the panels built for lo resolve every later
     order of the block.  While the cap binds at no node the panels do not
     depend on lo, and A is carried on into the next block.
@@ -279,6 +284,7 @@ class _ColumnRadial:
     """
 
     capped = False
+    divides = False
 
     def __init__(self, profile, nodes, n_min, level):
         self.profile = profile
@@ -326,24 +332,22 @@ class _ColumnRadial:
         if n == self.block_end:
             self._start_block(n)
         np.add.reduce(self.A, axis=1, out=out)
-        return 1.0, out
+        self.A *= self.decay
+        return out
 
-    def cap_event(self, n, base, pw, E):
+    def cap_event(self, n, pw, E):
         """The dropped-node event (see ``_dropped_bound``) of the range
         (s_hi, L] that the block from order n leaves out where the cap
         binds, so where s_hi is the cap RADIAL_EXPONENT_CAP / (n+3): there
         |v| <= wmax gives a left-out part of W_m of at most
         wmax e^{-(m+3) s_hi} / (m+3) at every order m >= n, and a node's
-        term shrinks by E e^{-s_hi} per order."""
+        term, at most pw times that, shrinks by E e^{-s_hi} per order."""
         self.capped = False
         cut = self.s_hi < self.L
         s_hi = RADIAL_EXPONENT_CAP / (n + 3.0)
-        bound = float(np.add.reduce(base[cut] * pw[cut])) * math.exp(-(n + 3.0) * s_hi)
+        bound = float(np.add.reduce(pw[cut])) * math.exp(-(n + 3.0) * s_hi)
         return (n, bound * self.wmax / (n + 3.0),
                 float(np.max(E[cut], initial=0.0)) * math.exp(-s_hi))
-
-    def advance(self):
-        self.A *= self.decay
 
     def compact(self, live):
         self.theta = self.theta[live]
@@ -372,20 +376,28 @@ def _dropped_bound(events, n_min, n_max):
     """Per-order bound on the terms of dropped nodes.  Each event
     ``(first, bound, e_max)`` drops nodes whose terms sum to at most
     ``bound`` at order ``first``; their damping shrinks by at least
-    ``e_max`` per order after it."""
+    ``e_max`` per order after it.  An event's geometric tail stops at its
+    first term below the smallest normal double, like the sweep, which
+    keeps no node for terms below it."""
     out = np.zeros(n_max - n_min + 1)
     for first, bound, e_max in events:
         k = first - n_min
-        out[k:] += bound * e_max ** np.arange(out.size - k)
+        size = out.size - k
+        if bound <= _TINY or e_max == 0.0:
+            size = min(size, 1)
+        elif e_max < 1.0:
+            size = min(size, 1 + math.ceil(math.log(_TINY / bound) / math.log(e_max)))
+        out[k:k + size] += bound * e_max ** np.arange(size)
     return out
 
 
 def _term_block(buf, size):
     """The sweep's term block in the term vector ``buf`` for ``size`` live
-    nodes: as many rows of ``size`` as fit in ``buf`` and in SUM_BLOCK
-    elements, at least one and at most COMPACT_EVERY."""
+    nodes, as a list of row views: as many rows of ``size`` as fit in
+    ``buf`` and in SUM_BLOCK elements, at least one and at most
+    COMPACT_EVERY."""
     rows = max(1, min(COMPACT_EVERY, min(buf.size, SUM_BLOCK) // max(size, 1)))
-    return buf[:rows * size].reshape(rows, size)
+    return list(buf[:rows * size].reshape(rows, size))
 
 
 def _sweep_nodes(profile, grid, n_min, n_max, level):
@@ -395,103 +407,119 @@ def _sweep_nodes(profile, grid, n_min, n_max, level):
     nodes, wts = grid
     grid.clear()
     grid_nodes = nodes.size
-    x = np.cos(nodes)
     if profile.radial_constant:
         base = wts * np.sqrt(np.sin(nodes)) * profile.eval_g(nodes)  # w sin v, v = g/sqrt(sin)
-        radial = _ClosedRadial(profile, nodes, n_min)
     else:
         base = wts * np.sin(nodes)
+    del wts
+    # a node of weight exactly 0 adds exactly 0 at every order: never swept
+    weighted = base != 0.0
+    if not weighted.all():
+        nodes = nodes[weighted]
+        base = base[weighted]
+    del weighted
+    if profile.radial_constant:
+        radial = _ClosedRadial(profile, nodes, n_min)
+    else:
         radial = _ColumnRadial(profile, nodes, n_min, level)
+    x = np.cos(nodes)
     E = np.exp(-profile.eval_F(nodes))
-    del nodes, wts
-    pw = E ** (n_min + 3)
+    del nodes
+    # the running damping pw = |base| e^{-(n+3)F} carries the weight's
+    # magnitude; its sign moves into the seeds of P below (exact: the
+    # recurrence is linear)
+    neg = base < 0
+    pw = np.abs(base, out=base)
+    del base
+    pw *= E ** (n_min + 3)
     live = pw >= _TINY
     events = []
     if not live.all():
         # before the first order there is no floor yet: only nodes whose
-        # damping is already below the smallest normal double are dropped
+        # terms are already bounded by the smallest normal double are dropped
         gone = ~live
-        events.append((n_min, float(np.add.reduce(np.abs(base[gone]) * pw[gone]))
-                       * radial.wmax / (n_min + 3.0), float(E[gone].max())))
+        events.append((n_min, float(np.add.reduce(pw[gone])) * radial.wmax / (n_min + 3.0),
+                       float(E[gone].max())))
         x = x[live]
-        base = base[live]
         E = E[live]
         pw = pw[live]
+        neg = neg[live]
         radial.compact(live)
     del live
-    # P_{n_min} and P_{n_min - 1} (P_{-1} = 0) seed the recurrence; the sign
-    # of base moves into them, which is exact and leaves base = |base|
+    # P_{n_min} and P_{n_min - 1} (P_{-1} = 0) seed the recurrence
     p_cur = legendre_eval(n_min, x)
     p_prev = legendre_eval(n_min - 1, x) if n_min else np.zeros_like(x)
-    neg = base < 0
     if neg.any():
         np.negative(p_cur, out=p_cur, where=neg)
         np.negative(p_prev, out=p_prev, where=neg)
-        np.abs(base, out=base)
     del neg
-    # row j of the term block holds the terms of the block's j-th order; only
-    # a grid small enough for a whole block gets a term vector of more rows
-    rows = COMPACT_EVERY if COMPACT_EVERY * x.size <= SUM_BLOCK else 1
-    term = np.empty(rows * x.size)
-    blk = _term_block(term, x.size)
+    # row j of the term block holds the terms of the block's j-th order; a
+    # grid larger than SUM_BLOCK keeps one term vector of its own size
+    term = np.empty(max(x.size, min(SUM_BLOCK, COMPACT_EVERY * x.size)))
+    rows = _term_block(term, x.size)
     tmp = np.empty_like(x)
-    div = np.empty(COMPACT_EVERY)
     out = np.empty(n_max - n_min + 1)
     floor = np.empty_like(out)
+    weigh = radial.weight
+    factor = None
     node_orders = 0
-    first = 0  # the index of the block's first order
-    for n in range(n_min, n_max + 1):
+    n = n_min
+    while n <= n_max:
+        # the block: orders n..last, ending at a compaction order at the latest
         i = n - n_min
-        j = i - first
-        # the terms (P * pw) * W_n of order n
-        div[j], factor = radial.weight(n, tmp)
-        if radial.capped:
-            events.append(radial.cap_event(n, base, pw, E))
-        row = np.multiply(p_cur, pw, out=blk[j])
-        if factor is not None:
-            row *= factor
-        node_orders += x.size
-        pw *= E
-        radial.advance()
-        # P_{n+1} = (((2n+1) x) P_n - n P_{n-1}) / (n+1), written over P_{n-1}
-        np.multiply(x, float(2 * n + 1), out=tmp)
-        tmp *= p_cur
-        p_prev *= float(n)
-        np.subtract(tmp, p_prev, out=p_prev)
-        p_prev /= float(n + 1)
-        p_cur, p_prev = p_prev, p_cur
-        compact = i % COMPACT_EVERY == COMPACT_EVERY - 1
-        if j + 1 < blk.shape[0] and not compact and n < n_max:
-            continue
-        # the block ends: the pairwise sum of each row of base * terms, then
-        # of its magnitudes
-        terms = blk[:j + 1]
-        terms *= base
-        out[first:i + 1] = np.add.reduce(terms, axis=1) / div[:j + 1]
+        last = min(n_max, n + len(rows) - 1, n + COMPACT_EVERY - 1 - i % COMPACT_EVERY)
+        for m, row in zip(range(n, last + 1), rows):
+            # the terms (P_m pw) W_m of order m; the radial factor is
+            # dropped for good once it is exactly 1.0 (see ``_ClosedRadial``)
+            if weigh is not None:
+                factor = weigh(m, tmp)
+                if factor is None:
+                    weigh = None
+                elif radial.capped:
+                    events.append(radial.cap_event(m, pw, E))
+            np.multiply(p_cur, pw, out=row)
+            if factor is not None:
+                row *= factor
+            pw *= E
+            # P_{m+1} = t + (m / (m+1)) (t - P_{m-1}), t = x P_m, written over P_{m-1}
+            np.multiply(x, p_cur, out=tmp)
+            np.subtract(tmp, p_prev, out=p_prev)
+            p_prev *= m / (m + 1.0)
+            p_prev += tmp
+            p_cur, p_prev = p_prev, p_cur
+        # the block ends: the pairwise sum of each row of terms, then of its
+        # magnitudes
+        k = last - n + 1
+        node_orders += k * x.size
+        terms = term[:k * x.size].reshape(k, x.size)
+        ns = np.arange(n + 3.0, last + 4.0)
+        sums = np.add.reduce(terms, axis=1)
         np.abs(terms, out=terms)
-        floor[first:i + 1] = (FLOOR_C * _EPS * np.arange(n_min + first + 3.0, n + 4.0)
-                              * (np.add.reduce(terms, axis=1) / div[:j + 1]))
-        first = i + 1
-        if compact:
+        mags = np.add.reduce(terms, axis=1)
+        if radial.divides:
+            sums /= ns
+            mags /= ns
+        out[i:i + k] = sums
+        floor[i:i + k] = FLOOR_C * _EPS * ns * mags
+        n = last + 1
+        if (last - n_min) % COMPACT_EVERY == COMPACT_EVERY - 1:
             # N times each node's bound on its term at every later order
-            np.multiply(base, pw, out=tmp)
-            tmp *= radial.wmax * x.size / (n + 4.0)
-            live = tmp > max(DROP_FRAC * floor[i], _TINY)
+            np.multiply(pw, radial.wmax * x.size / (last + 4.0), out=tmp)
+            live = tmp > max(DROP_FRAC * floor[last - n_min], _TINY)
             if not live.all():
                 gone = ~live
-                events.append((n + 1, float(np.sum(tmp, where=gone)) / x.size,
+                events.append((n, float(np.sum(tmp, where=gone)) / x.size,
                                float(np.max(E, where=gone, initial=0.0))))
                 del gone
                 # rebinding one array at a time keeps at most one extra copy alive
                 x = x[live]
-                base = base[live]
                 E = E[live]
                 pw = pw[live]
                 radial.compact(live)
                 p_prev = p_prev[live]
                 p_cur = p_cur[live]
                 tmp = tmp[:x.size]
-                blk = _term_block(term, x.size)
+                rows = _term_block(term, x.size)
     return _Sweep(out, floor, _dropped_bound(events, n_min, n_max),
                   grid_nodes, node_orders, radial.vmax)
 
@@ -511,27 +539,38 @@ def _sweep(profile, n_max, level, n_min=0):
     rule has RADIAL_ORDER 2^level points per panel (see ``_ColumnRadial``),
     and the chunk results are added.
 
-    Summation.  Order n writes its per-node terms (P_n pw) W_n as one row
-    of a block of up to COMPACT_EVERY rows.  When the block ends, it is
-    multiplied by base, each row is summed pairwise (``np.add.reduce`` along
-    the row, the same sum as on that row alone) and divided by its div,
-    then the block is replaced by its magnitudes and summed again for the
-    floors below.  Blocks end at every compaction order, so the budget
-    reads each floor at the same order as it would unblocked.  The block
-    holds at most SUM_BLOCK elements, or one row where a row is more.  A
-    grid of N > SUM_BLOCK / COMPACT_EVERY nodes keeps the one N-sized term
-    vector the sweep needs anyway and uses it as the block: one row until
-    the compactions shrink the live grid to half of N (and of SUM_BLOCK),
-    then more rows as the grid shrinks, so blocking adds no memory.  A
-    smaller grid, such as a column chunk, has a term vector of
-    COMPACT_EVERY rows from the start.  No BLAS routine runs on per-node
-    arrays: a threaded BLAS dot splits its sum by thread count, and its
-    idle threads spin on the CPU.
+    Operation order.  Let base be a node's colatitude weight (w sin^{1/2} g
+    for a closed radial factor, w sin for a general column).  A node whose
+    base is exactly 0 adds exactly 0 at every order, so it is left out
+    before the first order and needs no bound (82% of the grid on the
+    Fourier-tail planet).  The sign of base moves into the seeds of P and
+    |base| into the running damping pw = |base| e^{-(n_min+3)F}, both
+    exact (the recurrence is linear).  Order n then takes, per node,
+    W_n (for a closed factor only until it is exactly 1.0, see
+    ``_ClosedRadial``), the term (P_n pw) W_n, pw *= e^{-F} and the
+    Legendre step t = x P_n, P_{n+1} = t + (n / (n+1)) (t - P_{n-1}),
+    four in-place calls: six numpy calls per order once the closed factor
+    is 1.
 
-    Rounding floor.  The sign of the colatitude weight base is moved into
-    the seeds of P (exact, and the recurrence is linear), so base =
-    |base|.  The sum of the magnitudes of each row gives S_n = sum |base
-    P_n pw W_n| / div.  The floor is
+    Summation.  Order n writes its terms as one row of a block of up to
+    COMPACT_EVERY rows.  When the block ends, each row is summed pairwise
+    (``np.add.reduce`` along the row, the same sum as on that row alone)
+    and, for a closed radial factor, divided by n + 3, then the block is
+    replaced by its magnitudes and summed again for the floors below.
+    Blocks end at every compaction order, so the budget reads each floor
+    at the same order as it would unblocked.  The block holds at most
+    SUM_BLOCK elements, or one row where a row is more: a grid of N >
+    SUM_BLOCK nodes keeps the one N-sized term vector the sweep needs
+    anyway and uses it as the block, one row until the compactions shrink
+    the live grid to half of SUM_BLOCK, then more rows as it shrinks; a
+    smaller grid has a SUM_BLOCK-sized term vector (COMPACT_EVERY rows
+    where those are less) from the start.  No BLAS routine runs on
+    per-node arrays: a threaded BLAS dot splits its sum by thread count,
+    and its idle threads spin on the CPU.
+
+    Rounding floor.  With div = n + 3 for a closed radial factor and 1
+    otherwise, the sum of the magnitudes of each row gives S_n = sum |P_n
+    pw W_n| / div.  The floor is
 
         floor_n = FLOOR_C (n + 3) eps S_n.
 
@@ -540,21 +579,24 @@ def _sweep(profile, n_max, level, n_min=0):
     the Legendre recurrence carries its rounding forward, and where graded
     nodes cluster at the peak their errors add rather than cancel.  FLOOR_C
     comes from an extended-precision (np.longdouble) replica of the level-1
-    sweep on the same grid without any cutoff, run on the cusp alpha=1/2,
-    the alpha=1 cusp with a k=1 weight and the quadratic peak with a
-    Fourier-tail weight up to n = 4000: |double - extended| / ((n+3) eps
-    S_n) was at most 0.33 (at n = 0, where the sum dominates) and at most
-    0.084 for n >= 100 (the cusp) with a BLAS dot, against FLOOR_C = 2;
-    with the pairwise sums the worst on the cusp up to n = 4000 is 0.042
-    (at n 3910).  Without the n + 3 no constant works: |double - extended|
-    / (eps S_n) reaches 24 at n 737 and 329 at n 3910 on the cusp.
+    sweep on the same grid, in the same operation order without any
+    cutoff (``tests/test_coeffs.py``), run on the cusp alpha=1/2, the
+    alpha=1 cusp with a k=1 weight and the quadratic peak with a
+    Fourier-tail weight up to n = 4000.  |double - extended| / ((n+3) eps
+    S_n) is at most 0.17 for n < 100 (the tail planet at n 3, where the
+    sum dominates) and at most 0.19 for n >= 100 (the cusp at n 2845;
+    0.012 and 0.008 on the other two), against FLOOR_C = 2: the error
+    stays below a tenth of the floor.  Without the n + 3 no constant
+    works: |double - extended| / (eps S_n) reaches 24 at n 737 and 329 at
+    n 3910 on the cusp.
 
     Budget cutoff.  Every COMPACT_EVERY orders, after order n, each node's
     term at every later order m > n obeys
 
-        |base P_m pw_m W_m| / div <= |base| pw_{n+1} wmax / (n + 4) = b,
+        |P_m pw_m W_m| / div <= pw_{n+1} wmax / (n + 4) = b,
 
-    since pw is a running product of factors in (0, 1], |P_m| <= 1 and
+    since pw is |base| times a running product of factors in (0, 1],
+    |P_m| <= 1 and
     W_m / div <= wmax / (m + 3): wmax = 1 for the closed radial factor,
     and for a general column the largest |v| of the profile's probes and
     of every radial sample so far (see ``_ColumnRadial``).  A node is
@@ -564,16 +606,16 @@ def _sweep(profile, n_max, level, n_min=0):
     double, so a stalled subnormal damping is always dropped.  Each drop
     is recorded as (n + 1, the summed b, the largest e^{-F} of the dropped
     nodes); from there their terms shrink at least geometrically, and
-    ``dropped`` sums these bounds per order.  Before the first order there
-    is no floor yet, and only nodes whose damping is already below the
-    smallest normal double are dropped, with their bound recorded the
-    same way.
+    ``dropped`` sums these bounds per order, each until it falls below the
+    smallest normal double.  Before the first order there is no floor
+    yet, and only nodes whose pw is already below the smallest normal
+    double are dropped, with their bound recorded the same way.
 
     Apart from the dropped terms only the summation order changes.  The
     arithmetic runs in place on the block and one scratch vector, in the
-    same operation order as the plain expressions, so every kept per-node
-    term base ((P_n pw) W_n) is unchanged (the closed radial factor is
-    skipped only where it is exactly 1.0; see ``_ClosedRadial``).
+    operation order above, so every kept per-node term (P_n pw) W_n is the
+    one that order gives in plain array expressions (the closed radial
+    factor is skipped only where it is exactly 1.0).
     ``grid_nodes`` is the grid size, ``node_orders`` the node-orders the
     recurrence visited and ``vmax`` the largest |v| the sweep used.
     """
@@ -734,9 +776,11 @@ def potential_direct(profile, z, tol=1e-9, max_level=6):
 
 def potential_partial_sum(series, z, N):
     """Partial sum of the expansion through order N, evaluated in scaled
-    form (R/z)^n so no intermediate overflows.  Returns (value, last_term)."""
-    if N > series.n_max:
-        raise ValueError("N exceeds the computed range")
+    form (R/z)^n so no intermediate overflows.  Returns (value, last_term).
+    Raises ValueError unless n_min <= N <= n_max of the series."""
+    if not series.n_min <= N <= series.n_max:
+        raise ValueError(f"N = {N} outside the computed range "
+                         f"[{series.n_min}, {series.n_max}]")
     m = series.n <= N
     ns = series.n[m]
     ratio = series.R / z

@@ -324,6 +324,10 @@ class FourierTailWeight:
             raise ParameterError("beta0", "beta0 must exceed 1")
         if self.eps <= 0:
             raise ParameterError("eps", "eps must be positive")
+        if self.eps >= math.pi:
+            # the weight's argument theta - theta0 lies inside (-pi, pi), and
+            # so must the support (-eps, eps) the transform rules are sized for
+            raise ParameterError("eps", "eps must be below pi")
         order = self.taper_order
         if order is not None and order <= self.beta0:
             raise ParameterError("taper_order", "taper order must exceed beta0")

@@ -127,8 +127,13 @@ class TestConfigValidation:
         (dict(CUSP_PLANET, weight={"variant": "smooth_power", "k": 1, "g_k": True}),
          "config.planet.weight.g_k"),
         (dict(POINT_MASS_CONFIG["planet"], cos_theta_p=1.5), "config.planet.cos_theta_p"),
+        (dict(CUSP_PLANET, weight={"variant": "fourier_tail", "beta0": 1.5, "eps": 1.0e300}),
+         "config.planet.weight.eps"),
+        (dict(CUSP_PLANET, weight={"variant": "fourier_tail", "beta0": 1.5, "eps": math.pi}),
+         "config.planet.weight.eps"),
     ], ids=["negative-curvature", "no-weight", "theta0-equator", "missing-curvature",
-            "non-numeric-curvature", "boolean-weight", "cos-theta-out-of-range"])
+            "non-numeric-curvature", "boolean-weight", "cos-theta-out-of-range",
+            "tail-support-huge", "tail-support-pi"])
     def test_planet_out_of_domain_names_field(self, tmp_path, capsys, planet, field):
         cfg = {"schema_version": 1, "seed": 1, "planet": planet, "n_range": {"n_max": 20}}
         path = write_config(tmp_path, cfg)

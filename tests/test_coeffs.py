@@ -29,43 +29,46 @@ from conftest import THETA0, make_mollified
 
 
 def _reference_sweep(profile, n_max, level, dtype=float):
-    """The sweep without node compaction, in plain array expressions, summed
-    as the sweep sums: pairwise, by ``np.add.reduce`` over each order's
-    products.
+    """The sweep without node compaction, in plain array expressions and in
+    the sweep's operation order: nodes of weight exactly 0 left out, the
+    sign of the weight in the seeds of P and its magnitude in the running
+    damping pw = |base| e^{-(n+3)F}, the Legendre step P_{n+1} = t + (n /
+    (n+1)) (t - P_{n-1}) with t = x P_n, and each order's products summed
+    as the sweep sums them: pairwise, by ``np.add.reduce``.
 
     The arithmetic runs in ``dtype`` on the double-precision inputs (nodes,
     weights, e^{-F}, e^{-L}), so ``np.longdouble`` gives an extended-
     precision replica whose only difference is the rounding of the sweep.
     Returns the values, sum |terms| / (n+3) per order (the scale of the
     rounding a change of summation order may cause), and the damping
-    e^{-(n_max+4) F} left at the end.
+    |base| e^{-(n_max+4) F} left at the end.
     """
     nodes, wts = coeffs.theta_grid(profile, n_max, level)
+    base = wts * np.sqrt(np.sin(nodes)) * profile.eval_g(nodes)
+    nodes, base = nodes[base != 0.0], base[base != 0.0]
     x = np.cos(nodes).astype(dtype)
-    base = (wts * np.sqrt(np.sin(nodes)) * profile.eval_g(nodes)).astype(dtype)
     E = np.exp(-profile.eval_F(nodes)).astype(dtype)
     EL = np.exp(-profile.eval_L(nodes)).astype(dtype)
-    pw = E**3
+    pw = np.abs(base).astype(dtype) * E**3
     pwL = EL**3
-    p_prev = np.ones_like(x)
-    p_cur = x.copy()
+    p_prev = np.zeros_like(x)
+    p_cur = np.where(base < 0, -1.0, 1.0).astype(dtype)
     out = np.empty(n_max + 1, dtype)
     scale = np.empty(n_max + 1, dtype)
     for n in range(n_max + 1):
-        P = p_prev if n == 0 else p_cur
-        term = P * pw * (1.0 - pwL)
-        out[n] = np.add.reduce(base * term) / (n + 3.0)
-        scale[n] = np.sum(np.abs(base * term)) / (n + 3.0)
+        term = p_cur * pw * (1.0 - pwL)
+        out[n] = np.add.reduce(term) / (n + 3.0)
+        scale[n] = np.sum(np.abs(term)) / (n + 3.0)
         pw *= E
         pwL *= EL
-        if n >= 1:
-            p_cur, p_prev = ((2 * n + 1) * x * p_cur - n * p_prev) / (n + 1), p_cur
+        t = x * p_cur
+        p_cur, p_prev = t + (dtype(n) / dtype(n + 1)) * (t - p_prev), p_cur
     return out, scale, pw
 
 
 def _assert_matches_reference(profile, n_max, level=0):
-    """Compare the sweep with the reference; returns both values and the
-    final reference damping."""
+    """Compare the sweep with the reference; returns the sweep, the
+    reference values and the final reference damping."""
     ref, scale, pw = _reference_sweep(profile, n_max, level)
     got = _sweep(profile, n_max, level)
     assert np.all(np.isfinite(got.values))
@@ -73,27 +76,32 @@ def _assert_matches_reference(profile, n_max, level=0):
     assert np.all(gap <= np.maximum(1e-14 * np.abs(ref), 1e-14 * scale))
     # the budget contract: a new summation order and the dropped terms
     assert np.all(gap <= got.floor + got.dropped)
-    return got.values, ref, pw
+    return got, ref, pw
 
 
 def _replay_budget(profile, grid, floor, n_max):
     """The sweep's compaction rule replayed from its reported floors on a
-    closed-radial planet swept from n = 0.  Returns the live mask of each
-    compaction that dropped nodes, the live count at every order, the
-    damping left at the end and the nodes still live there."""
+    closed-radial planet swept from n = 0, on the damping pw = |base|
+    e^{-(n+3)F} of the nodes of nonzero weight.  Returns the live mask of
+    each compaction that dropped nodes (the drop before the first order
+    included), the live count at every order, the damping left at the end
+    and the nodes still live there."""
     nodes, wts = grid
-    base = np.abs(wts * np.sqrt(np.sin(nodes)) * profile.eval_g(nodes))
+    base = wts * np.sqrt(np.sin(nodes)) * profile.eval_g(nodes)
     E = np.exp(-profile.eval_F(nodes))
-    pw = E**3
-    live = np.arange(nodes.size)
+    pw = np.abs(base) * E**3
+    live = np.flatnonzero(base)
     masks, counts = [], []
+    keep = pw[live] >= np.finfo(float).tiny
+    if not keep.all():
+        masks.append(keep)
+        live = live[keep]
     for n in range(n_max + 1):
         counts.append(live.size)
         pw *= E
         if n % COMPACT_EVERY == COMPACT_EVERY - 1:
             # live count times each node's bound on its later terms
-            bound = base[live] * pw[live]
-            bound *= 1.0 * live.size / (n + 4.0)
+            bound = pw[live] * (1.0 * live.size / (n + 4.0))
             keep = bound > max(coeffs.DROP_FRAC * floor[n], np.finfo(float).tiny)
             if not keep.all():
                 masks.append(keep)
@@ -104,9 +112,10 @@ def _replay_budget(profile, grid, floor, n_max):
 class TestSweepCompaction:
     @pytest.mark.parametrize("name", ["cusp_profile", "alpha1_profile", "t1_profile"])
     def test_matches_uncompacted_sweep(self, request, name):
-        _, _, pw = _assert_matches_reference(request.getfixturevalue(name), 1000)
+        got, _, pw = _assert_matches_reference(request.getfixturevalue(name), 1000)
         # the case is meaningful only if compaction dropped nodes
-        assert 0 < np.count_nonzero(pw) < pw.size
+        assert np.count_nonzero(pw) > 0
+        assert got.node_orders < pw.size * 1001
 
     @staticmethod
     def _steep_peak_on_coarse_grid(monkeypatch):
@@ -187,11 +196,11 @@ class TestSweepCompaction:
         # is already below the smallest normal double, and bounds their terms
         profile, (nodes, wts) = self._steep_peak_on_coarse_grid(monkeypatch)
         got = _sweep(profile, 200, 0, n_min=200)
-        pw = np.exp(-profile.eval_F(nodes)) ** 203
-        skipped = pw < np.finfo(float).tiny
-        assert got.node_orders == np.count_nonzero(~skipped) < nodes.size
         base = wts * np.sqrt(np.sin(nodes)) * profile.eval_g(nodes)
-        terms = base * legendre_eval(200, np.cos(nodes)) * pw / 203.0
+        damping = np.exp(-profile.eval_F(nodes)) ** 203
+        skipped = np.abs(base) * damping < np.finfo(float).tiny
+        assert got.node_orders == np.count_nonzero(~skipped) < nodes.size
+        terms = base * legendre_eval(200, np.cos(nodes)) * damping / 203.0
         assert 0 < np.sum(np.abs(terms[skipped])) <= got.dropped[0]
 
     def test_short_sweep_is_bitwise_unchanged(self, t1_profile):
@@ -199,7 +208,16 @@ class TestSweepCompaction:
         # the summation order changes
         n_max = COMPACT_EVERY - 2
         got, ref, _ = _assert_matches_reference(t1_profile, n_max)
-        assert np.array_equal(got, ref)
+        assert np.array_equal(got.values, ref)
+
+    def test_zero_weight_nodes_are_never_swept(self, t1_profile):
+        # the Fourier-tail weight vanishes outside (theta0 - eps, theta0 +
+        # eps), so most of the grid has weight exactly 0: a one-order sweep
+        # visits exactly the nodes of nonzero weight
+        nodes, wts = coeffs.theta_grid(t1_profile, 0, 0)
+        weighted = np.count_nonzero(wts * np.sqrt(np.sin(nodes)) * t1_profile.eval_g(nodes))
+        assert 0 < weighted < nodes.size / 2
+        assert _sweep(t1_profile, 0, 0).node_orders == weighted
 
 
 class TestRoundingFloor:
@@ -255,14 +273,12 @@ class TestClosedRadialSkip:
         out = np.empty_like(nodes)
         skipped, exact = [], []
         for n in range(101):
-            div, factor = radial.weight(n, out)
+            factor = radial.weight(n, out)
             ref = 1.0 - pwL
-            assert div == n + 3.0
             exact.append(bool(np.all(ref == 1.0)))
             skipped.append(factor is None)
             if factor is not None:
                 assert np.array_equal(factor, ref)
-            radial.advance()
             pwL *= EL
         first = skipped.index(True)
         # the switch falls mid-sweep, at most one order after the factor
@@ -486,7 +502,6 @@ class TestColumnEngine:
                 live = live[mask]
                 first, mask = next(drops, (None, None))
             radial.weight(n, W)
-            radial.advance()
             terms = np.abs(base * p_cur * E ** (n + 3) * W)
             dropped = np.sum(np.delete(terms, live))
             assert dropped <= got.dropped[n]
@@ -688,6 +703,12 @@ class TestPotentials:
         # converges below R because the true singularity sits at 0.9
         val, last = potential_partial_sum(point_mass_series, 0.95, 2000)
         assert val == pytest.approx(point_mass.closed_potential(0.95), rel=1e-6)
+
+    def test_partial_sum_outside_computed_range_raises(self, point_mass):
+        series = coeff_series(point_mass, 5, 10)
+        for N in (3, 11):
+            with pytest.raises(ValueError, match=r"\[5, 10\]"):
+                potential_partial_sum(series, 2.0, N)
 
     def test_geometric_tail_bound(self, cusp_profile, cusp_series):
         # truncation error bounded by K (R/z)^N with a constant fitted on
