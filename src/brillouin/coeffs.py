@@ -229,7 +229,7 @@ class _ClosedRadial:
     *= max(EL) stays at or above each pwL *= EL.
     """
 
-    #: W_n / (n + 3) <= wmax / (n + 3)
+    #: the factor 1 - e^{-(n+3)L} is at most wmax
     wmax = 1.0
     #: the closed form covers the whole radial range
     capped = False
@@ -268,9 +268,9 @@ class _ColumnRadial:
     so the difference of two levels also sees the radial error.  v is
     evaluated once per block; the carried A = w v e^{-(n+3) s} takes one
     multiply by e^{-s} per order, and ``weight`` writes W_n =
-    A.sum(axis=1), which the sweep does not divide (``divides``).  Within a block
-    the decay only steepens, so the panels built for lo resolve every later
-    order of the block.  While the cap binds at no node the panels do not
+    A.sum(axis=1), which the sweep does not divide (``divides``).  Within
+    a block the decay only steepens, so the panels built for lo resolve
+    every later order of the block.  While the cap binds at no node the panels do not
     depend on lo, and A is carried on into the next block.
 
     ``wmax`` bounds |v| for the sweep's budget: it starts at the profile's
@@ -542,13 +542,13 @@ def _sweep(profile, n_max, level, n_min=0):
     Operation order.  Let base be a node's colatitude weight (w sin^{1/2} g
     for a closed radial factor, w sin for a general column).  A node whose
     base is exactly 0 adds exactly 0 at every order, so it is left out
-    before the first order and needs no bound (82% of the grid on the
-    Fourier-tail planet).  The sign of base moves into the seeds of P and
-    |base| into the running damping pw = |base| e^{-(n_min+3)F}, both
-    exact (the recurrence is linear).  Order n then takes, per node,
-    W_n (for a closed factor only until it is exactly 1.0, see
-    ``_ClosedRadial``), the term (P_n pw) W_n, pw *= e^{-F} and the
-    Legendre step t = x P_n, P_{n+1} = t + (n / (n+1)) (t - P_{n-1}),
+    before the first order and needs no bound (82% of the grids of the
+    Fourier-tail planet at n_max 1500).  The sign of base moves into the
+    seeds of P and |base| into the running damping pw = |base|
+    e^{-(n_min+3)F}, both exact (the recurrence is linear).  Order n then
+    takes, per node, W_n (for a closed factor only until it is exactly
+    1.0, see ``_ClosedRadial``), the term (P_n pw) W_n, pw *= e^{-F} and
+    the Legendre step t = x P_n, P_{n+1} = t + (n / (n+1)) (t - P_{n-1}),
     four in-place calls: six numpy calls per order once the closed factor
     is 1.
 
