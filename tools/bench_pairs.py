@@ -20,6 +20,7 @@ facts ``bench/run.py`` prints.  Standard library only.
 """
 
 import argparse
+import io
 import json
 import statistics
 import subprocess
@@ -32,21 +33,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def git(*args, cwd=ROOT):
-    return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
+def git(*args):
+    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
 
 
 def export(rev, into):
     """The tree of ``rev`` written under ``into``; returns its directory."""
     target = Path(into) / rev.replace("/", "_")
-    target.mkdir(parents=True)
-    archive = target.with_suffix(".tar")
-    with open(archive, "wb") as fh:
-        subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, stdout=fh)
-    with tarfile.open(archive) as tar:
+    data = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, check=True,
+                          capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
         tar.extractall(target, filter="data")
-    archive.unlink()
     return target
 
 
@@ -166,8 +164,8 @@ def main(argv=None):
                 "change": counts([c for _, c in runs]),
                 "metrics": summarize(runs, spec["end_to_end"]),
             }
+            # written after every workload, so an interrupted run keeps its finished ones
             args.out.write_text(json.dumps(report, indent=1) + "\n")
-    args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 
 
