@@ -132,6 +132,51 @@ def predict_thm1(a0, beta0, a1, beta1, R, theta0, n):
                       "_vanish_scale": scale * float(np.max(ns ** (-beta0)))})
 
 
+def _cusp(peak, k, g, tag):
+    """``(decay, prefactor, base_p, base_m, tag)`` of a cusp peak (alpha in
+    (0, 1]) with a weight of degree k.  ``g`` multiplies the prefactor; the
+    caller applies the weight's one-sided factors to the bases."""
+    alpha = peak.alpha
+    if alpha < 1.0:
+        power = (k + 1) / alpha
+        return (1.5 + power, math.sqrt(2.0) * math.gamma(power) * g / (alpha * math.sqrt(math.pi)),
+                peak.a_plus**-power, peak.a_minus**-power, tag + "alt1")
+    return (1.5 + k + 1.0, math.sqrt(2.0) * math.gamma(k + 1.0) * g / math.sqrt(math.pi),
+            (peak.a_plus - 1j) ** -(k + 1), (peak.a_minus + 1j) ** -(k + 1), tag + "a1")
+
+
+def _cusp_smooth(peak, weight):
+    k = int(weight.k)
+    decay, pref, base_p, base_m, tag = _cusp(peak, k, weight.g_k, "T3-i-a-")
+    return decay, pref, base_p, (-1.0) ** k * base_m, tag
+
+
+def _cusp_two_sided(peak, weight):
+    decay, pref, base_p, base_m, tag = _cusp(peak, weight.k, 1.0, "T3-i-b-")
+    return decay, pref, weight.g_plus * base_p, weight.g_minus * base_m, tag
+
+
+def _c1_mixed(peak, weight):
+    if abs(weight.alpha - peak.alpha) > 1e-12:
+        raise UnsupportedPairing("peak and weight must share the same alpha")
+    alpha = peak.alpha
+    ia = np.exp(1j * math.pi * alpha / 2.0)    # i^alpha, principal branch
+    mia = np.exp(-1j * math.pi * alpha / 2.0)  # (-i)^alpha
+    return (1.5 + alpha + 1.0, math.sqrt(2.0) * math.gamma(alpha + 1.0) / math.sqrt(math.pi),
+            ia * (1j * weight.g_plus + weight.g1 * peak.a_plus * (1.0 + alpha)),
+            -mia * (1j * weight.g_minus + weight.g1 * peak.a_minus * (1.0 + alpha)),
+            "T3-ii-a2" if abs(alpha - 2.0) < 1e-12 else "T3-ii-ain12")
+
+
+#: the closed forms of Theorem 3 by (peak, weight) pairing: each gives the
+#: decay exponent, the prefactor, the one-sided terms and the tag
+_THM3 = {
+    (PowerCusp, SmoothPowerWeight): _cusp_smooth,
+    (PowerCusp, TwoSidedCuspWeight): _cusp_two_sided,
+    (PowerC1, C1MixedWeight): _c1_mixed,
+}
+
+
 def predict_thm3(peak, weight, R, theta0, n):
     """Closed-form predictor for low-regularity peaks.
 
@@ -140,70 +185,18 @@ def predict_thm3(peak, weight, R, theta0, n):
     alpha = 1, and 3/2 + alpha + 1 for once-differentiable peaks with
     alpha in (1, 2].  Unmatched pairings raise :class:`UnsupportedPairing`.
     """
-    ns = np.asarray(n, dtype=float)
-    if isinstance(peak, PowerCusp) and isinstance(weight, SmoothPowerWeight):
-        k = int(weight.k)
-        alpha = peak.alpha
-        sgn = (-1.0) ** k
-        if alpha < 1.0:
-            power = (k + 1) / alpha
-            term_p, term_m = peak.a_plus**-power, sgn * peak.a_minus**-power
-            pref = (math.sqrt(2.0) * math.gamma(power) * weight.g_k
-                    / (alpha * math.sqrt(math.pi)))
-            tag = "T3-i-a-alt1"
-            decay = 1.5 + power
-        else:
-            term_p = (peak.a_plus - 1j) ** -(k + 1)
-            term_m = sgn * (peak.a_minus + 1j) ** -(k + 1)
-            pref = math.sqrt(2.0) * math.gamma(k + 1.0) * weight.g_k / math.sqrt(math.pi)
-            tag = "T3-i-a-a1"
-            decay = 1.5 + k + 1.0
-        scale = abs(term_p) + abs(term_m)
-        return _assemble(tag, ns, theta0, R, pref * ns**-decay, term_p + term_m,
-                         {**peak.params(), **weight.params(), "_vanish_scale": scale})
-
-    if isinstance(peak, PowerCusp) and isinstance(weight, TwoSidedCuspWeight):
-        k = weight.k
-        alpha = peak.alpha
-        if alpha < 1.0:
-            power = (k + 1) / alpha
-            term_p = weight.g_plus * peak.a_plus**-power
-            term_m = weight.g_minus * peak.a_minus**-power
-            pref = math.sqrt(2.0) * math.gamma(power) / (alpha * math.sqrt(math.pi))
-            tag = "T3-i-b-alt1"
-            decay = 1.5 + power
-        else:
-            term_p = weight.g_plus * (peak.a_plus - 1j) ** -(k + 1)
-            term_m = weight.g_minus * (peak.a_minus + 1j) ** -(k + 1)
-            pref = math.sqrt(2.0) * math.gamma(k + 1.0) / math.sqrt(math.pi)
-            tag = "T3-i-b-a1"
-            decay = 1.5 + k + 1.0
-        scale = abs(term_p) + abs(term_m)
-        return _assemble(tag, ns, theta0, R, pref * ns**-decay, term_p + term_m,
-                         {**peak.params(), **weight.params(), "_vanish_scale": scale})
-
-    if isinstance(peak, PowerC1) and isinstance(weight, C1MixedWeight):
-        if abs(weight.alpha - peak.alpha) > 1e-12:
-            raise UnsupportedPairing("peak and weight must share the same alpha")
-        alpha = peak.alpha
-        ia = np.exp(1j * math.pi * alpha / 2.0)    # i^alpha, principal branch
-        mia = np.exp(-1j * math.pi * alpha / 2.0)  # (-i)^alpha
-        term_p = ia * (1j * weight.g_plus + weight.g1 * peak.a_plus * (1.0 + alpha))
-        term_m = -mia * (1j * weight.g_minus + weight.g1 * peak.a_minus * (1.0 + alpha))
-        pref = math.sqrt(2.0) * math.gamma(alpha + 1.0) / math.sqrt(math.pi)
-        decay = 1.5 + alpha + 1.0
-        tag = "T3-ii-a2" if abs(alpha - 2.0) < 1e-12 else "T3-ii-ain12"
-        scale = abs(term_p) + abs(term_m)
-        return _assemble(tag, ns, theta0, R, pref * ns**-decay, term_p + term_m,
-                         {**peak.params(), **weight.params(), "_vanish_scale": scale})
-
-    if isinstance(peak, QuadraticPeak):
+    terms = _THM3.get((type(peak), type(weight)))
+    if terms is None:
+        if isinstance(peak, QuadraticPeak):
+            raise UnsupportedPairing(
+                "quadratic peaks are covered by predict_thm1 with Fourier tail data")
         raise UnsupportedPairing(
-            "quadratic peaks are covered by predict_thm1 with Fourier tail data"
-        )
-    raise UnsupportedPairing(
-        f"no closed form for peak {type(peak).__name__} with weight {type(weight).__name__}"
-    )
+            f"no closed form for peak {type(peak).__name__} with weight {type(weight).__name__}")
+    decay, pref, term_p, term_m, tag = terms(peak, weight)
+    ns = np.asarray(n, dtype=float)
+    return _assemble(tag, ns, theta0, R, pref * ns**-decay, term_p + term_m,
+                     {**peak.params(), **weight.params(),
+                      "_vanish_scale": abs(term_p) + abs(term_m)})
 
 
 # ---------------------------------------------------------------------------

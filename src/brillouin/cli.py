@@ -26,10 +26,13 @@ from .balayage import PLEMELJ_MARGIN, mu_from_point_masses, plemelj_jump, swept_
 from .coeffs import coeff_series
 from .errors import BrillouinError, ParameterError
 from .model import (
+    PEAKS,
+    WEIGHTS,
     PlanetSpec,
     RejectDomain,
     RejectNonGeneric,
     build_profile,
+    config_keys,
     homogeneous_ball,
     point_mass_planet,
     read_param,
@@ -50,35 +53,14 @@ class ConfigError(BrillouinError):
     """Configuration rejected; the message carries the field path."""
 
 
-_TOP_KEYS = {
-    "schema_version", "command", "seed", "planet", "n_range", "tol",
-    "out_dir", "expect", "asympt", "spectral", "balayage",
-}
 _PLANET_KEYS = {
     "point_mass": {"kind", "r0", "theta_p", "cos_theta_p", "m", "R", "G"},
     "ball": {"kind", "R_b", "rho0", "G"},
-    "profile": {"kind", "schema_version", "R", "theta0", "peak", "weight", "delta",
-                "delta1", "r_m", "G"},
+    "profile": {"kind", "schema_version", *config_keys(PlanetSpec)},
 }
-_PEAK_KEYS = {
-    "quadratic": {"variant", "c", "beta"},
-    "power_cusp": {"variant", "alpha", "a_minus", "a_plus", "beta"},
-    "power_c1": {"variant", "alpha", "a_minus", "a_plus"},
-}
-_WEIGHT_KEYS = {
-    "smooth_power": {"variant", "k", "g_k"},
-    "two_sided_cusp": {"variant", "k", "g_plus", "g_minus"},
-    "c1_mixed": {"variant", "g1", "g_plus", "g_minus", "alpha"},
-    "fourier_tail": {"variant", "beta0", "eps", "taper_order"},
-}
-_EXPECT_KEYS = {"verdict", "rho", "rho_tol", "median_ratio_window", "beta",
-                "beta_tol", "max_abs_coeff"}
-_NRANGE_KEYS = {"n_min", "n_max"}
-_ASYMPT_KEYS = {"source", "a0", "beta0", "a1", "beta1"}
-_ASYMPT_SOURCES = ("auto", "thm1", "thm3")
-_SPECTRAL_KEYS = {"k_base", "octaves", "samples_per_octave"}
-_BALAYAGE_KEYS = {"masses", "probe_x", "n_exterior", "obs_radius"}
-_MASS_KEYS = {"m", "position"}
+_SHAPES = {"peak": PEAKS, "weight": WEIGHTS}
+#: the default of a mandatory key
+_MANDATORY = object()
 
 
 def _require(cond, path, msg):
@@ -102,10 +84,6 @@ def _is_number(value):
         return False
 
 
-def _is_count(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_complex(value):
     """True for a complex number with finite parts, also one given as a
     number or a string such as ``1-2j``."""
@@ -116,59 +94,137 @@ def _is_complex(value):
     return not isinstance(value, bool) and math.isfinite(z.real) and math.isfinite(z.imag)
 
 
-def _check_expect(ecfg):
-    path = "config.expect"
-    _check_keys(ecfg, _EXPECT_KEYS, path)
-    for field in ("rho", "max_abs_coeff", "beta"):
-        if field in ecfg:
-            _require(_is_number(ecfg[field]), f"{path}.{field}", "must be a finite number")
-    for field in ("rho_tol", "beta_tol"):
-        if field in ecfg:
-            _require(_is_number(ecfg[field]) and float(ecfg[field]) >= 0, f"{path}.{field}",
-                     "must be a number >= 0")
-    if "median_ratio_window" in ecfg:
-        window = ecfg["median_ratio_window"]
-        _require(isinstance(window, list) and len(window) == 2
-                 and all(map(_is_number, window)) and float(window[0]) <= float(window[1]),
-                 f"{path}.median_ratio_window", "must be two numbers [lo, hi] with lo <= hi")
+# A kind checks one value and raises ConfigError naming its field path.
+
+def _kind(test, msg):
+    def check(value, path):
+        _require(test(value), path, msg)
+    return check
 
 
-def _check_asympt(acfg):
-    path = "config.asympt"
-    _check_keys(acfg, _ASYMPT_KEYS, path)
-    _require(acfg.get("source", "auto") in _ASYMPT_SOURCES, f"{path}.source",
-             f"must be one of {_ASYMPT_SOURCES}")
-    for field in ("a0", "a1"):
-        if field in acfg:
-            _require(_is_complex(acfg[field]), f"{path}.{field}", "must be a complex number")
-    for field in ("beta0", "beta1"):
-        if field in acfg:
-            _require(_is_number(acfg[field]), f"{path}.{field}", "must be a finite number")
-    if "a0" in acfg:
-        _require("beta0" in acfg, f"{path}.beta0", "mandatory with a0")
+def _above(lo):
+    return _kind(lambda v: _is_number(v) and float(v) > lo, f"must be a number > {lo:g}")
 
 
-def _check_spectral(scfg):
+def _at_least(lo):
+    return _kind(lambda v: _is_number(v) and float(v) >= lo, f"must be a number >= {lo:g}")
+
+
+def _count(lo):
+    return _kind(lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= lo,
+                 f"must be an integer >= {lo}")
+
+
+def _choice(options):
+    return _kind(lambda v: v in options, f"must be one of {options}")
+
+
+def _numbers(size):
+    return _kind(lambda v: isinstance(v, list) and len(v) == size and all(map(_is_number, v)),
+                 f"must be a list of {size} finite numbers")
+
+
+_NUMBER = _kind(_is_number, "must be a finite number")
+_MAPPING = _kind(lambda v: isinstance(v, dict), "expected a mapping")
+_COMPLEX = _kind(_is_complex, "must be a complex number")
+_ANY = _kind(lambda v: True, "")
+
+
+def _list(item, nonempty=False):
+    """A list of values of kind ``item``."""
+    def check(value, path):
+        _require(isinstance(value, list) and (value or not nonempty), path,
+                 "must be a non-empty list" if nonempty else "must be a list")
+        for i, x in enumerate(value):
+            item(x, f"{path}[{i}]")
+    return check
+
+
+def _section(table):
+    """A mapping whose keys are those of ``table``, each ``(kind, default)``."""
+    def check(value, path):
+        _check_keys(value, table, path)
+        for key, (kind, default) in table.items():
+            if key in value:
+                kind(value[key], f"{path}.{key}")
+            else:
+                _require(default is not _MANDATORY, f"{path}.{key}", "mandatory")
+    return check
+
+
+#: the config schema outside the planet: each section's keys, each with its
+#: kind and its default (None: the key is optional and has no default)
+_SCHEMA = {
+    "n_range": {"n_min": (_count(0), 0), "n_max": (_count(0), _MANDATORY)},
+    # expect.verdict stays unchecked: an unknown verdict is a verdict mismatch
+    "expect": {"verdict": (_ANY, None), "rho": (_NUMBER, None), "rho_tol": (_at_least(0), 0.005),
+               "median_ratio_window": (_numbers(2), None), "beta": (_NUMBER, None),
+               "beta_tol": (_at_least(0), 0.05), "max_abs_coeff": (_NUMBER, None)},
+    "asympt": {"source": (_choice(("auto", "thm1", "thm3")), "auto"), "a0": (_COMPLEX, None),
+               "beta0": (_above(1), None), "a1": (_COMPLEX, 0.0), "beta1": (_above(2), None)},
+    "spectral": {"k_base": (_above(0), 50.0), "octaves": (_count(1), 7),
+                 "samples_per_octave": (_count(1), 12)},
+    "balayage": {"masses": (_list(_section({"m": (_NUMBER, _MANDATORY),
+                                            "position": (_numbers(3), _MANDATORY)}),
+                                  nonempty=True), _MANDATORY),
+                 "probe_x": (_list(_NUMBER), (0.5,)), "n_exterior": (_count(0), 10),
+                 "obs_radius": (_above(1), 2.0)},
+}
+_SCHEMA["config"] = {
+    "schema_version": (_choice((1,)), _MANDATORY),
+    "command": (_choice(COMMANDS), None),
+    "seed": (_count(0), _MANDATORY),
+    "planet": (_MAPPING, _MANDATORY),
+    "tol": (_above(0), 1e-10),
+    "out_dir": (_ANY, None),
+    **{name: (_section(table), None) for name, table in _SCHEMA.items()},
+}
+
+
+def _option(d, section, key):
+    """``d[key]``, or the schema's default for ``key`` of ``section``."""
+    return d.get(key, _SCHEMA[section][key][1])
+
+
+def _check_planet(planet, command):
+    kind = planet.get("kind")
+    _require(kind in _PLANET_KEYS, "config.planet.kind", f"must be one of {sorted(_PLANET_KEYS)}")
+    _check_keys(planet, _PLANET_KEYS[kind], "config.planet")
+    if kind == "point_mass":
+        _require("r0" in planet and "m" in planet, "config.planet", "point_mass needs r0 and m")
+        _require("theta_p" in planet or "cos_theta_p" in planet,
+                 "config.planet", "point_mass needs theta_p or cos_theta_p")
+    if kind == "ball":
+        _require("R_b" in planet and "rho0" in planet, "config.planet", "ball needs R_b and rho0")
+    if kind != "profile":
+        _require(command != "asympt", "config.planet.kind",
+                 "the asympt command needs a profile planet")
+        return
+    for field in ("theta0", "peak"):
+        _require(field in planet, f"config.planet.{field}", "mandatory")
+    for part, registry in _SHAPES.items():
+        if part in planet:
+            shape = planet[part]
+            variant = shape.get("variant") if isinstance(shape, dict) else None
+            _require(variant in registry, f"config.planet.{part}.variant",
+                     f"must be one of {sorted(registry)}")
+            _check_keys(shape, {"variant", *config_keys(registry[variant])},
+                        f"config.planet.{part}")
+
+
+def _check_tail_grid(scfg):
+    """Bounds on the tail fit's grid, checked before it is built: every
+    sample's rule must stay under spectral.MAX_RULE_NODES, and the fit
+    needs enough samples over a wide enough span."""
     path = "config.spectral"
-    _check_keys(scfg, _SPECTRAL_KEYS, path)
-    k_base = scfg.get("k_base", 50.0)
-    _require(_is_number(k_base) and float(k_base) > 0, f"{path}.k_base",
-             "must be a positive number")
-    for field, value in (("octaves", scfg.get("octaves", 7)),
-                         ("samples_per_octave", scfg.get("samples_per_octave", 12))):
-        _require(_is_count(value) and value >= 1, f"{path}.{field}",
-                 "must be an integer >= 1")
-    # bounds on the grid, checked before it is built: every sample's rule
-    # must stay under spectral.MAX_RULE_NODES
-    octaves = scfg.get("octaves", 7)
-    _require(octaves * scfg.get("samples_per_octave", 12) <= spectral.MAX_TAIL_SAMPLES,
-             f"{path}.samples_per_octave",
+    k_base = float(_option(scfg, "spectral", "k_base"))
+    octaves = _option(scfg, "spectral", "octaves")
+    _require(octaves * _option(scfg, "spectral", "samples_per_octave")
+             <= spectral.MAX_TAIL_SAMPLES, f"{path}.samples_per_octave",
              f"octaves * samples_per_octave must be <= {spectral.MAX_TAIL_SAMPLES}")
-    k_field = "octaves" if float(k_base) <= spectral.MAX_TAIL_K / 2.0 else "k_base"
-    _require(math.log2(float(k_base)) + octaves <= math.log2(spectral.MAX_TAIL_K),
-             f"{path}.{k_field}",
+    k_field = "octaves" if k_base <= spectral.MAX_TAIL_K / 2.0 else "k_base"
+    _require(math.log2(k_base) + octaves <= math.log2(spectral.MAX_TAIL_K), f"{path}.{k_field}",
              f"k_base * 2**octaves must be <= {spectral.MAX_TAIL_K:g}")
-    # the tail fit's own requirements on the grid
     mag = -_tail_grid(scfg)
     _require(mag.size >= spectral.MIN_TAIL_SAMPLES, f"{path}.samples_per_octave",
              f"octaves * samples_per_octave must be >= {spectral.MIN_TAIL_SAMPLES}")
@@ -176,122 +232,67 @@ def _check_spectral(scfg):
              f"the samples must span a ratio of at least {spectral.MIN_TAIL_SPAN:g} in k")
 
 
-def _check_balayage(bcfg):
-    path = "config.balayage"
-    _check_keys(bcfg, _BALAYAGE_KEYS, path)
-    masses = bcfg.get("masses")
-    _require(isinstance(masses, list) and masses, f"{path}.masses",
-             "mandatory, a non-empty list")
-    for i, mass in enumerate(masses):
-        mpath = f"{path}.masses[{i}]"
-        _check_keys(mass, _MASS_KEYS, mpath)
-        _require(_is_number(mass.get("m")), f"{mpath}.m", "mandatory, a finite number")
-        pos = mass.get("position")
-        _require(isinstance(pos, list) and len(pos) == 3 and all(map(_is_number, pos)),
-                 f"{mpath}.position", "mandatory, a list of three finite numbers")
-        _require(np.linalg.norm(np.asarray(pos, dtype=float)) < 1.0, f"{mpath}.position",
-                 "must lie strictly inside the unit sphere")
-    probes = bcfg.get("probe_x", [])
-    _require(isinstance(probes, list), f"{path}.probe_x", "must be a list")
-    for i, x0 in enumerate(probes):
-        _require(_is_number(x0) and PLEMELJ_MARGIN < abs(float(x0)) < 1.0 - PLEMELJ_MARGIN,
-                 f"{path}.probe_x[{i}]",
-                 f"must be a number with {PLEMELJ_MARGIN:g} < |x| < {1.0 - PLEMELJ_MARGIN:g}")
-    n_ext = bcfg.get("n_exterior", 10)
-    _require(_is_count(n_ext) and n_ext >= 0, f"{path}.n_exterior",
-             "must be an integer >= 0")
-    obs_radius = bcfg.get("obs_radius", 2.0)
-    _require(_is_number(obs_radius) and float(obs_radius) > 1.0, f"{path}.obs_radius",
-             "must be a number > 1 (outside the unit sphere)")
-
-
 class ExperimentConfig:
-    """Validated experiment description plus its provenance hash."""
+    """Validated experiment description plus its provenance hash.  Optional
+    values are read with :meth:`option`, which supplies the schema's default."""
 
     def __init__(self, raw, command=None):
-        _check_keys(raw, _TOP_KEYS, "config")
-        _require(raw.get("schema_version") == 1, "config.schema_version",
-                 "must be 1 (and is mandatory)")
-        _require("seed" in raw, "config.seed", "mandatory (reproducible draws)")
-        _require(isinstance(raw["seed"], int), "config.seed", "must be an integer")
+        _section(_SCHEMA["config"])(raw, "config")
+        self.raw = raw
         cfg_cmd = raw.get("command")
-        if cfg_cmd is not None:
-            _require(cfg_cmd in COMMANDS, "config.command", f"must be one of {COMMANDS}")
-            if command is not None:
-                _require(cfg_cmd == command, "config.command",
-                         f"config says {cfg_cmd!r} but the CLI invoked {command!r}")
+        if cfg_cmd is not None and command is not None:
+            _require(cfg_cmd == command, "config.command",
+                     f"config says {cfg_cmd!r} but the CLI invoked {command!r}")
         self.command = command or cfg_cmd
         _require(self.command in COMMANDS, "config.command", "missing command")
-        _require("planet" in raw, "config.planet", "mandatory")
+        _check_planet(raw["planet"], self.command)
 
-        planet = raw["planet"]
-        _require(isinstance(planet, dict), "config.planet", "expected a mapping")
-        kind = planet.get("kind")
-        _require(kind in _PLANET_KEYS, "config.planet.kind",
-                 f"must be one of {sorted(_PLANET_KEYS)}")
-        _check_keys(planet, _PLANET_KEYS[kind], "config.planet")
-        if kind == "point_mass":
-            _require("r0" in planet and "m" in planet, "config.planet",
-                     "point_mass needs r0 and m")
-            _require("theta_p" in planet or "cos_theta_p" in planet,
-                     "config.planet", "point_mass needs theta_p or cos_theta_p")
-        if kind == "ball":
-            _require("R_b" in planet and "rho0" in planet, "config.planet",
-                     "ball needs R_b and rho0")
-        if kind == "profile":
-            for field in ("theta0", "peak"):
-                _require(field in planet, f"config.planet.{field}", "mandatory")
-            peak = planet["peak"]
-            variant = peak.get("variant") if isinstance(peak, dict) else None
-            _require(variant in _PEAK_KEYS, "config.planet.peak.variant",
-                     f"must be one of {sorted(_PEAK_KEYS)}")
-            _check_keys(peak, _PEAK_KEYS[variant], "config.planet.peak")
-            if "weight" in planet:
-                weight = planet["weight"]
-                wvariant = weight.get("variant") if isinstance(weight, dict) else None
-                _require(wvariant in _WEIGHT_KEYS, "config.planet.weight.variant",
-                         f"must be one of {sorted(_WEIGHT_KEYS)}")
-                _check_keys(weight, _WEIGHT_KEYS[wvariant], "config.planet.weight")
-
+        # the rules that tie fields together
         n_range = raw.get("n_range", {})
-        if "n_range" in raw:
-            _check_keys(n_range, _NRANGE_KEYS, "config.n_range")
-            _require("n_max" in n_range, "config.n_range.n_max", "mandatory")
-        for field in ("n_min", "n_max"):
-            value = n_range.get(field, 0)
-            _require(_is_count(value), f"config.n_range.{field}", "must be an integer")
-            _require(value >= 0, f"config.n_range.{field}", "must be >= 0")
-        if "n_range" in raw:
-            _require(n_range.get("n_min", 0) <= n_range["n_max"], "config.n_range",
-                     "n_min must not exceed n_max")
+        self.n_min = _option(n_range, "n_range", "n_min")
+        self.n_max = n_range.get("n_max", 0)
+        _require(self.n_min <= self.n_max, "config.n_range", "n_min must not exceed n_max")
         if self.command in ("coeffs", "asympt", "radius"):
             _require("n_range" in raw, "config.n_range",
                      f"mandatory for the {self.command} command")
         if self.command == "asympt":
             # the predictors start at n = 1
-            _require(n_range["n_max"] >= 1, "config.n_range.n_max",
+            _require(self.n_max >= 1, "config.n_range.n_max",
                      "must be >= 1 for the asympt command")
-        if "expect" in raw:
-            _check_expect(raw["expect"])
-        if "asympt" in raw:
-            _check_asympt(raw["asympt"])
+        window = self.option("expect", "median_ratio_window")
+        if window is not None:
+            _require(float(window[0]) <= float(window[1]), "config.expect.median_ratio_window",
+                     "must be two numbers [lo, hi] with lo <= hi")
+        acfg = raw.get("asympt", {})
+        if "a0" in acfg:
+            _require("beta0" in acfg, "config.asympt.beta0", "mandatory with a0")
+        elif self.option("asympt", "source") == "thm1":
+            _require(raw["planet"].get("weight", {}).get("variant") == "fourier_tail",
+                     "config.asympt.a0", "mandatory unless the weight's tail can be fitted "
+                     "(a fourier_tail weight)")
+        if complex(self.option("asympt", "a1")) != 0:
+            _require("beta1" in acfg, "config.asympt.beta1", "mandatory with a nonzero a1")
         if "spectral" in raw:
-            _check_spectral(raw["spectral"])
+            _check_tail_grid(raw["spectral"])
         if self.command == "balayage":
-            _require("balayage" in raw, "config.balayage",
-                     "mandatory for the balayage command")
+            _require("balayage" in raw, "config.balayage", "mandatory for the balayage command")
         if "balayage" in raw:
-            _check_balayage(raw["balayage"])
+            for i, mass in enumerate(self.option("balayage", "masses")):
+                _require(np.linalg.norm(np.asarray(mass["position"], dtype=float)) < 1.0,
+                         f"config.balayage.masses[{i}].position",
+                         "must lie strictly inside the unit sphere")
+            for i, x0 in enumerate(self.option("balayage", "probe_x")):
+                _require(PLEMELJ_MARGIN < abs(float(x0)) < 1.0 - PLEMELJ_MARGIN,
+                         f"config.balayage.probe_x[{i}]",
+                         f"must satisfy {PLEMELJ_MARGIN:g} < |x| < {1.0 - PLEMELJ_MARGIN:g}")
 
-        self.raw = raw
         self.seed = raw["seed"]
-        tol = raw.get("tol", 1e-10)
-        _require(_is_number(tol) and float(tol) > 0, "config.tol", "must be a positive number")
-        self.tol = float(tol)
-        self.n_min = n_range.get("n_min", 0)
-        self.n_max = n_range.get("n_max", 0)
-        self.expect = raw.get("expect", {})
+        self.tol = float(_option(raw, "config", "tol"))
         self.out_dir = raw.get("out_dir")
+
+    def option(self, section, key):
+        """The value of ``section.key``, or its default."""
+        return _option(self.raw.get(section, {}), section, key)
 
     @property
     def config_hash(self):
@@ -368,35 +369,33 @@ def _cmd_coeffs(config, out):
     series.to_csv(out / "coeffs.csv", config_hash=config.config_hash)
     series.to_json(out / "coeffs.json", config_hash=config.config_hash)
     failures = []
-    cap = config.expect.get("max_abs_coeff")
+    cap = config.option("expect", "max_abs_coeff")
     if cap is not None and float(np.max(np.abs(series.values))) > float(cap):
         failures.append("max_abs_coeff exceeded")
     return failures
 
 
 def _predictor(config, planet, ns):
-    choice = config.raw.get("asympt", {})
-    source = choice.get("source", "auto")
-    weight = getattr(planet, "weight", None)
-    if source == "thm1" or (source == "auto" and getattr(weight, "variant", "") == "fourier_tail"):
-        if "a0" in choice:
-            a0, beta0 = complex(choice["a0"]), float(choice["beta0"])
+    source = config.option("asympt", "source")
+    if source == "thm1" or (source == "auto" and planet.weight.variant == "fourier_tail"):
+        a0 = config.option("asympt", "a0")
+        if a0 is not None:
+            a0, beta0 = complex(a0), float(config.option("asympt", "beta0"))
         else:
             fit, _, _ = _fit_weight_tail(config, planet)
             a0, beta0 = fit.amp, fit.beta
-        a1 = complex(choice.get("a1", 0.0))
-        beta1 = choice.get("beta1")
-        return predict_thm1(a0, beta0, a1, beta1 if beta1 is None else float(beta1),
-                            planet.R, planet.theta0, ns)
+        beta1 = config.option("asympt", "beta1")
+        return predict_thm1(a0, beta0, complex(config.option("asympt", "a1")),
+                            beta1 if beta1 is None else float(beta1), planet.R, planet.theta0, ns)
     return predict_thm3(planet.peak, planet.weight, planet.R, planet.theta0, ns)
 
 
 def _tail_grid(scfg):
     """The negative k grid of the tail fit: ``samples_per_octave`` geometric
     samples in each of ``octaves`` octaves from ``k_base``."""
-    k_base = float(scfg.get("k_base", 50.0))
-    octaves = scfg.get("octaves", 7)
-    per = scfg.get("samples_per_octave", 12)
+    k_base = float(_option(scfg, "spectral", "k_base"))
+    octaves = _option(scfg, "spectral", "octaves")
+    per = _option(scfg, "spectral", "samples_per_octave")
     return -np.concatenate([
         np.geomspace(k_base * 2.0**j, k_base * 2.0 ** (j + 1), per, endpoint=False)
         for j in range(octaves)
@@ -422,7 +421,7 @@ def _cmd_asympt(config, out):
     report.to_csv(out / "ratio.csv", config_hash=config.config_hash)
     report.to_json(out / "ratio.json", config_hash=config.config_hash)
     failures = []
-    window = config.expect.get("median_ratio_window")
+    window = config.option("expect", "median_ratio_window")
     if window is not None:
         lo, hi = float(window[0]), float(window[1])
         if not (lo <= report.median_ratio <= hi):
@@ -434,12 +433,12 @@ def _cmd_asympt(config, out):
 def _verdict_failures(config, report, R):
     """Failures of the ``verdict`` and ``rho`` expect checks."""
     failures = []
-    want = config.expect.get("verdict")
+    want = config.option("expect", "verdict")
     if want is not None and report.verdict != want:
         failures.append(f"verdict {report.verdict} != expected {want}")
-    rho = config.expect.get("rho")
+    rho = config.option("expect", "rho")
     if rho is not None:
-        tol = float(config.expect.get("rho_tol", 0.005))
+        tol = float(config.option("expect", "rho_tol"))
         # written so that a NaN rho_hat fails the check
         if not abs(report.rho_hat - float(rho)) <= tol * R:
             failures.append(f"rho_hat {report.rho_hat:.4f} not within {tol} of {rho}")
@@ -470,34 +469,31 @@ def _cmd_spectral(config, out):
         "config_hash": config.config_hash,
     })
     failures = []
-    want_beta = config.expect.get("beta")
+    want_beta = config.option("expect", "beta")
     if want_beta is not None:
-        tol = float(config.expect.get("beta_tol", 0.05))
+        tol = float(config.option("expect", "beta_tol"))
         if abs(fit.beta - float(want_beta)) > tol:
             failures.append(f"fitted beta {fit.beta:.4f} not within {tol} of {want_beta}")
     return failures
 
 
 def _cmd_balayage(config, out):
-    bcfg = config.raw["balayage"]
     masses = [(float(m["m"]), np.asarray(m["position"], dtype=float))
-              for m in bcfg["masses"]]
+              for m in config.option("balayage", "masses")]
     measure = mu_from_point_masses(masses)
     xs = np.linspace(-0.99, 0.99, 199)
     measure.to_csv(out / "mu.csv", xs, config_hash=config.config_hash)
 
     rng = np.random.default_rng(config.seed)
-    n_ext = bcfg.get("n_exterior", 10)
-    obs_radius = float(bcfg.get("obs_radius", 2.0))
-    directions = rng.normal(size=(n_ext, 3))
+    directions = rng.normal(size=(config.option("balayage", "n_exterior"), 3))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    obs = obs_radius * directions
+    obs = float(config.option("balayage", "obs_radius")) * directions
     direct = sum(m / np.linalg.norm(obs - p, axis=1) for m, p in masses)
     swept = sum(m * swept_potential(p, obs) for m, p in masses)
     worst_rel = float(np.max(np.abs(swept - direct) / np.abs(direct), initial=0.0))
 
     recoveries = []
-    for x0 in bcfg.get("probe_x", [0.5]):
+    for x0 in config.option("balayage", "probe_x"):
         _, rec = plemelj_jump(measure, float(x0))
         recoveries.append({"x0": float(x0), "mu_recovered": complex(rec).real,
                            "mu_direct": float(measure(float(x0)))})
@@ -581,8 +577,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config, command=args.command)
-        # flag overrides participate in the provenance hash via raw
+        # flag overrides are checked as the config key and participate in
+        # the provenance hash via raw
         if args.tol is not None:
+            _SCHEMA["config"]["tol"][0](args.tol, "config.tol")
             config.raw["tol"] = config.tol = args.tol
         return run(config, out_override=args.out)
     except ConfigError as exc:

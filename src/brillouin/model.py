@@ -15,8 +15,8 @@ import hashlib
 import json
 import math
 import operator
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import MISSING, dataclass, fields
+from typing import Callable, Optional, get_args
 
 import numpy as np
 
@@ -42,6 +42,9 @@ __all__ = [
     "PointMassPlanet",
     "HomogeneousBall",
     "read_param",
+    "PEAKS",
+    "WEIGHTS",
+    "config_keys",
 ]
 
 THETA_DOMAIN_TOL = 1e-9
@@ -88,12 +91,51 @@ def read_param(params, key, convert=float, default=_REQUIRED):
     return value
 
 
+def _config_dataclass(cls):
+    """``dataclass(frozen=True)`` that also records ``cls.config_fields``:
+    ``(name, convert, default)`` of each field a config can set, which is
+    every field that is not a callable.  ``convert`` follows the annotation:
+    ``int`` reads an int, ``Optional[int]`` keeps an integer an integer
+    (``operator.pos``), anything else reads a float."""
+    cls = dataclass(frozen=True)(cls)
+    cls.config_fields = tuple(
+        (f.name, {int: int, Optional[int]: operator.pos}.get(f.type, float),
+         _REQUIRED if f.default is MISSING else f.default)
+        for f in fields(cls) if Callable not in (f.type, *get_args(f.type)))
+    return cls
+
+
+def config_keys(cls):
+    """The config keys of a ``_config_dataclass``: its config fields' names."""
+    return {name for name, _, _ in cls.config_fields}
+
+
+def _from_params(cls, params, **given):
+    """``cls`` built from the mapping ``params`` by :func:`read_param` on each
+    config field not in ``given`` (fields that are already built)."""
+    return cls(**given, **{name: read_param(params, name, convert, default)
+                           for name, convert, default in cls.config_fields
+                           if name not in given})
+
+
+class _Shape:
+    """Base of the peak shapes and surface weights; their config keys, their
+    builder and :meth:`params` all follow ``config_fields``."""
+
+    def params(self):
+        """The serializable parameter record (callables left out); an int
+        field is recorded as an int."""
+        return {"variant": self.variant,
+                **{name: int(getattr(self, name)) if convert is int else getattr(self, name)
+                   for name, convert, _ in self.config_fields}}
+
+
 # ---------------------------------------------------------------------------
 # peak shapes: local models for F near its zero
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadraticPeak:
+@_config_dataclass
+class QuadraticPeak(_Shape):
     """Smooth peak: F(x) = c x^2 + h(x), with remainder h = O(|x|^beta), beta > 2."""
 
     c: float
@@ -120,12 +162,9 @@ class QuadraticPeak:
         """Offset where (n + 3) * F reaches ``level`` (leading term)."""
         return math.sqrt(level / ((n + 3) * self.c))
 
-    def params(self):
-        return {"variant": self.variant, "c": self.c, "beta": self.beta}
 
-
-@dataclass(frozen=True)
-class PowerCusp:
+@_config_dataclass
+class PowerCusp(_Shape):
     """Continuous, non-differentiable peak: F(x) = a_pm |x|^alpha + O(|x|^beta),
     alpha in (0, 1], with one-sided slopes a_minus (x < 0) and a_plus (x > 0)."""
 
@@ -159,18 +198,9 @@ class PowerCusp:
         a = min(self.a_minus, self.a_plus)
         return (level / ((n + 3) * a)) ** (1.0 / self.alpha)
 
-    def params(self):
-        return {
-            "variant": self.variant,
-            "alpha": self.alpha,
-            "a_minus": self.a_minus,
-            "a_plus": self.a_plus,
-            "beta": self.beta,
-        }
 
-
-@dataclass(frozen=True)
-class PowerC1:
+@_config_dataclass
+class PowerC1(_Shape):
     """Once-differentiable peak: F(x) = a_pm |x|^alpha exactly near the peak,
     alpha in (1, 2]."""
 
@@ -197,21 +227,13 @@ class PowerC1:
         a = min(self.a_minus, self.a_plus)
         return (level / ((n + 3) * a)) ** (1.0 / self.alpha)
 
-    def params(self):
-        return {
-            "variant": self.variant,
-            "alpha": self.alpha,
-            "a_minus": self.a_minus,
-            "a_plus": self.a_plus,
-        }
-
 
 # ---------------------------------------------------------------------------
 # surface weights: local models for g near theta0
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SmoothPowerWeight:
+@_config_dataclass
+class SmoothPowerWeight(_Shape):
     """g(x) = g_k x^k (1 + correction(x)), integer k >= 1, correction(0) = 0."""
 
     k: int
@@ -233,12 +255,9 @@ class SmoothPowerWeight:
             out = out * (1.0 + self.correction(x))
         return out
 
-    def params(self):
-        return {"variant": self.variant, "k": int(self.k), "g_k": self.g_k}
 
-
-@dataclass(frozen=True)
-class TwoSidedCuspWeight:
+@_config_dataclass
+class TwoSidedCuspWeight(_Shape):
     """g(x) = (1 + correction(x)) * (g_plus |x|^k for x > 0, g_minus |x|^k for x < 0),
     real k >= 1, g_plus and g_minus not both zero."""
 
@@ -263,17 +282,9 @@ class TwoSidedCuspWeight:
             out = out * (1.0 + self.correction(x))
         return out
 
-    def params(self):
-        return {
-            "variant": self.variant,
-            "k": self.k,
-            "g_plus": self.g_plus,
-            "g_minus": self.g_minus,
-        }
 
-
-@dataclass(frozen=True)
-class C1MixedWeight:
+@_config_dataclass
+class C1MixedWeight(_Shape):
     """g(x) = g1 x + g_pm |x|^alpha, alpha in (1, 2]; pairs with PowerC1 peaks
     of the same alpha."""
 
@@ -293,18 +304,9 @@ class C1MixedWeight:
         g = np.where(x >= 0, self.g_plus, self.g_minus)
         return self.g1 * x + g * np.abs(x) ** self.alpha
 
-    def params(self):
-        return {
-            "variant": self.variant,
-            "g1": self.g1,
-            "g_plus": self.g_plus,
-            "g_minus": self.g_minus,
-            "alpha": self.alpha,
-        }
 
-
-@dataclass(frozen=True)
-class FourierTailWeight:
+@_config_dataclass
+class FourierTailWeight(_Shape):
     """Compactly supported cusp profile |x|^(beta0 - 1) P(x) cutoff(x) whose
     transform has an exact power-law tail of exponent beta0 > 1.
 
@@ -341,20 +343,25 @@ class FourierTailWeight:
     def evaluate(self, x):
         return self.tail_profile()(_as_x(x))
 
-    def params(self):
-        return {
-            "variant": self.variant,
-            "beta0": self.beta0,
-            "eps": self.eps,
-            "taper_order": self.taper_order,
-        }
+
+#: the peak shapes and the surface weights by ``variant``
+PEAKS = {cls.variant: cls for cls in (QuadraticPeak, PowerCusp, PowerC1)}
+WEIGHTS = {cls.variant: cls for cls in (SmoothPowerWeight, TwoSidedCuspWeight, C1MixedWeight,
+                                        FourierTailWeight)}
+
+
+def _shape_from_params(registry, p):
+    variant = p.get("variant")
+    if variant not in registry:
+        raise ValueError(f"unknown variant {variant!r}, expected one of {sorted(registry)}")
+    return _from_params(registry[variant], p)
 
 
 # ---------------------------------------------------------------------------
 # planet specification and profile
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@_config_dataclass
 class PlanetSpec:
     """Everything needed to build a synthetic planet.
 
@@ -416,19 +423,10 @@ class PlanetSpec:
     @staticmethod
     def from_dict(d):
         with ParameterError.within("peak"):
-            peak = _peak_from_params(d["peak"])
+            peak = _shape_from_params(PEAKS, d["peak"])
         with ParameterError.within("weight"):
-            weight = _weight_from_params(d["weight"]) if "weight" in d else None
-        return PlanetSpec(
-            R=read_param(d, "R"),
-            theta0=read_param(d, "theta0"),
-            peak=peak,
-            weight=weight,
-            delta=read_param(d, "delta", default=0.5),
-            delta1=read_param(d, "delta1", default=0.05),
-            r_m=read_param(d, "r_m", default=None),
-            G=read_param(d, "G", default=1.0),
-        )
+            weight = _shape_from_params(WEIGHTS, d["weight"]) if "weight" in d else None
+        return _from_params(PlanetSpec, d, peak=peak, weight=weight)
 
     def fingerprint(self):
         return _fingerprint_payload(self._payload())
@@ -457,38 +455,6 @@ class PlanetSpec:
                 "v": label(self.v),
                 "G": self.G,
             }
-
-
-def _peak_from_params(p):
-    variant = p["variant"]
-    if variant == "quadratic":
-        return QuadraticPeak(c=read_param(p, "c"), beta=read_param(p, "beta", default=4.0))
-    if variant == "power_cusp":
-        return PowerCusp(alpha=read_param(p, "alpha"), a_minus=read_param(p, "a_minus"),
-                         a_plus=read_param(p, "a_plus"),
-                         beta=read_param(p, "beta", default=None))
-    if variant == "power_c1":
-        return PowerC1(alpha=read_param(p, "alpha"), a_minus=read_param(p, "a_minus"),
-                       a_plus=read_param(p, "a_plus"))
-    raise ValueError(f"unknown peak variant {variant!r}")
-
-
-def _weight_from_params(p):
-    variant = p["variant"]
-    if variant == "smooth_power":
-        return SmoothPowerWeight(k=read_param(p, "k", convert=int), g_k=read_param(p, "g_k"))
-    if variant == "two_sided_cusp":
-        return TwoSidedCuspWeight(k=read_param(p, "k"), g_plus=read_param(p, "g_plus"),
-                                  g_minus=read_param(p, "g_minus"))
-    if variant == "c1_mixed":
-        return C1MixedWeight(g1=read_param(p, "g1"), g_plus=read_param(p, "g_plus"),
-                             g_minus=read_param(p, "g_minus"), alpha=read_param(p, "alpha"))
-    if variant == "fourier_tail":
-        # operator.pos keeps an integer taper order an integer
-        return FourierTailWeight(beta0=read_param(p, "beta0"), eps=read_param(p, "eps"),
-                                 taper_order=read_param(p, "taper_order",
-                                                        convert=operator.pos, default=None))
-    raise ValueError(f"unknown weight variant {variant!r}")
 
 
 def _fingerprint_payload(payload):

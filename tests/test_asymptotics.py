@@ -63,6 +63,86 @@ class TestPredictThm1:
             predict_thm1(1.0, 1.5, 1.0, 1.5, 1.0, THETA0, np.arange(5, 9))
 
 
+#: predict_thm3 at n = 1, 10, 100, 1000 (R = 1, theta0 = 1) for every pairing and
+#: branch: alpha < 1 and alpha = 1 for both cusp weights (one vanishing), and C1
+#: at alpha in (1, 2) and alpha = 2 (one vanishing); tag, vanishing flag, values
+#: params, values and envelope, as the three hand-written branches computed them
+THM3_PINS = [
+    (PowerCusp(alpha=0.5, a_minus=1.3, a_plus=0.7),
+     SmoothPowerWeight(k=2, g_k=1.5),
+     'T3-i-a-alt1', False,
+     {'variant': 'smooth_power', 'alpha': 0.5, 'a_minus': 1.3, 'a_plus': 0.7, 'beta': None,
+      'k': 2, 'g_k': 1.5},
+     [1889.137473037581, -7.578997623749506e-05,
+      1.7128712793496007e-12, 6.109026150773014e-20],
+     [2500.995443583582, 7.908842019427269e-05,
+      2.5009954435835823e-12, 7.908842019427268e-20]),
+    (PowerCusp(alpha=1.0, a_minus=1.3, a_plus=0.7),
+     SmoothPowerWeight(k=1, g_k=-0.5),
+     'T3-i-a-a1', False,
+     {'variant': 'smooth_power', 'alpha': 1.0, 'a_minus': 1.3, 'a_plus': 0.7, 'beta': None,
+      'k': 1, 'g_k': -0.5},
+     [0.35675502401239156, -7.498971073945207e-05,
+      -1.9894182642699812e-08, 1.1099138283282398e-11],
+     [-0.41566624453029577, -0.00013144520791642412,
+      -4.156662445302957e-08, -1.3144520791642413e-11]),
+    (PowerCusp(alpha=0.5, a_minus=1.0, a_plus=1.0),
+     SmoothPowerWeight(k=1, g_k=1.0),
+     'T3-i-a-alt1', True,
+     {'variant': 'smooth_power', 'alpha': 0.5, 'a_minus': 1.0, 'a_plus': 1.0, 'beta': None,
+      'k': 1, 'g_k': 1.0},
+     [0.0, 0.0,
+      0.0, 0.0],
+     [0.0, 0.0,
+      0.0, 0.0]),
+    (PowerCusp(alpha=0.6, a_minus=1.3, a_plus=0.7),
+     TwoSidedCuspWeight(k=1.5, g_plus=1.0, g_minus=-0.4),
+     'T3-i-b-alt1', False,
+     {'variant': 'two_sided_cusp', 'alpha': 0.6, 'a_minus': 1.3, 'a_plus': 0.7,
+      'beta': None, 'k': 1.5, 'g_plus': 1.0, 'g_minus': -0.4},
+     [31.970258937233886, -8.738314980839922e-05,
+      1.345469895570213e-10, 3.269298499833624e-16],
+     [42.324856223218134, 9.118613849791293e-05,
+      1.9645458002995535e-10, 4.2324856223218043e-16]),
+    (PowerCusp(alpha=1.0, a_minus=1.3, a_plus=0.7),
+     TwoSidedCuspWeight(k=2.0, g_plus=0.5, g_minus=2.0),
+     'T3-i-b-a1', False,
+     {'variant': 'two_sided_cusp', 'alpha': 1.0, 'a_minus': 1.3, 'a_plus': 0.7,
+      'beta': None, 'k': 2.0, 'g_plus': 0.5, 'g_minus': 2.0},
+     [-0.16800932971290242, 1.6297964167702305e-05,
+      -8.851297030572227e-10, -6.04668981643165e-15],
+     [0.8950466556635077, 2.830386044013131e-05,
+      8.950466556635077e-10, 2.830386044013131e-14]),
+    (PowerC1(alpha=1.5, a_minus=1.2, a_plus=0.8),
+     C1MixedWeight(g1=0.3, g_plus=1.0, g_minus=2.0, alpha=1.5),
+     'T3-ii-ain12', False,
+     {'variant': 'c1_mixed', 'alpha': 1.5, 'a_minus': 1.2, 'a_plus': 0.8, 'g1': 0.3,
+      'g_plus': 1.0, 'g_minus': 2.0},
+     [-2.758311143233724, 0.0002476389773275972,
+      -2.063636223055506e-10, -2.754983102685817e-12],
+     [2.7597554239461157, 0.00027597554239461156,
+      2.7597554239461158e-08, 2.7597554239461155e-12]),
+    (PowerC1(alpha=2.0, a_minus=1.0, a_plus=1.5),
+     C1MixedWeight(g1=0.5, g_plus=1.0, g_minus=-1.0, alpha=2.0),
+     'T3-ii-a2', False,
+     {'variant': 'c1_mixed', 'alpha': 2.0, 'a_minus': 1.0, 'a_plus': 1.5, 'g1': 0.5,
+      'g_plus': 1.0, 'g_minus': -1.0},
+     [1.1874401447814984, 7.425769068667058e-06,
+      -3.1452234163479413e-09, 3.486351466710638e-14],
+     [3.408564337915357, 0.00010778826859036358,
+      3.408564337915357e-09, 1.0778826859036358e-13]),
+    (PowerC1(alpha=2.0, a_minus=1.0, a_plus=1.0),
+     C1MixedWeight(g1=0.0, g_plus=1.0, g_minus=1.0, alpha=2.0),
+     'T3-ii-a2', True,
+     {'variant': 'c1_mixed', 'alpha': 2.0, 'a_minus': 1.0, 'a_plus': 1.0, 'g1': 0.0,
+      'g_plus': 1.0, 'g_minus': 1.0},
+     [-2.9523073437310435e-16, 1.1844310253788861e-20,
+      -2.676841960452295e-25, -9.547067392068703e-30],
+     [3.908507093905284e-16, 1.2359784667666315e-20,
+      3.908507093905284e-25, 1.2359784667666316e-29]),
+]
+
+
 class TestPredictThm3:
     def test_decay_exponents(self):
         ns = np.array([1000.0, 2000.0])
@@ -114,6 +194,14 @@ class TestPredictThm3:
                              TwoSidedCuspWeight(k=1.0, g_plus=1.0, g_minus=1.0),
                              1.0, THETA0, np.arange(100, 200))
         assert not pred3.vanishing
+
+    @pytest.mark.parametrize("peak, weight, tag, vanishing, params, values, envelope",
+                             THM3_PINS)
+    def test_pinned_bitwise(self, peak, weight, tag, vanishing, params, values, envelope):
+        pred = predict_thm3(peak, weight, 1.0, THETA0, [1, 10, 100, 1000])
+        assert (pred.tag, pred.vanishing, pred.params) == (tag, vanishing, params)
+        assert pred.values.tolist() == values
+        assert pred.envelope.tolist() == envelope
 
     def test_unsupported_pairings(self):
         with pytest.raises(UnsupportedPairing):

@@ -104,6 +104,24 @@ class TestConfigValidation:
         assert main(["coeffs", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "config error: config.tol: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [-1, True])
+    def test_bad_seed_names_field_before_any_artifact(self, tmp_path, capsys, seed):
+        # balayage draws its observers from the seed after writing mu.csv
+        path = write_config(tmp_path, dict(BALAYAGE_CONFIG, seed=seed))
+        out = tmp_path / "out"
+        assert main(["balayage", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert "config error: config.seed: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_bad_tolerance_flag_names_field(self, tmp_path, capsys, tol):
+        path = write_config(tmp_path, POINT_MASS_CONFIG)
+        out = tmp_path / "out"
+        assert main(["coeffs", "--config", str(path), "--out", str(out),
+                     "--tol", tol]) == EXIT_CONFIG
+        assert "config error: config.tol: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_integer_order_names_field(self, tmp_path, capsys):
         cfg = dict(POINT_MASS_CONFIG, n_range={"n_min": 0, "n_max": "abc"})
         path = write_config(tmp_path, cfg)
@@ -160,10 +178,18 @@ class TestConfigValidation:
         ("asympt", {"asympt": {"source": "thm1", "a0": -0.5}}, "config.asympt.beta0"),
         ("asympt", {"asympt": {"a1": "1+", "beta1": 2.0}}, "config.asympt.a1"),
         ("coeffs", {"planet": dict(CUSP_PLANET, r_m=2.0)}, "config.planet.r_m"),
+        ("asympt", {"planet": CUSP_PLANET, "asympt": {"source": "thm1"}}, "config.asympt.a0"),
+        ("asympt", {"asympt": {"a0": -0.5, "beta0": 0.5}}, "config.asympt.beta0"),
+        ("asympt", {"asympt": {"a0": -0.5, "beta0": 1.5, "a1": 1.0}}, "config.asympt.beta1"),
+        ("asympt", {"asympt": {"a0": -0.5, "beta0": 1.5, "a1": 1.0, "beta1": 2.0}},
+         "config.asympt.beta1"),
+        ("asympt", {"planet": {"kind": "ball", "R_b": 1.0, "rho0": 1.0}}, "config.planet.kind"),
+        ("asympt", {"planet": POINT_MASS_CONFIG["planet"]}, "config.planet.kind"),
     ], ids=["rho", "max-abs-coeff", "negative-rho-tol", "list-beta",
             "beta-tol", "one-sided-window", "reversed-window", "unknown-source",
             "non-complex-a0", "non-numeric-beta0", "a0-without-beta0", "non-complex-a1",
-            "inner-radius-outside"])
+            "inner-radius-outside", "thm1-without-a0-or-tail", "beta0-at-most-1",
+            "a1-without-beta1", "beta1-at-most-2", "asympt-on-ball", "asympt-on-point-mass"])
     def test_expect_asympt_and_shape_errors_name_field(self, tmp_path, capsys, command,
                                                        change, field):
         cfg = {"schema_version": 1, "seed": 1,
@@ -175,6 +201,36 @@ class TestConfigValidation:
         assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
         assert f"config error: {field}: " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, cfg, digest", [
+        # the README example config
+        ("radius", {
+            "schema_version": 1, "seed": 7, "planet": dict(CUSP_PLANET, R=1.0),
+            "n_range": {"n_min": 0, "n_max": 2000}, "tol": 1.0e-10,
+            "expect": {"verdict": "ConvergesExactlyAtBrillouin"}},
+         "2877e2ef2987378e54d2976077d4523887e63c13369a16f18211d3e712abd521"),
+        # every optional section and key set
+        ("asympt", {
+            "schema_version": 1, "seed": 11, "command": "asympt", "out_dir": "runs",
+            "planet": {"kind": "profile", "schema_version": 1, "R": 1.0, "theta0": 1.2,
+                       "peak": {"variant": "quadratic", "c": 2.0, "beta": 4.0},
+                       "weight": {"variant": "fourier_tail", "beta0": 1.5, "eps": 0.25,
+                                  "taper_order": 4},
+                       "delta": 0.5, "delta1": 0.4, "r_m": 0.3, "G": 1.0},
+            "n_range": {"n_min": 1, "n_max": 500}, "tol": 1.0e-9,
+            "expect": {"verdict": "ConvergesExactlyAtBrillouin", "rho": 1.0, "rho_tol": 0.01,
+                       "median_ratio_window": [0.9, 1.1], "beta": 1.5, "beta_tol": 0.05,
+                       "max_abs_coeff": 10.0},
+            "asympt": {"source": "thm1", "a0": "1-2j", "beta0": 1.5, "a1": 0.5, "beta1": 3.5},
+            "spectral": {"k_base": 40.0, "octaves": 7, "samples_per_octave": 10},
+            "balayage": {"masses": [{"m": 1.0, "position": [0.1, 0.2, 0.3]}],
+                         "probe_x": [0.4], "n_exterior": 5, "obs_radius": 3.0}},
+         "3a6cab9cf3e55ffd49984f7edfe0551888ea917c883710667df758441b74d141"),
+    ], ids=["readme", "every-section"])
+    def test_config_hash_is_pinned(self, command, cfg, digest):
+        # the hash names the artifact directory and is written into every
+        # artifact; defaults are never written into the hashed config
+        assert cli.ExperimentConfig(cfg, command=command).config_hash == digest
 
     def test_load_config_object(self, tmp_path):
         path = write_config(tmp_path, POINT_MASS_CONFIG)
@@ -376,9 +432,13 @@ class TestSpectralConfig:
 
     def test_grid_at_bounds_accepted(self):
         # the config check alone: no transform is sampled
-        cli._check_spectral({"k_base": MAX_TAIL_K / 2**7})
-        cli._check_spectral({"k_base": 1.0, "octaves": 8,
-                             "samples_per_octave": MAX_TAIL_SAMPLES // 8})
+        for spectral in ({"k_base": MAX_TAIL_K / 2**7},
+                         {"k_base": 1.0, "octaves": 8,
+                          "samples_per_octave": MAX_TAIL_SAMPLES // 8}):
+            cli.ExperimentConfig({"schema_version": 1, "seed": 1,
+                                  "planet": dict(CUSP_PLANET, weight={
+                                      "variant": "fourier_tail", "beta0": 1.5, "eps": 0.25}),
+                                  "spectral": spectral}, command="spectral")
 
 
 BALAYAGE_CONFIG = {

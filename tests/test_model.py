@@ -218,13 +218,37 @@ class TestOracles:
 
 
 class TestSerialization:
-    def test_round_trip(self):
-        spec = PlanetSpec(R=2.0, theta0=1.3, peak=PowerCusp(alpha=0.6, a_minus=1.5, a_plus=0.7),
-                          weight=TwoSidedCuspWeight(k=2.0, g_plus=1.0, g_minus=-0.5),
-                          delta=0.4, delta1=0.05)
+    @pytest.mark.parametrize("peak, weight, fingerprint", [
+        (QuadraticPeak(c=2.0, beta=3.5), TwoSidedCuspWeight(k=2.0, g_plus=1.0, g_minus=-0.5),
+         "e5930027860301622dedf74824c2c21d6fd760731a46c85607ad43d680bcc6e9"),
+        (PowerCusp(alpha=0.6, a_minus=1.5, a_plus=0.7, beta=0.9),
+         TwoSidedCuspWeight(k=2.0, g_plus=1.0, g_minus=-0.5),
+         "bd9d379ab2b87203cfafc84f4e1c09a425bf8c21a4902882178e422f0b2b4089"),
+        (PowerC1(alpha=1.5, a_minus=1.2, a_plus=0.8),
+         TwoSidedCuspWeight(k=2.0, g_plus=1.0, g_minus=-0.5),
+         "69f127bd31f0c225d94397ffab9c5b6fd562500e926416dc1adcefa5e395c381"),
+        # a float k is recorded as an int
+        (PowerCusp(alpha=0.6, a_minus=1.5, a_plus=0.7), SmoothPowerWeight(k=2.0, g_k=1.5),
+         "705d03df2645454d3592ff61f2bf90008c7857787cdbd426c16bfc9e4fdd2257"),
+        (PowerCusp(alpha=0.6, a_minus=1.5, a_plus=0.7),
+         TwoSidedCuspWeight(k=2.0, g_plus=1.0, g_minus=-0.5),
+         "68887fa88d5d425344ea882d466eed709c050512e70916c5c06ddfd4a24b8756"),
+        (PowerCusp(alpha=0.6, a_minus=1.5, a_plus=0.7),
+         C1MixedWeight(g1=0.3, g_plus=1.0, g_minus=2.0, alpha=1.5),
+         "0cceaacfce95f219e09b54152deded18467a46cf353caea03c53b3d642334074"),
+        (PowerCusp(alpha=0.6, a_minus=1.5, a_plus=0.7),
+         FourierTailWeight(beta0=1.5, eps=0.25, taper_order=4),
+         "2074d403247f7b1760c96758c77858bc1ae3549dc556ee34e683c9e4078417ce"),
+    ], ids=["quadratic", "power_cusp", "power_c1", "smooth_power", "two_sided_cusp",
+            "c1_mixed", "fourier_tail"])
+    def test_round_trip(self, peak, weight, fingerprint):
+        # coeffs.json records the fingerprint, so it must not move; it also
+        # shows that an integer k or taper_order is read and recorded as an int
+        spec = PlanetSpec(R=2.0, theta0=1.3, peak=peak, weight=weight, delta=0.4, delta1=0.05)
         again = PlanetSpec.from_dict(spec.to_dict())
         assert again == spec
-        assert again.fingerprint() == spec.fingerprint()
+        assert again.to_dict() == spec.to_dict()
+        assert spec.fingerprint() == again.fingerprint() == fingerprint
 
     def test_callables_not_serializable(self):
         spec = PlanetSpec(R=1.0, theta0=1.0, peak=QuadraticPeak(c=1.0), weight=None,
