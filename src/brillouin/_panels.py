@@ -1,10 +1,20 @@
-"""Composite quadrature grids: oscillation-resolving panels plus geometric
-refinement toward a designated point.  Internal plumbing."""
+"""Composite quadrature grids and the refinement ladder every quadrature
+shares.  Internal plumbing.
 
+Grids are composite Gauss panels: oscillation-resolving uniform panels
+plus geometric refinement toward a designated point, with every set of
+panel edges built by :func:`breakpoints_on`.  Each quadrature that checks
+its own accuracy reruns its rule on finer grids through :func:`refine`,
+whose docstring states the one error contract: a ``(value, err)`` result,
+or :class:`~brillouin.errors.ToleranceNotMet` carrying both.
+"""
+
+import math
 from functools import lru_cache
 
 import numpy as np
 
+from .errors import ToleranceNotMet
 from .legendre import gauss_nodes
 
 # One 16-point panel per oscillation wavelength gives 16 nodes/wavelength,
@@ -44,6 +54,16 @@ def graded_offsets(floor_width, top_width, ratio=GRADE_RATIO):
     return np.concatenate([[0.0], np.cumsum(widths)])
 
 
+def breakpoints_on(lo, hi, *parts):
+    """Sorted panel edges: ``lo``, ``hi`` and every point of ``parts`` that
+    lies in [lo, hi], each value once.  A sort and a difference drop the
+    repeats; ``np.unique`` would do the same, but its first call imports
+    numpy.ma, which holds about 1 MiB resident."""
+    bp = np.hstack([lo, hi, *parts])
+    bp = np.sort(bp[(bp >= lo) & (bp <= hi)])
+    return bp[np.concatenate([[True], np.diff(bp) > 0])]
+
+
 def peak_breakpoints(lo, hi, center, base_width, floor_width, ratio=GRADE_RATIO,
                      edge_floor=None):
     """Breakpoints on [lo, hi]: uniform panels of ``base_width`` with a
@@ -53,32 +73,46 @@ def peak_breakpoints(lo, hi, center, base_width, floor_width, ratio=GRADE_RATIO,
     toward both interval endpoints (for integrands with root-type endpoint
     singularities, e.g. the sqrt(sin) factor at the poles)."""
     offs = graded_offsets(floor_width, base_width, ratio)
-    zone = offs[-1]
-    pts = {lo, hi}
-    left = max(lo, center - zone)
-    right = min(hi, center + zone)
+    left = max(lo, center - offs[-1])
+    right = min(hi, center + offs[-1])
+    parts = [center - offs, center + offs]
     if left > lo:
-        n_l = max(1, int(np.ceil((left - lo) / base_width)))
-        pts.update(np.linspace(lo, left, n_l + 1))
+        parts.append(uniform_breakpoints(lo, left, base_width))
     if right < hi:
-        n_r = max(1, int(np.ceil((hi - right) / base_width)))
-        pts.update(np.linspace(right, hi, n_r + 1))
-    for off in offs:
-        for p in (center - off, center + off):
-            if lo <= p <= hi:
-                pts.add(p)
+        parts.append(uniform_breakpoints(right, hi, base_width))
     if edge_floor is not None:
-        for eoff in graded_offsets(edge_floor, base_width, ratio):
-            for p in (lo + eoff, hi - eoff):
-                if lo < p < hi:
-                    pts.add(p)
-    bp = np.array(sorted(pts))
-    # guard against duplicate breakpoints from floating-point coincidences
-    keep = np.concatenate([[True], np.diff(bp) > 0])
-    return bp[keep]
+        edge_offs = graded_offsets(edge_floor, base_width, ratio)
+        parts += [lo + edge_offs, hi - edge_offs]
+    return breakpoints_on(lo, hi, *parts)
 
 
 def uniform_breakpoints(a, b, max_width):
     n = max(1, int(np.ceil((b - a) / max_width)))
     return np.linspace(a, b, n + 1)
 
+
+def refine(run, tol, top, what=None, error=lambda fine, coarse: abs(fine - coarse)):
+    """The refinement ladder of every quadrature that checks its accuracy.
+
+    Calls ``run(0)``, ``run(1)``, ... on ever finer grids and stops at the
+    first level whose ``error(fine, coarse)`` against the level before is
+    at most ``tol``, or after level ``top``.  Returns ``(fine, coarse,
+    err)``: the last two levels and the error between them (with ``top``
+    0, ``coarse`` is None and ``err`` is inf).  ``tol=None`` sets no
+    tolerance: every level through ``top`` runs and nothing is missed.
+
+    The error contract, the same for every caller: when level ``top``
+    still misses ``tol`` (a NaN error misses it too), a caller that names
+    itself through ``what`` gets :class:`ToleranceNotMet` carrying the
+    last level's value and its error; a caller that passes no ``what``
+    gets the triple back and reads ``err > tol`` as its not-met flag.
+    """
+    fine, coarse, err = run(0), None, math.inf
+    for level in range(1, top + 1):
+        coarse, fine = fine, run(level)
+        err = error(fine, coarse)
+        if tol is not None and err <= tol:
+            return fine, coarse, err
+    if what is not None and tol is not None:
+        raise ToleranceNotMet(f"{what}: err {err:.3e} > tol {tol:.3e}", value=fine, err=err)
+    return fine, coarse, err

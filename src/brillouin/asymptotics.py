@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import write_csv, write_json
-from ._panels import composite_nodes, peak_breakpoints, _rule01
-from .errors import BrillouinError, ToleranceNotMet
+from ._panels import breakpoints_on, composite_nodes, peak_breakpoints, refine
+from .coeffs import RADIAL_EXPONENT_CAP, _U_EDGES
+from .errors import BrillouinError
 from .model import (
     C1MixedWeight,
     PowerC1,
@@ -224,13 +225,7 @@ def oscillatory_J(profile, n, tol=None):
         vals = profile.eval_g(t) * np.exp(-(n + 3.0) * profile.eval_F(t))
         return complex(np.sum(w * vals * np.exp(1j * (n + 0.5) * t)))
 
-    v0 = run(0)
-    v1 = run(1)
-    err = abs(v1 - v0)
-    if tol is not None and err > tol:
-        raise ToleranceNotMet(f"oscillatory_J at n={n}: err {err:.3e} > tol {tol:.3e}",
-                              value=v1, err=err)
-    return v1
+    return refine(run, tol, 1, what=f"oscillatory_J at n={n}")[0]
 
 
 def j_to_coeff(J, n, asymptotic=True):
@@ -265,30 +260,16 @@ def exact_inner(profile, theta, n, variable="s"):
     theta = float(theta)
     L = float(profile.eval_L(theta))
     rM = float(profile.eval_rM(theta))
-    gx, gw = _rule01()
+    s_edges = _U_EDGES / RADIAL_EXPONENT_CAP * min(L, RADIAL_EXPONENT_CAP / (n + 3.0))
     if variable == "s":
-        s_hi = min(L, 40.0 / (n + 3.0))
-        edges = np.array([0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 28.0, 40.0]) / 40.0 * s_hi
-        total = 0.0
-        for j in range(edges.size - 1):
-            a, h = edges[j], edges[j + 1] - edges[j]
-            s = a + h * gx
-            total += float(np.sum(h * gw * np.exp(-(n + 3.0) * s)
-                                  * profile.eval_v(rM * np.exp(-s), np.full_like(s, theta))))
+        s, w = composite_nodes(s_edges)
+        total = float(np.sum(w * np.exp(-(n + 3.0) * s)
+                             * profile.eval_v(rM * np.exp(-s), np.full_like(s, theta))))
     elif variable == "r":
         # same exponent grading expressed through r = r_M e^{-s}
-        rm = rM * math.exp(-L)
-        s_hi = min(L, 40.0 / (n + 3.0))
-        s_edges = np.array([0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 28.0, 40.0]) / 40.0 * s_hi
-        edges = np.concatenate([[rm], (rM * np.exp(-s_edges))[::-1]])
-        edges = np.unique(np.clip(edges, rm, rM))
-        total = 0.0
-        for j in range(edges.size - 1):
-            a, h = edges[j], edges[j + 1] - edges[j]
-            r = a + h * gx
-            ratio_pow = (r / rM) ** (n + 2)
-            total += float(np.sum(h * gw * ratio_pow
-                                  * profile.eval_v(r, np.full_like(r, theta)))) / rM
+        r, w = composite_nodes(breakpoints_on(rM * math.exp(-L), rM, rM * np.exp(-s_edges)))
+        total = float(np.sum(w * (r / rM) ** (n + 2)
+                             * profile.eval_v(r, np.full_like(r, theta)))) / rM
     else:
         raise ValueError("variable must be 's' or 'r'")
     return math.sqrt(math.sin(theta)) * total

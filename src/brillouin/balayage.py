@@ -31,8 +31,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._io import write_csv
-from ._panels import composite_nodes, graded_offsets, uniform_breakpoints
-from .errors import BrillouinError
+from ._panels import (breakpoints_on, composite_nodes, graded_offsets, refine,
+                      uniform_breakpoints)
+from .errors import BrillouinError, ToleranceNotMet
 
 __all__ = [
     "SurfaceMeasure",
@@ -317,6 +318,8 @@ def build_Q(measure, p, tol=1e-12):
     Real p must satisfy |p| < 1 (beyond that the kernel's branch point
     enters the integration range); complex p off the real rays |p| >= 1 is
     allowed.  The attractive axis potential is -Q(p(z)) / sqrt(z^2 + 1).
+    Raises :class:`ToleranceNotMet` if three panel halvings leave a
+    relative change above ``tol`` (see ``_panels.refine``).
     """
     p = complex(p)
     if p.imag == 0.0 and abs(p.real) >= 1.0:
@@ -325,23 +328,17 @@ def build_Q(measure, p, tol=1e-12):
     def run(level):
         # graded panels toward both endpoints handle p near +-1
         offs = graded_offsets(2.0 ** -(18 + 2 * level), 0.25 / 2.0**level)
-        bp = sorted(set(np.concatenate([
-            -1.0 + offs, 1.0 - offs,
-            uniform_breakpoints(-1.0 + offs[-1], 1.0 - offs[-1], 0.125 / 2.0**level),
-        ])))
-        x, w = composite_nodes(np.asarray(bp))
-        ker = (1.0 - p * x) ** -0.5
-        return np.sum(w * measure(x) * ker)
+        x, w = composite_nodes(breakpoints_on(
+            -1.0, 1.0, -1.0 + offs, 1.0 - offs,
+            uniform_breakpoints(-1.0 + offs[-1], 1.0 - offs[-1], 0.125 / 2.0**level)))
+        val = np.sum(w * measure(x) * (1.0 - p * x) ** -0.5)
+        return complex(val) if p.imag != 0.0 else float(np.real(val))
 
-    prev = run(0)
-    for level in range(1, 4):
-        cur = run(level)
-        if abs(cur - prev) <= tol * max(1.0, abs(cur)):
-            prev = cur
-            break
-        prev = cur
-    val = prev
-    return complex(val) if p.imag != 0.0 else float(np.real(val))
+    return refine(run, tol, 3, what=f"build_Q at p={p}", error=_relative_change)[0]
+
+
+def _relative_change(fine, coarse):
+    return abs(fine - coarse) / max(1.0, abs(fine))
 
 
 _A_MULTIPLIER_CACHE = [1.0]
@@ -371,7 +368,10 @@ def halfpower_convolution_coeff(k):
 
 
 def apply_A_cauchy(measure, zeta, tol=1e-12):
-    """(AQ)(zeta) = zeta * integral mu(x) / (zeta - x) dx for zeta off [-1, 1]."""
+    """(AQ)(zeta) = zeta * integral mu(x) / (zeta - x) dx for zeta off [-1, 1].
+
+    Raises :class:`ToleranceNotMet` if three panel halvings leave a
+    relative change above ``tol`` (see ``_panels.refine``)."""
     zeta = complex(zeta)
     if zeta.imag == 0.0 and -1.0 <= zeta.real <= 1.0:
         raise OnCut(f"zeta = {zeta.real} lies on the cut [-1, 1]")
@@ -380,27 +380,17 @@ def apply_A_cauchy(measure, zeta, tol=1e-12):
 
     def run(level):
         base = 0.125 / 2.0**level
-        pts = {-1.0, 1.0}
-        pts.update(uniform_breakpoints(-1.0, 1.0, base))
+        graded = ()
         if near < 0.25:
             # refine around the near-cut projection down to the distance scale
             offs = graded_offsets(max(near / 8.0, 1e-14) / 2.0**level, base)
-            for off in offs:
-                for s in (zeta.real - off, zeta.real + off):
-                    if -1.0 < s < 1.0:
-                        pts.add(s)
-        bp = np.asarray(sorted(pts))
-        keep = np.concatenate([[True], np.diff(bp) > 0])
-        x, w = composite_nodes(bp[keep])
-        return zeta * np.sum(w * measure(x) / (zeta - x))
+            graded = (zeta.real - offs, zeta.real + offs)
+        x, w = composite_nodes(breakpoints_on(
+            -1.0, 1.0, uniform_breakpoints(-1.0, 1.0, base), *graded))
+        return complex(zeta * np.sum(w * measure(x) / (zeta - x)))
 
-    prev = run(0)
-    for level in range(1, 4):
-        cur = run(level)
-        if abs(cur - prev) <= tol * max(1.0, abs(cur)):
-            return complex(cur)
-        prev = cur
-    return complex(prev)
+    return refine(run, tol, 3, what=f"apply_A_cauchy at zeta={zeta}",
+                  error=_relative_change)[0]
 
 
 PLEMELJ_MARGIN = 1e-3
@@ -420,8 +410,16 @@ def plemelj_jump(measure, x0, eps_seq=(1e-2, 1e-3, 1e-4), margin=PLEMELJ_MARGIN)
     eps_seq = sorted(eps_seq, reverse=True)
     if len(eps_seq) < 2:
         raise ValueError("need at least two heights for extrapolation")
-    jumps = [apply_A_cauchy(measure, complex(x0, e)) - apply_A_cauchy(measure, complex(x0, -e))
-             for e in eps_seq]
+
+    def cauchy(zeta):
+        # the Neville check below is this routine's error control, so a
+        # Cauchy value that missed its own tolerance is still used
+        try:
+            return apply_A_cauchy(measure, zeta)
+        except ToleranceNotMet as exc:
+            return exc.value
+
+    jumps = [cauchy(complex(x0, e)) - cauchy(complex(x0, -e)) for e in eps_seq]
     # Neville tableau in the height variable; for convergent data each
     # level moves the top extrapolant less than the previous one
     tab = list(jumps)

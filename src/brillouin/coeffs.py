@@ -62,7 +62,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ._io import write_csv, write_json
-from ._panels import _rule01, composite_nodes, peak_breakpoints
+from ._panels import _rule01, composite_nodes, peak_breakpoints, refine
 from .errors import EnvelopeBoundError, ToleranceNotMet
 from .legendre import legendre_eval
 
@@ -660,26 +660,22 @@ def coeff_scaled(profile, n, tol=DEFAULT_TOL):
     """One scaled coefficient with an absolute error estimate.
 
     Returns ``(value, err)``; ``err <= tol`` unless the refinement ladder
-    was exhausted, in which case the best value is returned with its honest
-    error estimate (callers treat ``err > tol`` as the not-met flag).  Each
-    level runs the sweep for the single order n on the grid built for n;
-    the error is that of ``coeff_series``, and so is the check that the
-    last two levels resolve a general column.  Closed-form oracle planets
-    bypass quadrature entirely.
+    (``_panels.refine``, levels 0 to 2) was exhausted, in which case the
+    best value is returned with its honest error estimate (callers treat
+    ``err > tol`` as the not-met flag).  Each level runs the sweep for the
+    single order n on the grid built for n; the error is that of
+    ``coeff_series``, and so is the check that the last two levels resolve
+    a general column.  Closed-form oracle planets bypass quadrature
+    entirely.
     """
     closed = getattr(profile, "closed_coeff_scaled", None)
     if closed is not None:
         return closed(n), 0.0
 
-    prev = _sweep(profile, n, 0, n_min=n)
-    for level in (1, 2):
-        cur = _sweep(profile, n, level, n_min=n)
-        err = float(_error_bar(cur, prev)[0])
-        if err <= tol or level == 2:
-            break
-        prev = cur
-    _check_resolved(prev, cur)
-    return float(cur.values[0]), err
+    fine, coarse, err = refine(lambda level: _sweep(profile, n, level, n_min=n), tol, 2,
+                               error=lambda fine, coarse: float(_error_bar(fine, coarse)[0]))
+    _check_resolved(coarse, fine)
+    return float(fine.values[0]), err
 
 
 def coeff_series(profile, n_min, n_max, tol=DEFAULT_TOL):
@@ -734,7 +730,8 @@ def coeff_series(profile, n_min, n_max, tol=DEFAULT_TOL):
 def potential_direct(profile, z, tol=1e-9, max_level=6):
     """Potential on the axis at height z > R by direct 2D quadrature of the
     Newtonian kernel over the planet volume.  Raises
-    :class:`ToleranceNotMet` if panel doubling fails to stabilize."""
+    :class:`ToleranceNotMet` if panel doubling through ``max_level`` fails
+    to stabilize (see ``_panels.refine``)."""
     closed = getattr(profile, "closed_potential", None)
     if closed is not None:
         return closed(z)
@@ -762,16 +759,7 @@ def potential_direct(profile, z, tol=1e-9, max_level=6):
             acc += np.sum(w * v * ker, axis=1)
         return float(np.sum(wts * np.sin(nodes) * acc))
 
-    prev = run(0)
-    err = math.inf
-    for level in range(1, max_level + 1):
-        cur = run(level)
-        err = abs(cur - prev)
-        if err <= tol:
-            return cur
-        prev = cur
-    raise ToleranceNotMet(f"potential_direct at z={z}: err {err:.3e} > tol {tol:.3e}",
-                          value=prev, err=err)
+    return refine(run, tol, max_level, what=f"potential_direct at z={z}")[0]
 
 
 def potential_partial_sum(series, z, N):

@@ -87,7 +87,17 @@ def read_param(params, key, convert=float, default=_REQUIRED):
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
-        raise ParameterError(key, f"must be a finite number, got {raw!r}")
+        kind = "an integer" if convert is _integral else "a finite number"
+        raise ParameterError(key, f"must be {kind}, got {raw!r}")
+    return value
+
+
+def _integral(raw):
+    """``int(raw)`` for an integral ``raw`` (2, 2.0 or "2"); a fraction such
+    as 2.5 raises ValueError rather than being truncated."""
+    value = int(raw)
+    if value != float(raw):
+        raise ValueError(f"{raw!r} is not an integer")
     return value
 
 
@@ -95,11 +105,12 @@ def _config_dataclass(cls):
     """``dataclass(frozen=True)`` that also records ``cls.config_fields``:
     ``(name, convert, default)`` of each field a config can set, which is
     every field that is not a callable.  ``convert`` follows the annotation:
-    ``int`` reads an int, ``Optional[int]`` keeps an integer an integer
-    (``operator.pos``), anything else reads a float."""
+    ``int`` reads an integral number as an int (``_integral``),
+    ``Optional[int]`` keeps an integer an integer (``operator.pos``),
+    anything else reads a float."""
     cls = dataclass(frozen=True)(cls)
     cls.config_fields = tuple(
-        (f.name, {int: int, Optional[int]: operator.pos}.get(f.type, float),
+        (f.name, {int: _integral, Optional[int]: operator.pos}.get(f.type, float),
          _REQUIRED if f.default is MISSING else f.default)
         for f in fields(cls) if Callable not in (f.type, *get_args(f.type)))
     return cls
@@ -126,7 +137,7 @@ class _Shape:
         """The serializable parameter record (callables left out); an int
         field is recorded as an int."""
         return {"variant": self.variant,
-                **{name: int(getattr(self, name)) if convert is int else getattr(self, name)
+                **{name: int(getattr(self, name)) if convert is _integral else getattr(self, name)
                    for name, convert, _ in self.config_fields}}
 
 

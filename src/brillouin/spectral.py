@@ -20,8 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._panels import PANEL_ORDER, composite_nodes, graded_offsets, uniform_breakpoints
-from .errors import BrillouinError, ToleranceNotMet
+from ._panels import (PANEL_ORDER, breakpoints_on, composite_nodes, graded_offsets, refine,
+                      uniform_breakpoints)
+from .errors import BrillouinError
 
 __all__ = [
     "SmoothCutoff",
@@ -97,16 +98,9 @@ def _transform_breakpoints(support, k, singularities, level):
     a, b = support
     wavelength = 2.0 * math.pi / max(abs(k), 1e-30)
     base = min(wavelength / 2.0**level, (b - a) / 4.0)
-    pts = [uniform_breakpoints(a, b, base)]
-    for s in singularities:
-        if a < s < b:
-            offs = graded_offsets(max(1e-12 / 2.0**level, 1e-16), base)
-            graded = np.concatenate([s - offs, s + offs])
-            pts.append(graded[(graded >= a) & (graded <= b)])
-    # sort and drop repeats; np.unique would do the same, but its first call
-    # imports numpy.ma, which holds about 1 MiB resident
-    bp = np.sort(np.concatenate(pts))
-    return bp[np.concatenate([[True], np.diff(bp) > 0])]
+    offs = graded_offsets(max(1e-12 / 2.0**level, 1e-16), base)
+    return breakpoints_on(a, b, uniform_breakpoints(a, b, base),
+                          *(p for s in singularities if a < s < b for p in (s - offs, s + offs)))
 
 
 def fourier_eval(f, k, support, singularities=(), tol=None):
@@ -119,7 +113,7 @@ def fourier_eval(f, k, support, singularities=(), tol=None):
     any declared singular points of ``f``.  The result carries the
     1/sqrt(2 pi) prefactor.  With ``tol`` set, the panel width is halved
     once and :class:`ToleranceNotMet` is raised if the two evaluations
-    disagree by more than ``tol``.
+    disagree by more than ``tol`` (see ``_panels.refine``).
     """
     def run(level):
         bp = _transform_breakpoints(support, k, singularities, level)
@@ -128,16 +122,8 @@ def fourier_eval(f, k, support, singularities=(), tol=None):
         ker = np.exp(-1j * k * x)
         return np.sum(w * vals * ker) / math.sqrt(2.0 * math.pi)
 
-    v0 = run(0)
-    if tol is None:
-        return complex(v0)
-    v1 = run(1)
-    err = abs(v1 - v0)
-    if err > tol:
-        raise ToleranceNotMet(
-            f"fourier_eval at k={k}: err {err:.3e} > tol {tol:.3e}", value=v1, err=err
-        )
-    return complex(v1)
+    top = 0 if tol is None else 1
+    return complex(refine(run, tol, top, what=f"fourier_eval at k={k}")[0])
 
 
 def sample_transform(f, support, ks, singularities=()):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import gamma as sp_gamma
 
+from brillouin import balayage
 from brillouin.balayage import (
     _distances,
     _ellipe,
@@ -27,6 +28,7 @@ from brillouin.balayage import (
     swept_density_point,
     swept_potential,
 )
+from brillouin.errors import ToleranceNotMet
 
 
 def const_half():
@@ -331,6 +333,65 @@ class TestPlemelj:
 
         with pytest.raises(ExtrapolationUnstable):
             plemelj_jump(SurfaceMeasure(mu), 0.5)
+
+
+def fast_sine(x):
+    # an oscillation no panel halving of the Q and AQ rules resolves
+    return 0.5 + 0.3 * np.sin(3000.0 * np.asarray(x, dtype=float))
+
+
+class TestToleranceContract:
+    def test_build_Q_raises_when_the_levels_run_out(self):
+        # the last halving moves the value by ~4e-3 against tol 1e-12; the
+        # exception carries the value the function used to return silently
+        with pytest.raises(ToleranceNotMet) as info:
+            build_Q(SurfaceMeasure(fast_sine), 0.5)
+        assert info.value.err > 1e-12
+        assert info.value.value == 1.035856855668628
+
+    def test_apply_A_cauchy_raises_when_the_levels_run_out(self):
+        with pytest.raises(ToleranceNotMet) as info:
+            apply_A_cauchy(SurfaceMeasure(fast_sine), 2.0)
+        assert info.value.err > 1e-12
+        assert info.value.value == 1.0987462609048062 + 0j
+
+    def test_apply_A_cauchy_raises_near_the_sphere(self):
+        # mu of a mass at |x0| = 0.95 peaks more sharply than the rule's
+        # uniform panels resolve (its value is off by ~1e-5)
+        with pytest.raises(ToleranceNotMet):
+            apply_A_cauchy(mu_from_point_masses([(1.0, (0.0, 0.0, 0.95))]), 2.0)
+
+    @pytest.mark.parametrize("mu, x0, jump_imag, recovered_real", [
+        (lambda x: 1.0 + np.sqrt(np.abs(x - 0.4)), 0.4,
+         "-0x1.45147fa95117ap+1", "0x1.02b0c4c698a79p+0"),
+        (lambda x: 1.0 + np.abs(x - 0.5) ** 1.5, 0.3,
+         "-0x1.06dac38ad0242p+1", "0x1.16e5b7ca12429p+0"),
+        (fast_sine, 0.5, None, None),
+    ], ids=["holder-cusp", "power-1.5", "fast-sine"])
+    def test_plemelj_uses_cauchy_values_that_missed_tol(self, monkeypatch, mu, x0, jump_imag,
+                                                          recovered_real):
+        # plemelj_jump's Neville check is its own error control: a Cauchy
+        # value that exhausted its ladder is used as it stands, so the
+        # results are the ones from before apply_A_cauchy raised
+        missed = []
+
+        def counted(measure, zeta, tol=1e-12):
+            try:
+                return apply_A_cauchy(measure, zeta, tol)
+            except ToleranceNotMet:
+                missed.append(zeta)
+                raise
+
+        monkeypatch.setattr(balayage, "apply_A_cauchy", counted)
+        measure = SurfaceMeasure(lambda x: mu(np.asarray(x, dtype=float)))
+        if jump_imag is None:
+            with pytest.raises(balayage.ExtrapolationUnstable):
+                plemelj_jump(measure, x0)
+        else:
+            jump, recovered = plemelj_jump(measure, x0)
+            assert jump == complex(0.0, float.fromhex(jump_imag))
+            assert recovered == complex(float.fromhex(recovered_real), 0.0)
+        assert missed
 
 
 class TestAnalyticityProbe:

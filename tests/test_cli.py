@@ -178,6 +178,9 @@ class TestConfigValidation:
         ("asympt", {"asympt": {"source": "thm1", "a0": -0.5}}, "config.asympt.beta0"),
         ("asympt", {"asympt": {"a1": "1+", "beta1": 2.0}}, "config.asympt.a1"),
         ("coeffs", {"planet": dict(CUSP_PLANET, r_m=2.0)}, "config.planet.r_m"),
+        ("coeffs", {"planet": dict(CUSP_PLANET, weight={"variant": "smooth_power", "k": 2.5,
+                                                        "g_k": 1.0})},
+         "config.planet.weight.k"),
         ("asympt", {"planet": CUSP_PLANET, "asympt": {"source": "thm1"}}, "config.asympt.a0"),
         ("asympt", {"asympt": {"a0": -0.5, "beta0": 0.5}}, "config.asympt.beta0"),
         ("asympt", {"asympt": {"a0": -0.5, "beta0": 1.5, "a1": 1.0}}, "config.asympt.beta1"),
@@ -188,7 +191,7 @@ class TestConfigValidation:
     ], ids=["rho", "max-abs-coeff", "negative-rho-tol", "list-beta",
             "beta-tol", "one-sided-window", "reversed-window", "unknown-source",
             "non-complex-a0", "non-numeric-beta0", "a0-without-beta0", "non-complex-a1",
-            "inner-radius-outside", "thm1-without-a0-or-tail", "beta0-at-most-1",
+            "inner-radius-outside", "fractional-integer-k", "thm1-without-a0-or-tail", "beta0-at-most-1",
             "a1-without-beta1", "beta1-at-most-2", "asympt-on-ball", "asympt-on-point-mass"])
     def test_expect_asympt_and_shape_errors_name_field(self, tmp_path, capsys, command,
                                                        change, field):

@@ -728,3 +728,10 @@ class TestPotentials:
         prof, _ = make_mollified(0.6, 2.0, 1.0, 0.01)
         with pytest.raises(ToleranceNotMet):
             potential_direct(prof, 2.0, tol=1e-12, max_level=1)
+
+    def test_no_halving_has_no_error_estimate(self, cusp_profile):
+        # max_level=0 runs the first grid only: nothing bounds its error
+        with pytest.raises(ToleranceNotMet) as info:
+            potential_direct(cusp_profile, 2.0, max_level=0)
+        assert info.value.err == math.inf
+        assert info.value.value == float.fromhex("0x1.1b23f51299e88p-6")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from brillouin.errors import ParameterError
 from brillouin.model import (
     C1MixedWeight,
     FourierTailWeight,
@@ -249,6 +250,21 @@ class TestSerialization:
         assert again == spec
         assert again.to_dict() == spec.to_dict()
         assert spec.fingerprint() == again.fingerprint() == fingerprint
+
+    def test_integer_field_rejects_a_fraction(self):
+        # 2.5 used to be truncated to k = 2 while the config still said 2.5
+        planet = {"kind": "profile", "R": 1.0, "theta0": 1.0, "delta": 0.5, "delta1": 0.4,
+                  "peak": {"variant": "power_cusp", "alpha": 0.5, "a_minus": 1.0,
+                           "a_plus": 1.0}}
+        with pytest.raises(ParameterError, match="must be an integer, got 2.5") as info:
+            PlanetSpec.from_dict({**planet, "weight": {"variant": "smooth_power", "k": 2.5,
+                                                       "g_k": 1.0}})
+        assert info.value.field == "weight.k"
+        specs = [PlanetSpec.from_dict({**planet, "weight": {"variant": "smooth_power", "k": k,
+                                                            "g_k": 1.0}})
+                 for k in (2, 2.0)]
+        assert [spec.weight.k for spec in specs] == [2, 2]
+        assert specs[0].fingerprint() == specs[1].fingerprint()
 
     def test_callables_not_serializable(self):
         spec = PlanetSpec(R=1.0, theta0=1.0, peak=QuadraticPeak(c=1.0), weight=None,
