@@ -11,7 +11,9 @@ class ToleranceNotMet(BrillouinError):
     """A quadrature did not stabilize within the requested tolerance.
 
     Carries the best available value and its error estimate so callers
-    can decide whether to degrade gracefully.
+    can decide whether to degrade gracefully.  When it is raised, and what
+    it carries, is the refinement ladder's contract: see
+    ``brillouin._panels.refine``.
     """
 
     def __init__(self, message, value=None, err=None):
