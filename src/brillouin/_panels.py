@@ -41,14 +41,14 @@ def composite_nodes(breakpoints, order=PANEL_ORDER):
     return nodes, weights
 
 
-def graded_offsets(floor_width, top_width, ratio=GRADE_RATIO):
-    """Cumulative panel offsets 0, w0, w0+w1, ... with w_j = floor * ratio^j,
+def graded_offsets(floor_width, top_width):
+    """Cumulative panel offsets 0, w0, w0+w1, ... with w_j = floor * GRADE_RATIO^j,
     stopping once a panel reaches ``top_width``."""
     widths = []
     w = float(floor_width)
     while w < top_width:
         widths.append(w)
-        w *= ratio
+        w *= GRADE_RATIO
     if not widths:
         return np.array([0.0])
     return np.concatenate([[0.0], np.cumsum(widths)])
@@ -64,15 +64,14 @@ def breakpoints_on(lo, hi, *parts):
     return bp[np.concatenate([[True], np.diff(bp) > 0])]
 
 
-def peak_breakpoints(lo, hi, center, base_width, floor_width, ratio=GRADE_RATIO,
-                     edge_floor=None):
+def peak_breakpoints(lo, hi, center, base_width, floor_width, edge_floor=None):
     """Breakpoints on [lo, hi]: uniform panels of ``base_width`` with a
     geometrically graded zone shrinking to ``floor_width`` on both sides of
     ``center``.  ``center`` itself is a panel boundary, so integrand kinks
     there sit on panel edges.  ``edge_floor`` additionally grades panels
     toward both interval endpoints (for integrands with root-type endpoint
     singularities, e.g. the sqrt(sin) factor at the poles)."""
-    offs = graded_offsets(floor_width, base_width, ratio)
+    offs = graded_offsets(floor_width, base_width)
     left = max(lo, center - offs[-1])
     right = min(hi, center + offs[-1])
     parts = [center - offs, center + offs]
@@ -81,7 +80,7 @@ def peak_breakpoints(lo, hi, center, base_width, floor_width, ratio=GRADE_RATIO,
     if right < hi:
         parts.append(uniform_breakpoints(right, hi, base_width))
     if edge_floor is not None:
-        edge_offs = graded_offsets(edge_floor, base_width, ratio)
+        edge_offs = graded_offsets(edge_floor, base_width)
         parts += [lo + edge_offs, hi - edge_offs]
     return breakpoints_on(lo, hi, *parts)
 

@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 PHASE_MASK_FRACTION = 0.10
+#: the median ratio that passes :func:`ratio_diagnostic`
+RATIO_PASS_WINDOW = (0.9, 1.1)
 VANISH_TOL = 1e-12
 
 
@@ -81,8 +83,8 @@ class AsymptoticPrediction:
     R: float
     theta0: float
 
-    def phase_mask(self, fraction=PHASE_MASK_FRACTION):
-        return np.abs(self.values) > fraction * self.envelope
+    def phase_mask(self):
+        return np.abs(self.values) > PHASE_MASK_FRACTION * self.envelope
 
 
 def _assemble(tag, ns, theta0, R, prefactor, bracket, params):
@@ -211,7 +213,8 @@ def oscillatory_J(profile, n, tol=None):
 
     over the peak neighborhood I0 = (theta0 - delta, theta0 + delta).
     Mid-pipeline oracle: C~_n is approximately
-    n^{-3/2} sqrt(2/pi) Re(e^{-i pi/4} J).
+    n^{-3/2} sqrt(2/pi) Re(e^{-i pi/4} J).  With no ``tol`` only the finer
+    level (1) runs; with one, levels 0 and 1 must agree within it.
     """
     def run(level):
         wavelength = 2.0 * math.pi / (n + 0.5)
@@ -225,6 +228,8 @@ def oscillatory_J(profile, n, tol=None):
         vals = profile.eval_g(t) * np.exp(-(n + 3.0) * profile.eval_F(t))
         return complex(np.sum(w * vals * np.exp(1j * (n + 0.5) * t)))
 
+    if tol is None:
+        return run(1)
     return refine(run, tol, 1, what=f"oscillatory_J at n={n}")[0]
 
 
@@ -312,13 +317,13 @@ class RatioReport:
         write_json(path, self.to_json_dict(config_hash=config_hash))
 
 
-def ratio_diagnostic(series, pred, mask_fraction=PHASE_MASK_FRACTION,
-                     pass_window=(0.9, 1.1)):
+def ratio_diagnostic(series, pred):
     """Per-order ratios of computed coefficients to a prediction.
 
-    Orders where the predicted cosine is within ``mask_fraction`` of a zero
-    are masked out (the ratio is ill-conditioned there); the median ratio
-    and the fitted exponent of |ratio| against n are computed on the rest.
+    Orders where the predicted cosine is within ``PHASE_MASK_FRACTION`` of
+    a zero are masked out (the ratio is ill-conditioned there); the median
+    ratio and the fitted exponent of |ratio| against n are computed on the
+    rest.  The report passes when the median lies in ``RATIO_PASS_WINDOW``.
     """
     lo = max(series.n_min, int(pred.n[0]))
     hi = min(series.n_max, int(pred.n[-1]))
@@ -327,8 +332,7 @@ def ratio_diagnostic(series, pred, mask_fraction=PHASE_MASK_FRACTION,
     s = series.window(lo, hi)
     sel = (pred.n >= lo) & (pred.n <= hi)
     pv = pred.values[sel]
-    env = pred.envelope[sel]
-    masked = np.abs(pv) > mask_fraction * env
+    masked = pred.phase_mask()[sel]
     if not np.any(masked):
         raise EmptyAfterMasking("phase mask removed every order in the overlap")
     ratio = np.full(pv.shape, np.nan)
@@ -342,7 +346,7 @@ def ratio_diagnostic(series, pred, mask_fraction=PHASE_MASK_FRACTION,
     slope = 0.0
     if np.count_nonzero(pos) >= 2:
         slope = float(np.polyfit(np.log(s.n[pos]), np.log(np.abs(ratio[pos])), 1)[0])
-    mism = not (pass_window[0] <= med <= pass_window[1])
+    mism = not (RATIO_PASS_WINDOW[0] <= med <= RATIO_PASS_WINDOW[1])
     return RatioReport(
         n=s.n, coeff=s.values, pred=pv, ratio=ratio, masked=masked,
         median_ratio=med, residual_exponent=slope, mismatch=mism,

@@ -26,7 +26,7 @@ whose jump across (-1, 0) u (0, 1) returns -2 pi i x mu(x).
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -70,18 +70,17 @@ class ExtrapolationUnstable(BrillouinError):
 class SurfaceMeasure:
     """Longitudinally averaged surface density mu as a function of x = cos(theta).
 
-    ``mu`` is a vectorized callable on [-1, 1]; ``smoothness`` optionally
-    records a known Holder exponent or "analytic".
+    ``mu`` is a vectorized callable on [-1, 1].
     """
 
     mu: Callable
-    smoothness: Optional[str] = None
 
     def __call__(self, x):
         return self.mu(np.asarray(x, dtype=float))
 
-    def total_mass(self, n_nodes=400):
-        bp = uniform_breakpoints(-1.0, 1.0, 2.0 / (n_nodes // 16))
+    def total_mass(self):
+        """The integral of mu over [-1, 1] by 25 Gauss panels (400 nodes)."""
+        bp = uniform_breakpoints(-1.0, 1.0, 2.0 / 25)
         x, w = composite_nodes(bp)
         return float(np.sum(w * self(x)))
 
@@ -94,17 +93,17 @@ class SurfaceMeasure:
         write_csv(path, {"x": xs, "mu": vals}, config_hash=config_hash)
 
     @staticmethod
-    def from_samples(xs, vals, smoothness=None):
+    def from_samples(xs, vals):
         xs = np.asarray(xs, dtype=float)
         vals = np.asarray(vals, dtype=float)
 
         def interp(x):
             return np.interp(np.asarray(x, dtype=float), xs, vals)
 
-        return SurfaceMeasure(interp, smoothness=smoothness)
+        return SurfaceMeasure(interp)
 
     @staticmethod
-    def from_csv(path, smoothness=None):
+    def from_csv(path):
         xs, vals = [], []
         with open(path) as fh:
             for line in fh:
@@ -114,8 +113,7 @@ class SurfaceMeasure:
                 a, b = line.split(",")
                 xs.append(float(a))
                 vals.append(float(b))
-        return SurfaceMeasure.from_samples(np.array(xs), np.array(vals),
-                                           smoothness=smoothness)
+        return SurfaceMeasure.from_samples(np.array(xs), np.array(vals))
 
 
 @dataclass(frozen=True)
@@ -248,7 +246,7 @@ def mu_from_point_masses(masses, G=1.0):
         out = mu(x)
         return out if np.ndim(x) else float(out[0])
 
-    return SurfaceMeasure(mu_scalar_ok, smoothness="analytic")
+    return SurfaceMeasure(mu_scalar_ok)
 
 
 @functools.lru_cache(maxsize=4)
@@ -286,17 +284,17 @@ def _distances(points, centre, out, tmp):
     return np.sqrt(out, out=out)
 
 
-def swept_potential(x0, obs, n_theta=200):
+def swept_potential(x0, obs):
     """Exterior potential of the swept density of a unit mass at x0,
     integrated over the sphere: should equal 1/|obs - x0| for |obs| > 1.
 
     ``obs`` is one observer (3,), giving a float, or a stack (k, 3), giving
-    an array (k,).  The sphere rule is built once per ``n_theta`` and the
-    density once per call; each observer then takes one pass over the rule.
+    an array (k,).  The sphere rule (200 nodes in theta) is built once and
+    the density once per call; each observer then takes one pass over the rule.
     """
     x0 = np.asarray(x0, dtype=float)
     obs = np.asarray(obs, dtype=float)
-    points, weights = _sphere_rule(n_theta)
+    points, weights = _sphere_rule(200)
     # two buffers serve every observer, so the per-observer pass allocates nothing
     dist, tmp = np.empty(weights.size), np.empty(weights.size)
     sigma = (weights * ((1.0 - float(x0 @ x0)) / (4.0 * math.pi))
@@ -466,7 +464,7 @@ class ProbeReport:
         }
 
 
-def analyticity_probe(measure, x0, scales=PROBE_SCALES, degree=8):
+def analyticity_probe(measure, x0):
     """Heuristic local-analyticity classifier (explicitly not a decision
     procedure: analyticity cannot be decided from finitely many samples).
 
@@ -478,9 +476,9 @@ def analyticity_probe(measure, x0, scales=PROBE_SCALES, degree=8):
     """
     from numpy.polynomial import chebyshev
 
-    scales = tuple(sorted(scales, reverse=True))
+    degree = 8
     fracs, resids = [], []
-    for h in scales:
+    for h in PROBE_SCALES:
         u = np.cos(np.linspace(0.0, math.pi, 33))  # Chebyshev-extrema stencil
         xs = x0 + h * u
         vals = measure(xs)
@@ -503,7 +501,7 @@ def analyticity_probe(measure, x0, scales=PROBE_SCALES, degree=8):
         if np.count_nonzero(good) < 2:
             cls = CONSISTENT
         else:
-            slope = float(np.polyfit(np.log(np.array(scales)[good]),
+            slope = float(np.polyfit(np.log(np.array(PROBE_SCALES)[good]),
                                      np.log(fracs_arr[good]), 1)[0])
             if slope >= 3.0:
                 cls = CONSISTENT
@@ -511,4 +509,4 @@ def analyticity_probe(measure, x0, scales=PROBE_SCALES, degree=8):
                 cls = NON_ANALYTIC
             else:
                 cls = INCONCLUSIVE
-    return ProbeReport(cls, scales, tuple(fracs), tuple(resids))
+    return ProbeReport(cls, PROBE_SCALES, tuple(fracs), tuple(resids))

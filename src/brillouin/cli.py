@@ -25,18 +25,7 @@ from .asymptotics import predict_thm1, predict_thm3, ratio_diagnostic
 from .balayage import PLEMELJ_MARGIN, mu_from_point_masses, plemelj_jump, swept_potential
 from .coeffs import coeff_series
 from .errors import BrillouinError, ParameterError
-from .model import (
-    PEAKS,
-    WEIGHTS,
-    PlanetSpec,
-    RejectDomain,
-    RejectNonGeneric,
-    build_profile,
-    config_keys,
-    homogeneous_ball,
-    point_mass_planet,
-    read_param,
-)
+from .model import PlanetSpec, RejectDomain, RejectNonGeneric, build_profile, planet_from_config
 
 __all__ = ["ConfigError", "ExperimentConfig", "run", "main"]
 
@@ -53,12 +42,6 @@ class ConfigError(BrillouinError):
     """Configuration rejected; the message carries the field path."""
 
 
-_PLANET_KEYS = {
-    "point_mass": {"kind", "r0", "theta_p", "cos_theta_p", "m", "R", "G"},
-    "ball": {"kind", "R_b", "rho0", "G"},
-    "profile": {"kind", "schema_version", *config_keys(PlanetSpec)},
-}
-_SHAPES = {"peak": PEAKS, "weight": WEIGHTS}
 #: the default of a mandatory key
 _MANDATORY = object()
 
@@ -152,8 +135,9 @@ def _section(table):
     return check
 
 
-#: the config schema outside the planet: each section's keys, each with its
-#: kind and its default (None: the key is optional and has no default)
+#: the config schema outside the planet (``model.PLANETS`` holds the planet's):
+#: each section's keys, each with its kind and its default (None: the key is
+#: optional and has no default)
 _SCHEMA = {
     "n_range": {"n_min": (_count(0), 0), "n_max": (_count(0), _MANDATORY)},
     # expect.verdict stays unchecked: an unknown verdict is a verdict mismatch
@@ -186,30 +170,13 @@ def _option(d, section, key):
     return d.get(key, _SCHEMA[section][key][1])
 
 
-def _check_planet(planet, command):
-    kind = planet.get("kind")
-    _require(kind in _PLANET_KEYS, "config.planet.kind", f"must be one of {sorted(_PLANET_KEYS)}")
-    _check_keys(planet, _PLANET_KEYS[kind], "config.planet")
-    if kind == "point_mass":
-        _require("r0" in planet and "m" in planet, "config.planet", "point_mass needs r0 and m")
-        _require("theta_p" in planet or "cos_theta_p" in planet,
-                 "config.planet", "point_mass needs theta_p or cos_theta_p")
-    if kind == "ball":
-        _require("R_b" in planet and "rho0" in planet, "config.planet", "ball needs R_b and rho0")
-    if kind != "profile":
-        _require(command != "asympt", "config.planet.kind",
-                 "the asympt command needs a profile planet")
-        return
-    for field in ("theta0", "peak"):
-        _require(field in planet, f"config.planet.{field}", "mandatory")
-    for part, registry in _SHAPES.items():
-        if part in planet:
-            shape = planet[part]
-            variant = shape.get("variant") if isinstance(shape, dict) else None
-            _require(variant in registry, f"config.planet.{part}.variant",
-                     f"must be one of {sorted(registry)}")
-            _check_keys(shape, {"variant", *config_keys(registry[variant])},
-                        f"config.planet.{part}")
+def _planet_field(build, arg):
+    """``build(arg)``, with a planet parameter outside its domain raised as
+    ConfigError naming its field path."""
+    try:
+        return build(arg)
+    except (ParameterError, RejectDomain, RejectNonGeneric) as exc:
+        raise ConfigError(f"config.planet.{exc.field}: {exc}") from exc
 
 
 def _check_tail_grid(scfg):
@@ -245,9 +212,18 @@ class ExperimentConfig:
                      f"config says {cfg_cmd!r} but the CLI invoked {command!r}")
         self.command = command or cfg_cmd
         _require(self.command in COMMANDS, "config.command", "missing command")
-        _check_planet(raw["planet"], self.command)
+        # a profile's spec is evaluated (build_profile) only by planet()
+        planet = self._planet = _planet_field(planet_from_config, raw["planet"])
 
-        # the rules that tie fields together
+        # the rules that tie fields together; a profile read from a config
+        # always has a weight
+        if self.command in ("asympt", "spectral"):
+            _require(isinstance(planet, PlanetSpec), "config.planet.kind",
+                     f"the {self.command} command needs a profile planet")
+        tail_weight = isinstance(planet, PlanetSpec) and planet.weight.variant == "fourier_tail"
+        if self.command == "spectral":
+            _require(tail_weight, "config.planet.weight.variant",
+                     "the spectral command needs a fourier_tail weight")
         n_range = raw.get("n_range", {})
         self.n_min = _option(n_range, "n_range", "n_min")
         self.n_max = n_range.get("n_max", 0)
@@ -267,9 +243,8 @@ class ExperimentConfig:
         if "a0" in acfg:
             _require("beta0" in acfg, "config.asympt.beta0", "mandatory with a0")
         elif self.option("asympt", "source") == "thm1":
-            _require(raw["planet"].get("weight", {}).get("variant") == "fourier_tail",
-                     "config.asympt.a0", "mandatory unless the weight's tail can be fitted "
-                     "(a fourier_tail weight)")
+            _require(tail_weight, "config.asympt.a0",
+                     "mandatory unless the weight's tail can be fitted (a fourier_tail weight)")
         if complex(self.option("asympt", "a1")) != 0:
             _require("beta1" in acfg, "config.asympt.beta1", "mandatory with a nonzero a1")
         if "spectral" in raw:
@@ -302,36 +277,11 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def planet(self):
-        """The configured planet.  A parameter outside its domain raises
-        ConfigError with its field path."""
-        try:
-            return self._build_planet()
-        except ParameterError as exc:
-            raise ConfigError(f"config.planet.{exc.field}: {exc}") from exc
-        except RejectDomain as exc:
-            raise ConfigError(f"config.planet.theta0: {exc}") from exc
-        except RejectNonGeneric as exc:
-            raise ConfigError(f"config.planet.{exc.field}: {exc}") from exc
-
-    def _build_planet(self):
-        p = self.raw["planet"]
-        kind = p["kind"]
-        if kind == "point_mass":
-            if "theta_p" in p:
-                theta_p = read_param(p, "theta_p")
-            else:
-                cos_theta_p = read_param(p, "cos_theta_p")
-                if abs(cos_theta_p) > 1.0:
-                    raise ParameterError("cos_theta_p", "must lie in [-1, 1]")
-                theta_p = math.acos(cos_theta_p)
-            return point_mass_planet(read_param(p, "r0"), theta_p, read_param(p, "m"),
-                                     R=read_param(p, "R", default=1.0),
-                                     G=read_param(p, "G", default=1.0))
-        if kind == "ball":
-            return homogeneous_ball(read_param(p, "R_b"), read_param(p, "rho0"),
-                                    G=read_param(p, "G", default=1.0))
-        spec = PlanetSpec.from_dict({**p, "R": p.get("R", 1.0)})
-        return build_profile(spec)
+        """The configured planet.  A profile is evaluated here, and a shape
+        that build_profile rejects raises ConfigError with its field path."""
+        if not isinstance(self._planet, PlanetSpec):
+            return self._planet
+        return _planet_field(build_profile, self._planet)
 
 
 def load_config(path, command=None):
@@ -456,8 +406,6 @@ def _cmd_radius(config, out):
 
 def _cmd_spectral(config, out):
     planet = config.planet()
-    if getattr(planet, "weight", None) is None:
-        raise ConfigError("config.planet: the spectral command needs a profile with a weight")
     fit, ks, vals = _fit_weight_tail(config, planet)
     write_csv(out / "transform.csv", {"k": ks, "re": np.real(vals), "im": np.imag(vals)},
               config_hash=config.config_hash)

@@ -68,19 +68,19 @@ def legendre_pair(n, x):
     return p, p_prev
 
 
-def legendre_asym(n, theta, margin=ASYM_MARGIN_DEFAULT):
+def legendre_asym(n, theta):
     """Leading oscillatory form of P_n(cos theta) away from the poles.
 
     Evaluates ``2/sqrt(2 pi n sin(theta)) * cos((n + 1/2) theta - pi/4)``;
     the neglected remainder is O(n^{-3/2}).  Raises :class:`DomainMargin`
-    when ``sin(theta) < margin``: callers near the poles must use
+    when ``sin(theta) < ASYM_MARGIN_DEFAULT``: callers near the poles must use
     :func:`legendre_eval`.
     """
     theta = np.asarray(theta, dtype=float)
     s = np.sin(theta)
-    if np.any(s < margin):
+    if np.any(s < ASYM_MARGIN_DEFAULT):
         raise DomainMargin(
-            f"sin(theta) below margin {margin}; use exact evaluation near the poles"
+            f"sin(theta) below margin {ASYM_MARGIN_DEFAULT}; use exact evaluation near the poles"
         )
     val = 2.0 / np.sqrt(2.0 * np.pi * n * s) * np.cos((n + 0.5) * theta - np.pi / 4.0)
     if np.ndim(theta) == 0:

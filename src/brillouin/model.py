@@ -15,13 +15,12 @@ import hashlib
 import json
 import math
 import operator
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Callable, Optional, get_args
 
 import numpy as np
 
 from .errors import BrillouinError, ParameterError
-from .legendre import legendre_eval
 from .spectral import appendix_function, default_taper
 
 __all__ = [
@@ -44,7 +43,9 @@ __all__ = [
     "read_param",
     "PEAKS",
     "WEIGHTS",
+    "PLANETS",
     "config_keys",
+    "planet_from_config",
 ]
 
 THETA_DOMAIN_TOL = 1e-9
@@ -62,6 +63,8 @@ class RejectNonGeneric(BrillouinError):
 
 class RejectDomain(BrillouinError):
     """theta0 is excluded: it must avoid 0, pi/2 and pi."""
+
+    field = "theta0"
 
 
 def _as_x(x):
@@ -129,9 +132,27 @@ def _from_params(cls, params, **given):
                            if name not in given})
 
 
+def _read_config(registry, p, tag):
+    """The object that the config mapping ``p`` describes: the class that
+    ``p[tag]`` names in ``registry``, built by its ``from_dict``.  Every
+    other key of ``p`` must be a config key of that class or one of its
+    ``extra_keys``.  A tag outside ``registry`` or an unknown key raises
+    ParameterError naming it."""
+    cls = registry.get(p.get(tag)) if isinstance(p, dict) and isinstance(p.get(tag), str) else None
+    if cls is None:
+        raise ParameterError(tag, f"must be one of {sorted(registry)}")
+    for key in p:
+        if key != tag and key not in config_keys(cls) and key not in cls.extra_keys:
+            raise ParameterError(key, "unknown key")
+    return cls.from_dict(p)
+
+
 class _Shape:
     """Base of the peak shapes and surface weights; their config keys, their
     builder and :meth:`params` all follow ``config_fields``."""
+
+    extra_keys = ()
+    from_dict = classmethod(_from_params)
 
     def params(self):
         """The serializable parameter record (callables left out); an int
@@ -361,13 +382,6 @@ WEIGHTS = {cls.variant: cls for cls in (SmoothPowerWeight, TwoSidedCuspWeight, C
                                         FourierTailWeight)}
 
 
-def _shape_from_params(registry, p):
-    variant = p.get("variant")
-    if variant not in registry:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {sorted(registry)}")
-    return _from_params(registry[variant], p)
-
-
 # ---------------------------------------------------------------------------
 # planet specification and profile
 # ---------------------------------------------------------------------------
@@ -393,6 +407,9 @@ class PlanetSpec:
     v: Optional[Callable] = None
     G: float = 1.0
 
+    kind = "profile"
+    extra_keys = ("schema_version",)
+
     def __post_init__(self):
         if self.R <= 0:
             raise ParameterError("R", "Brillouin radius must be positive")
@@ -417,7 +434,7 @@ class PlanetSpec:
                 raise ValueError("shape remainders are callables; not serializable")
         d = {
             "schema_version": 1,
-            "kind": "profile",
+            "kind": self.kind,
             "R": self.R,
             "theta0": self.theta0,
             "peak": self.peak.params(),
@@ -431,13 +448,16 @@ class PlanetSpec:
             d["r_m"] = float(self.r_m)
         return d
 
-    @staticmethod
-    def from_dict(d):
-        with ParameterError.within("peak"):
-            peak = _shape_from_params(PEAKS, d["peak"])
-        with ParameterError.within("weight"):
-            weight = _shape_from_params(WEIGHTS, d["weight"]) if "weight" in d else None
-        return _from_params(PlanetSpec, d, peak=peak, weight=weight)
+    @classmethod
+    def from_dict(cls, d):
+        """The spec that the mapping ``d`` records (a :meth:`to_dict` record
+        or a config's planet); R defaults to 1 and the weight to none."""
+        given = {"weight": None}
+        for part, registry in (("peak", PEAKS), ("weight", WEIGHTS)):
+            if d.get(part) is not None:
+                with ParameterError.within(part):
+                    given[part] = _read_config(registry, d[part], "variant")
+        return _from_params(cls, {"R": 1.0, **d}, **given)
 
     def fingerprint(self):
         return _fingerprint_payload(self._payload())
@@ -538,14 +558,14 @@ class PlanetProfile:
         return self._peak.peak_scale(n, level)
 
 
-def build_profile(spec, grid_points=20001):
+def build_profile(spec):
     """Validate a planet specification and return its evaluated profile.
 
-    Checks on a dense colatitude grid that F vanishes only at theta0, that
-    it exceeds delta1 outside the peak neighborhood (a competing global
-    maximum of r_M raises :class:`RejectNonGeneric`), that the inner radius
-    stays strictly inside the surface, and that declared remainder orders
-    are numerically consistent at three scales.
+    Checks on a 20001-point colatitude grid that F vanishes only at
+    theta0, that it exceeds delta1 outside the peak neighborhood (a
+    competing global maximum of r_M raises :class:`RejectNonGeneric`), that
+    the inner radius stays strictly inside the surface, and that declared
+    remainder orders are numerically consistent at three scales.
     """
     for bad, name in ((0.0, "0"), (math.pi / 2.0, "pi/2"), (math.pi, "pi")):
         if abs(spec.theta0 - bad) < THETA_DOMAIN_TOL:
@@ -556,7 +576,7 @@ def build_profile(spec, grid_points=20001):
     if f0 != 0.0:
         raise RejectNonGeneric(f"F(theta0) = {f0!r}, expected exactly 0")
 
-    thetas = np.linspace(0.0, math.pi, grid_points)
+    thetas = np.linspace(0.0, math.pi, 20001)
     x = thetas - spec.theta0
     F = peak.evaluate(x)
     if np.any(F < 0):
@@ -646,40 +666,66 @@ def _check_declared_order(h, beta, label, scales=(1e-2, 1e-3, 1e-4)):
 # closed-form oracle planets
 # ---------------------------------------------------------------------------
 
-class PointMassPlanet:
-    """Point mass m at radius r0, colatitude theta_p, inside a reference
-    Brillouin sphere of radius R.  Coefficients and potential are closed
-    form; the expansion converges down to |z| = r0 < R."""
+class _ClosedForm:
+    """Base of the closed-form oracle planets: every field is kept as a
+    float, the fingerprint hashes the kind and the fields, and one order's
+    coefficient is read off the series."""
 
-    __slots__ = ("r0", "theta_p", "m", "R", "G", "fingerprint")
+    extra_keys = ()
+    from_dict = classmethod(_from_params)
 
-    def __init__(self, r0, theta_p, m, R=1.0, G=1.0):
-        if r0 <= 0:
-            raise ParameterError("r0", "r0 must be positive")
-        if r0 >= R:
-            raise ParameterError("r0", "the mass must sit strictly inside the reference sphere")
-        object.__setattr__(self, "r0", float(r0))
-        object.__setattr__(self, "theta_p", float(theta_p))
-        object.__setattr__(self, "m", float(m))
-        object.__setattr__(self, "R", float(R))
-        object.__setattr__(self, "G", float(G))
-        object.__setattr__(self, "fingerprint", _fingerprint_payload({
-            "kind": "point_mass", "r0": float(r0), "theta_p": float(theta_p),
-            "m": float(m), "R": float(R), "G": float(G),
-        }))
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, float(getattr(self, f.name)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PointMassPlanet is immutable")
+    @property
+    def fingerprint(self):
+        return _fingerprint_payload({"kind": self.kind, **asdict(self)})
 
     def closed_coeff_scaled(self, n):
-        """C_n R^-(n+3) with C_n = -G m r0^n P_n(cos theta_p)."""
-        ratio = self.r0 / self.R
-        pn = legendre_eval(n, math.cos(self.theta_p))
-        return -self.G * self.m * ratio**n * pn / self.R**3
+        """The scaled coefficient C_n R^-(n+3) of one order n."""
+        return float(self.closed_coeff_series(n, n)[0])
+
+
+@_config_dataclass
+class PointMassPlanet(_ClosedForm):
+    """Point mass m at radius r0, colatitude theta_p, inside a reference
+    Brillouin sphere of radius R.  Coefficients and potential are closed
+    form; the expansion converges down to |z| = r0 < R.  A config may give
+    ``cos_theta_p`` in place of ``theta_p``."""
+
+    r0: float
+    theta_p: float
+    m: float
+    R: float = 1.0
+    G: float = 1.0
+
+    kind = "point_mass"
+    extra_keys = ("cos_theta_p",)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.r0 <= 0:
+            raise ParameterError("r0", "r0 must be positive")
+        if self.r0 >= self.R:
+            raise ParameterError("r0", "the mass must sit strictly inside the reference sphere")
+
+    @classmethod
+    def from_dict(cls, p):
+        """The planet of the mapping ``p``; its colatitude is ``theta_p``, or
+        ``acos(cos_theta_p)`` when ``p`` gives ``cos_theta_p``."""
+        if p.get("cos_theta_p") is None:
+            return _from_params(cls, p)
+        if p.get("theta_p") is not None:
+            raise ParameterError("cos_theta_p", "give theta_p or cos_theta_p, not both")
+        cos_theta_p = read_param(p, "cos_theta_p")
+        if abs(cos_theta_p) > 1.0:
+            raise ParameterError("cos_theta_p", "must lie in [-1, 1]")
+        return _from_params(cls, p, theta_p=math.acos(cos_theta_p))
 
     def closed_coeff_series(self, n_min, n_max):
-        """``closed_coeff_scaled(n)`` for n = n_min..n_max from one scalar
-        Legendre recurrence pass over 0..n_max."""
+        """C_n R^-(n+3), with C_n = -G m r0^n P_n(cos theta_p), for n =
+        n_min..n_max from one scalar Legendre recurrence pass over 0..n_max."""
         ratio = self.r0 / self.R
         x = math.cos(self.theta_p)
         p_prev, p = 0.0, 1.0
@@ -695,42 +741,53 @@ class PointMassPlanet:
         return -self.G * self.m / math.sqrt(d2)
 
 
-class HomogeneousBall:
-    """Homogeneous ball of radius R_b and density rho0 centered at the origin.
-    All coefficients beyond n = 0 vanish by orthogonality."""
+@_config_dataclass
+class HomogeneousBall(_ClosedForm):
+    """Homogeneous ball of radius R_b and density rho0 centered at the origin;
+    its reference radius R is R_b.  All coefficients beyond n = 0 vanish by
+    orthogonality."""
 
-    __slots__ = ("R_b", "rho0", "R", "G", "fingerprint")
+    R_b: float
+    rho0: float
+    G: float = 1.0
 
-    def __init__(self, R_b, rho0, G=1.0, R=None):
-        if R_b <= 0 or rho0 <= 0:
-            raise ParameterError("R_b" if R_b <= 0 else "rho0",
+    kind = "ball"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.R_b <= 0 or self.rho0 <= 0:
+            raise ParameterError("R_b" if self.R_b <= 0 else "rho0",
                                  "radius and density must be positive")
-        object.__setattr__(self, "R_b", float(R_b))
-        object.__setattr__(self, "rho0", float(rho0))
-        object.__setattr__(self, "R", float(R if R is not None else R_b))
-        object.__setattr__(self, "G", float(G))
-        object.__setattr__(self, "fingerprint", _fingerprint_payload({
-            "kind": "ball", "R_b": float(R_b), "rho0": float(rho0), "G": float(G),
-        }))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("HomogeneousBall is immutable")
+    @property
+    def R(self):
+        return self.R_b
 
     @property
     def mass(self):
         return 4.0 * math.pi / 3.0 * self.rho0 * self.R_b**3
 
-    def closed_coeff_scaled(self, n):
-        if n == 0:
-            return -self.G * self.mass / self.R**3
-        return 0.0
-
     def closed_coeff_series(self, n_min, n_max):
-        """``closed_coeff_scaled(n)`` for n = n_min..n_max."""
-        return np.array([self.closed_coeff_scaled(n) for n in range(n_min, n_max + 1)])
+        """C_n R^-(n+3) for n = n_min..n_max."""
+        out = np.zeros(n_max - n_min + 1)
+        if n_min == 0:
+            out[0] = -self.G * self.mass / self.R**3
+        return out
 
     def closed_potential(self, z):
         return -self.G * self.mass / z
+
+
+#: the planet kinds a config describes, by ``kind``
+PLANETS = {cls.kind: cls for cls in (PointMassPlanet, HomogeneousBall, PlanetSpec)}
+
+
+def planet_from_config(p):
+    """The planet that a config's planet mapping ``p`` describes: a
+    closed-form oracle, or the PlanetSpec of a profile, which
+    :func:`build_profile` evaluates.  A key or value outside the schema
+    raises ParameterError, or RejectDomain for theta0, naming its field."""
+    return _read_config(PLANETS, p, "kind")
 
 
 def point_mass_planet(r0, theta_p, m, R=1.0, G=1.0):

@@ -259,13 +259,13 @@ class TailFit:
     window_amps: tuple = field(default=())
 
 
-def fit_tail(ks, fhat, k_base=K_BASE, drift_limit=DRIFT_LIMIT):
+def fit_tail(ks, fhat):
     """Fit ``fhat ~ amp * (-k)^(-beta)`` from samples on a negative k grid.
 
     Needs at least 20 samples spanning at least two decades (the
     ``MIN_TAIL_SAMPLES`` and ``MIN_TAIL_SPAN`` constants).  The exponent
     comes from a log-log least squares fit; the amplitude from windowed
-    means of (-k)^beta * fhat over geometric windows [2^j, 2^(j+1)] * |k_base|.
+    means of (-k)^beta * fhat over geometric windows [2^j, 2^(j+1)] * |K_BASE|.
     Raises :class:`NoPowerLaw` when the windowed amplitude keeps drifting.
     """
     ks = np.asarray(ks, dtype=float)
@@ -285,7 +285,7 @@ def fit_tail(ks, fhat, k_base=K_BASE, drift_limit=DRIFT_LIMIT):
     slope, intercept = np.polyfit(np.log(mag[good]), np.log(np.abs(fhat[good])), 1)
     beta_hat = -slope
 
-    base = abs(k_base)
+    base = abs(K_BASE)
     amps = []
     j = 0
     while base * 2.0 ** (j + 1) <= mag.max() * (1 + 1e-12):
@@ -299,8 +299,8 @@ def fit_tail(ks, fhat, k_base=K_BASE, drift_limit=DRIFT_LIMIT):
     last = amps[-3:]
     scale = max(abs(a) for a in last)
     residual = max(abs(a - b) for a in last for b in last) / max(scale, 1e-300)
-    if residual > drift_limit:
-        raise NoPowerLaw(f"windowed amplitude drift {residual:.2%} exceeds {drift_limit:.0%}")
+    if residual > DRIFT_LIMIT:
+        raise NoPowerLaw(f"windowed amplitude drift {residual:.2%} exceeds {DRIFT_LIMIT:.0%}")
     return TailFit(
         beta=float(beta_hat),
         amp=complex(amps[-1]),

@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from brillouin import asymptotics
+from brillouin._panels import peak_breakpoints
 from brillouin.asymptotics import (
     EmptyAfterMasking,
     ExceptionalCase,
@@ -226,6 +228,21 @@ class TestOscillatoryJ:
         prof = build_profile(PlanetSpec(R=1.0, theta0=THETA0, peak=QuadraticPeak(c=2.0),
                                         weight=None, v=v, delta=0.5, delta1=0.4))
         assert oscillatory_J(prof, 300) == 0.0
+
+    def test_without_tol_only_the_finer_level_runs(self, t1_profile, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return peak_breakpoints(*args, **kwargs)
+
+        monkeypatch.setattr(asymptotics, "peak_breakpoints", counted)
+        # the values the two-level evaluation returned
+        for n, want in ((300, -0.00011384852279835398 + 0.00021980745824868577j),
+                        (2000, 1.0803816659614135e-05 - 8.999191571817012e-06j)):
+            calls.clear()
+            assert oscillatory_J(t1_profile, n) == want
+            assert len(calls) == 1
 
     def test_pipeline_matches_coefficients(self, t1_profile):
         n = 500

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -20,6 +21,7 @@ from brillouin.cli import (
     main,
     run,
 )
+from brillouin.model import PEAKS, PLANETS, WEIGHTS
 from brillouin.spectral import MAX_TAIL_K, MAX_TAIL_SAMPLES
 
 POINT_MASS_CONFIG = {
@@ -37,6 +39,26 @@ CUSP_PLANET = {
     "weight": {"variant": "two_sided_cusp", "k": 1.0, "g_plus": 1.0, "g_minus": 1.0},
     "delta": 0.5,
     "delta1": 0.4,
+}
+
+#: a valid example of each planet kind, peak and weight, with its mandatory keys
+SCHEMA_EXAMPLES = {
+    ("planet", "point_mass"): ({"kind": "point_mass", "r0": 0.9, "theta_p": 1.0, "m": 1.0},
+                               ("r0", "theta_p", "m")),
+    ("planet", "ball"): ({"kind": "ball", "R_b": 1.0, "rho0": 1.0}, ("R_b", "rho0")),
+    ("planet", "profile"): (CUSP_PLANET, ("theta0", "peak")),
+    ("peak", "quadratic"): ({"variant": "quadratic", "c": 2.0}, ("c",)),
+    ("peak", "power_cusp"): ({"variant": "power_cusp", "alpha": 0.5, "a_minus": 1.0,
+                              "a_plus": 1.0}, ("alpha", "a_minus", "a_plus")),
+    ("peak", "power_c1"): ({"variant": "power_c1", "alpha": 1.5, "a_minus": 2.0, "a_plus": 2.0},
+                           ("alpha", "a_minus", "a_plus")),
+    ("weight", "smooth_power"): ({"variant": "smooth_power", "k": 1, "g_k": 1.0}, ("k", "g_k")),
+    ("weight", "two_sided_cusp"): ({"variant": "two_sided_cusp", "k": 1.0, "g_plus": 1.0,
+                                    "g_minus": 1.0}, ("k", "g_plus", "g_minus")),
+    ("weight", "c1_mixed"): ({"variant": "c1_mixed", "g1": 1.0, "g_plus": 0.5, "g_minus": 0.5,
+                              "alpha": 1.5}, ("g1", "g_plus", "g_minus", "alpha")),
+    ("weight", "fourier_tail"): ({"variant": "fourier_tail", "beta0": 1.5, "eps": 0.25},
+                                 ("beta0", "eps")),
 }
 
 
@@ -142,16 +164,19 @@ class TestConfigValidation:
         (dict(CUSP_PLANET, theta0=math.pi / 2), "config.planet.theta0"),
         (dict(CUSP_PLANET, peak={"variant": "quadratic"}), "config.planet.peak.c"),
         (dict(CUSP_PLANET, peak={"variant": "quadratic", "c": "abc"}), "config.planet.peak.c"),
+        (dict(CUSP_PLANET, peak={"variant": ["quadratic"], "c": 2.0}),
+         "config.planet.peak.variant"),
         (dict(CUSP_PLANET, weight={"variant": "smooth_power", "k": 1, "g_k": True}),
          "config.planet.weight.g_k"),
         (dict(POINT_MASS_CONFIG["planet"], cos_theta_p=1.5), "config.planet.cos_theta_p"),
+        (dict(POINT_MASS_CONFIG["planet"], theta_p=1.0), "config.planet.cos_theta_p"),
         (dict(CUSP_PLANET, weight={"variant": "fourier_tail", "beta0": 1.5, "eps": 1.0e300}),
          "config.planet.weight.eps"),
         (dict(CUSP_PLANET, weight={"variant": "fourier_tail", "beta0": 1.5, "eps": math.pi}),
          "config.planet.weight.eps"),
     ], ids=["negative-curvature", "no-weight", "theta0-equator", "missing-curvature",
-            "non-numeric-curvature", "boolean-weight", "cos-theta-out-of-range",
-            "tail-support-huge", "tail-support-pi"])
+            "non-numeric-curvature", "list-variant", "boolean-weight", "cos-theta-out-of-range",
+            "theta-and-cos-theta", "tail-support-huge", "tail-support-pi"])
     def test_planet_out_of_domain_names_field(self, tmp_path, capsys, planet, field):
         cfg = {"schema_version": 1, "seed": 1, "planet": planet, "n_range": {"n_max": 20}}
         path = write_config(tmp_path, cfg)
@@ -188,11 +213,19 @@ class TestConfigValidation:
          "config.asympt.beta1"),
         ("asympt", {"planet": {"kind": "ball", "R_b": 1.0, "rho0": 1.0}}, "config.planet.kind"),
         ("asympt", {"planet": POINT_MASS_CONFIG["planet"]}, "config.planet.kind"),
+        ("balayage", {"planet": dict(CUSP_PLANET, peak={"variant": "quadratic", "c": -1}),
+                      "balayage": {"masses": [{"m": 1.0, "position": [0.0, 0.0, 0.6]}]}},
+         "config.planet.peak.c"),
+        ("spectral", {"planet": {"kind": "ball", "R_b": 1.0, "rho0": 1.0}}, "config.planet.kind"),
+        ("spectral", {"planet": POINT_MASS_CONFIG["planet"]}, "config.planet.kind"),
+        ("spectral", {"planet": CUSP_PLANET}, "config.planet.weight.variant"),
     ], ids=["rho", "max-abs-coeff", "negative-rho-tol", "list-beta",
             "beta-tol", "one-sided-window", "reversed-window", "unknown-source",
             "non-complex-a0", "non-numeric-beta0", "a0-without-beta0", "non-complex-a1",
             "inner-radius-outside", "fractional-integer-k", "thm1-without-a0-or-tail", "beta0-at-most-1",
-            "a1-without-beta1", "beta1-at-most-2", "asympt-on-ball", "asympt-on-point-mass"])
+            "a1-without-beta1", "beta1-at-most-2", "asympt-on-ball", "asympt-on-point-mass",
+            "balayage-bad-planet", "spectral-on-ball", "spectral-on-point-mass",
+            "spectral-without-tail-weight"])
     def test_expect_asympt_and_shape_errors_name_field(self, tmp_path, capsys, command,
                                                        change, field):
         cfg = {"schema_version": 1, "seed": 1,
@@ -204,6 +237,53 @@ class TestConfigValidation:
         assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
         assert f"config error: {field}: " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("part, variant", [
+        *[("planet", kind) for kind in sorted(PLANETS)],
+        *[("peak", variant) for variant in sorted(PEAKS)],
+        *[("weight", variant) for variant in sorted(WEIGHTS)],
+    ])
+    def test_planet_schema_names_unknown_and_missing_keys(self, tmp_path, capsys, part, variant):
+        assert set(SCHEMA_EXAMPLES) == {("planet", k) for k in PLANETS} \
+            | {("peak", v) for v in PEAKS} | {("weight", v) for v in WEIGHTS}
+        example, mandatory = SCHEMA_EXAMPLES[part, variant]
+        prefix = "config.planet" if part == "planet" else f"config.planet.{part}"
+
+        def planet_with(body):
+            return body if part == "planet" else dict(CUSP_PLANET, **{part: body})
+
+        cfg = {"schema_version": 1, "seed": 1, "n_range": {"n_max": 20}}
+        assert cli.ExperimentConfig(dict(cfg, planet=planet_with(example)), command="coeffs")
+        cases = [(dict(example, bogus=1), f"{prefix}.bogus: unknown key")]
+        cases += [({k: v for k, v in example.items() if k != key}, f"{prefix}.{key}: is mandatory")
+                  for key in mandatory]
+        for body, message in cases:
+            path = write_config(tmp_path, dict(cfg, planet=planet_with(body)))
+            assert main(["coeffs", "--config", str(path), "--out", str(tmp_path / "out")]) \
+                == EXIT_CONFIG
+            assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("planet, digests", [
+        ({"kind": "ball", "R_b": 1.0, "rho0": 1.0},
+         ("0e57954ced13e3131aef914c92225f4b2de07e770b923dece518345fc3712273",
+          "7540491a09b2a4dac601829d1fd53dba01624cb7671f630eeac763612e513d14")),
+        ({"kind": "point_mass", "r0": 0.8, "theta_p": 2.5, "m": 1.5, "R": 1.1},
+         ("cdad5aa11f8264840c11de1fedb828322f8a4f8f29a1dffe5e7f0bccd4224988",
+          "b2ab2df43e1a595fec3c212cba46fa1312e44f68fbba91dde728ba138e0a6e19")),
+        ({"kind": "point_mass", "r0": 0.9, "cos_theta_p": 0.5, "m": 1},
+         ("cb8d3d577a6bd98576c0e7d318a1c1114875e9d868b9005e5b96927a35f04274",
+          "85d069d6a1423826bc7810fab1e4a6dd7cb698bd778758bc786fc502fd47a46c")),
+    ], ids=["ball", "point-mass-theta", "point-mass-cos-integer-m"])
+    def test_oracle_coeffs_artifacts_are_pinned(self, tmp_path, planet, digests):
+        # byte-identical artifacts across changes to the code, not only across
+        # two runs of the same code
+        path = write_config(tmp_path, {"schema_version": 1, "seed": 7, "planet": planet,
+                                       "n_range": {"n_min": 0, "n_max": 300}})
+        assert main(["coeffs", "--config", str(path), "--out", str(tmp_path)]) == EXIT_OK
+        art = next(tmp_path.glob("coeffs-*"))
+        assert tuple(hashlib.sha256((art / name).read_bytes()).hexdigest()
+                     for name in ("coeffs.csv", "coeffs.json")) == digests
 
     @pytest.mark.parametrize("command, cfg, digest", [
         # the README example config

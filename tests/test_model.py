@@ -17,6 +17,7 @@ from brillouin.model import (
     TwoSidedCuspWeight,
     build_profile,
     homogeneous_ball,
+    planet_from_config,
     point_mass_planet,
 )
 
@@ -216,6 +217,41 @@ class TestOracles:
         for n in (3, 17, 64):
             want = -(0.9**n) * eval_legendre(n, 0.5)
             assert pm.closed_coeff_scaled(n) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("planet, fingerprint", [
+        (lambda: point_mass_planet(0.9, math.acos(0.5), 1.0),
+         "989a7f52ef7f6e1b3cca9a44d2fb274991639823743721d0c50708ccd6496879"),
+        (lambda: point_mass_planet(0.8, 2.5, 1.5, R=1.1),
+         "8c32a1acb372d13472cc7438cc566e1ce0f888424b1a8a355ee73fbfbd426b89"),
+        (lambda: homogeneous_ball(1.0, 1.0),
+         "8c38e60f80507bc71c3044440b32dcb511b4660eecef1d523f2c71b95a39b862"),
+        # integer arguments are kept as floats, so they hash the same
+        (lambda: homogeneous_ball(1, 1),
+         "8c38e60f80507bc71c3044440b32dcb511b4660eecef1d523f2c71b95a39b862"),
+    ], ids=["point-mass-cos", "point-mass-R", "ball", "ball-integers"])
+    def test_oracle_fingerprint_is_pinned(self, planet, fingerprint):
+        assert planet().fingerprint == fingerprint
+
+    def test_series_and_single_order_agree_bitwise(self):
+        for planet in (point_mass_planet(0.8, 2.5, 1.5, R=1.1), homogeneous_ball(2.0, 0.5)):
+            series = planet.closed_coeff_series(0, 120)
+            assert [planet.closed_coeff_scaled(n) for n in range(121)] == series.tolist()
+            assert planet.closed_coeff_series(5, 9).tolist() == series[5:10].tolist()
+
+    def test_ball_reference_radius_is_its_own(self):
+        assert homogeneous_ball(2.0, 0.5).R == 2.0
+
+    def test_from_config(self):
+        pm = planet_from_config({"kind": "point_mass", "r0": 0.9, "cos_theta_p": 0.5, "m": 1})
+        assert pm == point_mass_planet(0.9, math.acos(0.5), 1.0)
+        assert planet_from_config({"kind": "ball", "R_b": 1.0, "rho0": 1.0}) \
+            == homogeneous_ball(1.0, 1.0)
+        with pytest.raises(ParameterError) as info:
+            planet_from_config({"kind": "ball", "R_b": 1.0, "rho0": 1.0, "R": 2.0})
+        assert info.value.field == "R"
+        spec = PlanetSpec(R=1.5, theta0=THETA0, peak=QuadraticPeak(c=2.0),
+                          weight=FourierTailWeight(beta0=1.5, eps=0.25))
+        assert planet_from_config(spec.to_dict()) == spec
 
 
 class TestSerialization:
