@@ -30,12 +30,13 @@ def _rule01(order=PANEL_ORDER):
     return 0.5 * (rule.nodes + 1.0), 0.5 * rule.weights
 
 
-def composite_nodes(breakpoints, order=PANEL_ORDER):
-    """Gauss nodes/weights for the panels defined by sorted breakpoints."""
+def composite_nodes(breakpoints):
+    """PANEL_ORDER-point Gauss nodes/weights for the panels defined by
+    sorted breakpoints."""
     bp = np.asarray(breakpoints, dtype=float)
     a = bp[:-1]
     h = np.diff(bp)
-    gx, gw = _rule01(order)
+    gx, gw = _rule01()
     nodes = (a[:, None] + h[:, None] * gx[None, :]).ravel()
     weights = (h[:, None] * gw[None, :]).ravel()
     return nodes, weights

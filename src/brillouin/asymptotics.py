@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import write_csv, write_json
-from ._panels import breakpoints_on, composite_nodes, peak_breakpoints, refine
+from ._panels import breakpoints_on, composite_nodes, peak_breakpoints
 from .coeffs import RADIAL_EXPONENT_CAP, _U_EDGES
 from .errors import BrillouinError
 from .model import (
@@ -206,31 +206,25 @@ def predict_thm3(peak, weight, R, theta0, n):
 # reduction integrals
 # ---------------------------------------------------------------------------
 
-def oscillatory_J(profile, n, tol=None):
+def oscillatory_J(profile, n):
     """The localized oscillatory integral
 
         J = integral_{I0} g(t) e^{-(n+3) F(t)} e^{i (n+1/2) t} dt
 
-    over the peak neighborhood I0 = (theta0 - delta, theta0 + delta).
-    Mid-pipeline oracle: C~_n is approximately
-    n^{-3/2} sqrt(2/pi) Re(e^{-i pi/4} J).  With no ``tol`` only the finer
-    level (1) runs; with one, levels 0 and 1 must agree within it.
+    over the peak neighborhood I0 = (theta0 - delta, theta0 + delta), on
+    the peak grid with its panels halved once (the coefficient
+    quadrature's level 1).  Mid-pipeline oracle: C~_n is approximately
+    n^{-3/2} sqrt(2/pi) Re(e^{-i pi/4} J).
     """
-    def run(level):
-        wavelength = 2.0 * math.pi / (n + 0.5)
-        base = min(wavelength, profile.delta / 4.0) / 2.0**level
-        floor_w = max(min(n**-0.5 / 8.0,
-                          profile.peak_scale(n, level=0.5) / 4.0, 1e-6), 1e-13) / 2.0**level
-        lo = max(profile.theta0 - profile.delta, 1e-12)
-        hi = min(profile.theta0 + profile.delta, math.pi - 1e-12)
-        bp = peak_breakpoints(lo, hi, profile.theta0, base, floor_w)
-        t, w = composite_nodes(bp)
-        vals = profile.eval_g(t) * np.exp(-(n + 3.0) * profile.eval_F(t))
-        return complex(np.sum(w * vals * np.exp(1j * (n + 0.5) * t)))
-
-    if tol is None:
-        return run(1)
-    return refine(run, tol, 1, what=f"oscillatory_J at n={n}")[0]
+    wavelength = 2.0 * math.pi / (n + 0.5)
+    base = min(wavelength, profile.delta / 4.0) / 2.0
+    floor_w = max(min(n**-0.5 / 8.0,
+                      profile.peak_scale(n, level=0.5) / 4.0, 1e-6), 1e-13) / 2.0
+    lo = max(profile.theta0 - profile.delta, 1e-12)
+    hi = min(profile.theta0 + profile.delta, math.pi - 1e-12)
+    t, w = composite_nodes(peak_breakpoints(lo, hi, profile.theta0, base, floor_w))
+    vals = profile.eval_g(t) * np.exp(-(n + 3.0) * profile.eval_F(t))
+    return complex(np.sum(w * vals * np.exp(1j * (n + 0.5) * t)))
 
 
 def j_to_coeff(J, n, asymptotic=True):

@@ -204,7 +204,7 @@ def _ellipe(m):
             return math.pi / (2.0 * a) * (1.0 - total)
 
 
-def mu_from_point_masses(masses, G=1.0):
+def mu_from_point_masses(masses):
     """Longitudinal average of the swept densities of interior point masses.
 
     ``masses`` is a sequence of (m, (x, y, z)) with |position| < 1.  At
@@ -217,7 +217,7 @@ def mu_from_point_masses(masses, G=1.0):
     with parameter q = 2 B / (A + B) (DLMF 19.2), exact to rounding with no
     tolerance.  On the axis and at the centre B = 0 and E(0) = pi / 2.
     A - B and A + B are formed as sums of squares, without cancellation as
-    the mass nears the sphere.  Total mass of the result equals G * sum(m).
+    the mass nears the sphere.  Total mass of the result equals sum(m).
     """
     prepared = []
     for m, pos in masses:
@@ -240,7 +240,7 @@ def mu_from_point_masses(masses, G=1.0):
             far = (1.0 - r) ** 2 + r * ((x - ct) ** 2 + (st_x + st) ** 2)
             integral = 4.0 * _ellipe(1.0 - near / far) / (near * np.sqrt(far))
             total += m * (1.0 - r * r) / (4.0 * math.pi) * integral
-        return total * G
+        return total
 
     def mu_scalar_ok(x):
         out = mu(x)
@@ -310,14 +310,14 @@ def swept_potential(x0, obs):
 # the transform A
 # ---------------------------------------------------------------------------
 
-def build_Q(measure, p, tol=1e-12):
+def build_Q(measure, p):
     """Q(p) = integral_{-1}^{1} mu(x) (1 - p x)^{-1/2} dx.
 
     Real p must satisfy |p| < 1 (beyond that the kernel's branch point
     enters the integration range); complex p off the real rays |p| >= 1 is
     allowed.  The attractive axis potential is -Q(p(z)) / sqrt(z^2 + 1).
     Raises :class:`ToleranceNotMet` if three panel halvings leave a
-    relative change above ``tol`` (see ``_panels.refine``).
+    relative change above 1e-12 (see ``_panels.refine``).
     """
     p = complex(p)
     if p.imag == 0.0 and abs(p.real) >= 1.0:
@@ -332,7 +332,7 @@ def build_Q(measure, p, tol=1e-12):
         val = np.sum(w * measure(x) * (1.0 - p * x) ** -0.5)
         return complex(val) if p.imag != 0.0 else float(np.real(val))
 
-    return refine(run, tol, 3, what=f"build_Q at p={p}", error=_relative_change)[0]
+    return refine(run, 1e-12, 3, what=f"build_Q at p={p}", error=_relative_change)[0]
 
 
 def _relative_change(fine, coarse):
@@ -394,17 +394,17 @@ def apply_A_cauchy(measure, zeta, tol=1e-12):
 PLEMELJ_MARGIN = 1e-3
 
 
-def plemelj_jump(measure, x0, eps_seq=(1e-2, 1e-3, 1e-4), margin=PLEMELJ_MARGIN):
+def plemelj_jump(measure, x0, eps_seq=(1e-2, 1e-3, 1e-4)):
     """Boundary jump of the Cauchy transform across the cut at x0, and the
     density it recovers.
 
     Evaluates AQ just above and below the cut at heights ``eps_seq`` and
     extrapolates the difference to the cut by Neville's scheme; the
-    recovered density is jump / (-2 pi i x0).  x0 must stay away from 0
-    (where the jump formula degenerates) and from the endpoints.
+    recovered density is jump / (-2 pi i x0).  x0 must stay PLEMELJ_MARGIN
+    away from 0 (where the jump formula degenerates) and from the endpoints.
     """
-    if not (margin < abs(x0) < 1.0 - margin):
-        raise ValueError(f"x0 must stay off 0 and +-1 by margin {margin}")
+    if not (PLEMELJ_MARGIN < abs(x0) < 1.0 - PLEMELJ_MARGIN):
+        raise ValueError(f"x0 must stay off 0 and +-1 by margin {PLEMELJ_MARGIN}")
     eps_seq = sorted(eps_seq, reverse=True)
     if len(eps_seq) < 2:
         raise ValueError("need at least two heights for extrapolation")

@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import yaml
@@ -25,7 +26,8 @@ from .asymptotics import predict_thm1, predict_thm3, ratio_diagnostic
 from .balayage import PLEMELJ_MARGIN, mu_from_point_masses, plemelj_jump, swept_potential
 from .coeffs import coeff_series
 from .errors import BrillouinError, ParameterError
-from .model import PlanetSpec, RejectDomain, RejectNonGeneric, build_profile, planet_from_config
+from .model import (PlanetSpec, RejectDomain, RejectNonGeneric, as_complex, as_integer,
+                    as_number, build_profile, planet_from_config)
 
 __all__ = ["ConfigError", "ExperimentConfig", "run", "main"]
 
@@ -58,102 +60,148 @@ def _check_keys(d, allowed, path):
             raise ConfigError(f"{path}.{key}: unknown key")
 
 
-def _is_number(value):
-    """True for a finite number, also one given as a string (YAML 1.1 reads
-    ``1e-3`` as a string); the commands convert with ``float``."""
-    try:
-        return not isinstance(value, bool) and math.isfinite(float(value))
-    except (TypeError, ValueError, OverflowError):
-        return False
+# A kind reads one value: it converts the value and checks it, and raises
+# ConfigError naming the field path when either fails.
+
+def _kind(convert, msg, test=None):
+    """The kind that reads a value as ``convert(value)``, which rejects it
+    by raising TypeError, ValueError or OverflowError, and requires
+    ``test`` of the result."""
+    def read(value, path):
+        try:
+            value = convert(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"{path}: {msg}") from None
+        _require(test is None or test(value), path, msg)
+        return value
+    return read
 
 
-def _is_complex(value):
-    """True for a complex number with finite parts, also one given as a
-    number or a string such as ``1-2j``."""
-    try:
-        z = complex(value)
-    except (TypeError, ValueError, OverflowError):
-        return False
-    return not isinstance(value, bool) and math.isfinite(z.real) and math.isfinite(z.imag)
-
-
-# A kind checks one value and raises ConfigError naming its field path.
-
-def _kind(test, msg):
-    def check(value, path):
-        _require(test(value), path, msg)
-    return check
+def _same(value):
+    return value
 
 
 def _above(lo):
-    return _kind(lambda v: _is_number(v) and float(v) > lo, f"must be a number > {lo:g}")
+    return _kind(as_number, f"must be a number > {lo:g}", lambda v: v > lo)
 
 
 def _at_least(lo):
-    return _kind(lambda v: _is_number(v) and float(v) >= lo, f"must be a number >= {lo:g}")
+    return _kind(as_number, f"must be a number >= {lo:g}", lambda v: v >= lo)
 
 
 def _count(lo):
-    return _kind(lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= lo,
-                 f"must be an integer >= {lo}")
+    return _kind(as_integer, f"must be an integer >= {lo}", lambda v: v >= lo)
 
 
 def _choice(options):
-    return _kind(lambda v: v in options, f"must be one of {options}")
+    return _kind(_same, f"must be one of {options}", lambda v: v in options)
 
 
-def _numbers(size):
-    return _kind(lambda v: isinstance(v, list) and len(v) == size and all(map(_is_number, v)),
-                 f"must be a list of {size} finite numbers")
+def _numbers(size, test, msg):
+    """A list of ``size`` finite numbers, read as a float array that passes ``test``."""
+    def convert(value):
+        if not (isinstance(value, list) and len(value) == size):
+            raise ValueError(f"not a list of {size}")
+        return np.array([as_number(x) for x in value])
+    return _kind(convert, msg, test)
 
 
-_NUMBER = _kind(_is_number, "must be a finite number")
-_MAPPING = _kind(lambda v: isinstance(v, dict), "expected a mapping")
-_COMPLEX = _kind(_is_complex, "must be a complex number")
-_ANY = _kind(lambda v: True, "")
+_NUMBER = _kind(as_number, "must be a finite number")
+_MAPPING = _kind(_same, "expected a mapping", lambda v: isinstance(v, dict))
+_COMPLEX = _kind(as_complex, "must be a complex number")
+_ANY = _kind(_same, "")
 
 
 def _list(item, nonempty=False):
     """A list of values of kind ``item``."""
-    def check(value, path):
+    def read(value, path):
         _require(isinstance(value, list) and (value or not nonempty), path,
                  "must be a non-empty list" if nonempty else "must be a list")
-        for i, x in enumerate(value):
-            item(x, f"{path}[{i}]")
-    return check
+        return [item(x, f"{path}[{i}]") for i, x in enumerate(value)]
+    return read
 
 
-def _section(table):
-    """A mapping whose keys are those of ``table``, each ``(kind, default)``."""
-    def check(value, path):
+def _section(table, rules=None):
+    """A mapping whose keys are those of ``table``, each ``(kind, default)``,
+    read as an object with one attribute per key: the key's value read by
+    its kind or, when the key is absent, its default read the same way
+    (None: optional, with no default).  ``rules(section, path)`` then checks
+    the rules that tie the section's keys together."""
+    def read(value, path):
         _check_keys(value, table, path)
+        section = SimpleNamespace()
         for key, (kind, default) in table.items():
             if key in value:
-                kind(value[key], f"{path}.{key}")
+                setattr(section, key, kind(value[key], f"{path}.{key}"))
             else:
                 _require(default is not _MANDATORY, f"{path}.{key}", "mandatory")
-    return check
+                setattr(section, key, None if default is None else kind(default, f"{path}.{key}"))
+        if rules is not None:
+            rules(section, path)
+        return section
+    return read
 
+
+def _asympt_rules(asympt, path):
+    if asympt.a0 is not None:
+        _require(asympt.beta0 is not None, f"{path}.beta0", "mandatory with a0")
+    if asympt.a1 != 0:
+        _require(asympt.beta1 is not None, f"{path}.beta1", "mandatory with a nonzero a1")
+
+
+def _tail_grid(grid, path):
+    """Bound the tail fit's grid, then record it as ``grid.ks``: the
+    negative k of ``samples_per_octave`` geometric samples in each of
+    ``octaves`` octaves from ``k_base``.  Every sample's rule must stay under
+    spectral.MAX_RULE_NODES, and the fit needs enough samples over a wide
+    enough span."""
+    k_base, octaves, per = grid.k_base, grid.octaves, grid.samples_per_octave
+    _require(octaves * per <= spectral.MAX_TAIL_SAMPLES, f"{path}.samples_per_octave",
+             f"octaves * samples_per_octave must be <= {spectral.MAX_TAIL_SAMPLES}")
+    k_field = "octaves" if k_base <= spectral.MAX_TAIL_K / 2.0 else "k_base"
+    _require(math.log2(k_base) + octaves <= math.log2(spectral.MAX_TAIL_K), f"{path}.{k_field}",
+             f"k_base * 2**octaves must be <= {spectral.MAX_TAIL_K:g}")
+    grid.ks = -np.concatenate([
+        np.geomspace(k_base * 2.0**j, k_base * 2.0 ** (j + 1), per, endpoint=False)
+        for j in range(octaves)
+    ])
+    _require(grid.ks.size >= spectral.MIN_TAIL_SAMPLES, f"{path}.samples_per_octave",
+             f"octaves * samples_per_octave must be >= {spectral.MIN_TAIL_SAMPLES}")
+    _require(grid.ks.min() / grid.ks.max() >= spectral.MIN_TAIL_SPAN, f"{path}.octaves",
+             f"the samples must span a ratio of at least {spectral.MIN_TAIL_SPAN:g} in k")
+
+
+_PROBE = _kind(as_number, f"must be a number with {PLEMELJ_MARGIN:g} < |x| < "
+               f"{1.0 - PLEMELJ_MARGIN:g}", lambda x: PLEMELJ_MARGIN < abs(x) < 1.0 - PLEMELJ_MARGIN)
+_MASS = _section({"m": (_NUMBER, _MANDATORY),
+                  "position": (_numbers(3, lambda p: np.linalg.norm(p) < 1.0,
+                                        "must be 3 numbers strictly inside the unit sphere"),
+                               _MANDATORY)})
 
 #: the config schema outside the planet (``model.PLANETS`` holds the planet's):
 #: each section's keys, each with its kind and its default (None: the key is
 #: optional and has no default)
 _SCHEMA = {
     "n_range": {"n_min": (_count(0), 0), "n_max": (_count(0), _MANDATORY)},
-    # expect.verdict stays unchecked: an unknown verdict is a verdict mismatch
+    # expect.verdict is read as given: an unknown verdict is a verdict mismatch
     "expect": {"verdict": (_ANY, None), "rho": (_NUMBER, None), "rho_tol": (_at_least(0), 0.005),
-               "median_ratio_window": (_numbers(2), None), "beta": (_NUMBER, None),
-               "beta_tol": (_at_least(0), 0.05), "max_abs_coeff": (_NUMBER, None)},
+               "median_ratio_window": (_numbers(2, lambda w: w[0] <= w[1],
+                                                "must be two numbers [lo, hi] with lo <= hi"),
+                                       None),
+               "beta": (_NUMBER, None), "beta_tol": (_at_least(0), 0.05),
+               "max_abs_coeff": (_NUMBER, None)},
     "asympt": {"source": (_choice(("auto", "thm1", "thm3")), "auto"), "a0": (_COMPLEX, None),
                "beta0": (_above(1), None), "a1": (_COMPLEX, 0.0), "beta1": (_above(2), None)},
     "spectral": {"k_base": (_above(0), 50.0), "octaves": (_count(1), 7),
                  "samples_per_octave": (_count(1), 12)},
-    "balayage": {"masses": (_list(_section({"m": (_NUMBER, _MANDATORY),
-                                            "position": (_numbers(3), _MANDATORY)}),
-                                  nonempty=True), _MANDATORY),
-                 "probe_x": (_list(_NUMBER), (0.5,)), "n_exterior": (_count(0), 10),
+    "balayage": {"masses": (_list(_MASS, nonempty=True), _MANDATORY),
+                 "probe_x": (_list(_PROBE), [0.5]), "n_exterior": (_count(0), 10),
                  "obs_radius": (_above(1), 2.0)},
 }
+#: the rules that tie a section's keys together
+_RULES = {"asympt": _asympt_rules, "spectral": _tail_grid}
+# a section that a config leaves out reads as {}, every key at its default;
+# n_range and balayage, which have mandatory keys, read as None
 _SCHEMA["config"] = {
     "schema_version": (_choice((1,)), _MANDATORY),
     "command": (_choice(COMMANDS), None),
@@ -161,13 +209,10 @@ _SCHEMA["config"] = {
     "planet": (_MAPPING, _MANDATORY),
     "tol": (_above(0), 1e-10),
     "out_dir": (_ANY, None),
-    **{name: (_section(table), None) for name, table in _SCHEMA.items()},
+    **{name: (_section(table, _RULES.get(name)),
+              None if name in ("n_range", "balayage") else {})
+       for name, table in _SCHEMA.items()},
 }
-
-
-def _option(d, section, key):
-    """``d[key]``, or the schema's default for ``key`` of ``section``."""
-    return d.get(key, _SCHEMA[section][key][1])
 
 
 def _planet_field(build, arg):
@@ -179,41 +224,22 @@ def _planet_field(build, arg):
         raise ConfigError(f"config.planet.{exc.field}: {exc}") from exc
 
 
-def _check_tail_grid(scfg):
-    """Bounds on the tail fit's grid, checked before it is built: every
-    sample's rule must stay under spectral.MAX_RULE_NODES, and the fit
-    needs enough samples over a wide enough span."""
-    path = "config.spectral"
-    k_base = float(_option(scfg, "spectral", "k_base"))
-    octaves = _option(scfg, "spectral", "octaves")
-    _require(octaves * _option(scfg, "spectral", "samples_per_octave")
-             <= spectral.MAX_TAIL_SAMPLES, f"{path}.samples_per_octave",
-             f"octaves * samples_per_octave must be <= {spectral.MAX_TAIL_SAMPLES}")
-    k_field = "octaves" if k_base <= spectral.MAX_TAIL_K / 2.0 else "k_base"
-    _require(math.log2(k_base) + octaves <= math.log2(spectral.MAX_TAIL_K), f"{path}.{k_field}",
-             f"k_base * 2**octaves must be <= {spectral.MAX_TAIL_K:g}")
-    mag = -_tail_grid(scfg)
-    _require(mag.size >= spectral.MIN_TAIL_SAMPLES, f"{path}.samples_per_octave",
-             f"octaves * samples_per_octave must be >= {spectral.MIN_TAIL_SAMPLES}")
-    _require(mag.max() / mag.min() >= spectral.MIN_TAIL_SPAN, f"{path}.octaves",
-             f"the samples must span a ratio of at least {spectral.MIN_TAIL_SPAN:g} in k")
-
-
 class ExperimentConfig:
-    """Validated experiment description plus its provenance hash.  Optional
-    values are read with :meth:`option`, which supplies the schema's default."""
+    """Validated experiment description plus its provenance hash.  Every
+    value is read once, here: each section is an object whose attributes
+    are its keys' values, converted, with the schema's defaults filled in
+    (``config.expect.rho``, ``config.spectral.ks``)."""
 
     def __init__(self, raw, command=None):
-        _section(_SCHEMA["config"])(raw, "config")
+        values = _section(_SCHEMA["config"])(raw, "config")
         self.raw = raw
-        cfg_cmd = raw.get("command")
-        if cfg_cmd is not None and command is not None:
-            _require(cfg_cmd == command, "config.command",
-                     f"config says {cfg_cmd!r} but the CLI invoked {command!r}")
-        self.command = command or cfg_cmd
+        if values.command is not None and command is not None:
+            _require(values.command == command, "config.command",
+                     f"config says {values.command!r} but the CLI invoked {command!r}")
+        self.command = command or values.command
         _require(self.command in COMMANDS, "config.command", "missing command")
         # a profile's spec is evaluated (build_profile) only by planet()
-        planet = self._planet = _planet_field(planet_from_config, raw["planet"])
+        planet = self._planet = _planet_field(planet_from_config, values.planet)
 
         # the rules that tie fields together; a profile read from a config
         # always has a weight
@@ -224,50 +250,25 @@ class ExperimentConfig:
         if self.command == "spectral":
             _require(tail_weight, "config.planet.weight.variant",
                      "the spectral command needs a fourier_tail weight")
-        n_range = raw.get("n_range", {})
-        self.n_min = _option(n_range, "n_range", "n_min")
-        self.n_max = n_range.get("n_max", 0)
+        n_range = values.n_range
+        self.n_min, self.n_max = (n_range.n_min, n_range.n_max) if n_range else (0, 0)
         _require(self.n_min <= self.n_max, "config.n_range", "n_min must not exceed n_max")
         if self.command in ("coeffs", "asympt", "radius"):
-            _require("n_range" in raw, "config.n_range",
+            _require(n_range is not None, "config.n_range",
                      f"mandatory for the {self.command} command")
         if self.command == "asympt":
             # the predictors start at n = 1
             _require(self.n_max >= 1, "config.n_range.n_max",
                      "must be >= 1 for the asympt command")
-        window = self.option("expect", "median_ratio_window")
-        if window is not None:
-            _require(float(window[0]) <= float(window[1]), "config.expect.median_ratio_window",
-                     "must be two numbers [lo, hi] with lo <= hi")
-        acfg = raw.get("asympt", {})
-        if "a0" in acfg:
-            _require("beta0" in acfg, "config.asympt.beta0", "mandatory with a0")
-        elif self.option("asympt", "source") == "thm1":
+        if values.asympt.a0 is None and values.asympt.source == "thm1":
             _require(tail_weight, "config.asympt.a0",
                      "mandatory unless the weight's tail can be fitted (a fourier_tail weight)")
-        if complex(self.option("asympt", "a1")) != 0:
-            _require("beta1" in acfg, "config.asympt.beta1", "mandatory with a nonzero a1")
-        if "spectral" in raw:
-            _check_tail_grid(raw["spectral"])
         if self.command == "balayage":
-            _require("balayage" in raw, "config.balayage", "mandatory for the balayage command")
-        if "balayage" in raw:
-            for i, mass in enumerate(self.option("balayage", "masses")):
-                _require(np.linalg.norm(np.asarray(mass["position"], dtype=float)) < 1.0,
-                         f"config.balayage.masses[{i}].position",
-                         "must lie strictly inside the unit sphere")
-            for i, x0 in enumerate(self.option("balayage", "probe_x")):
-                _require(PLEMELJ_MARGIN < abs(float(x0)) < 1.0 - PLEMELJ_MARGIN,
-                         f"config.balayage.probe_x[{i}]",
-                         f"must satisfy {PLEMELJ_MARGIN:g} < |x| < {1.0 - PLEMELJ_MARGIN:g}")
-
-        self.seed = raw["seed"]
-        self.tol = float(_option(raw, "config", "tol"))
-        self.out_dir = raw.get("out_dir")
-
-    def option(self, section, key):
-        """The value of ``section.key``, or its default."""
-        return _option(self.raw.get(section, {}), section, key)
+            _require(values.balayage is not None, "config.balayage",
+                     "mandatory for the balayage command")
+        self.seed, self.tol, self.out_dir = values.seed, values.tol, values.out_dir
+        self.expect, self.asympt = values.expect, values.asympt
+        self.spectral, self.balayage = values.spectral, values.balayage
 
     @property
     def config_hash(self):
@@ -319,47 +320,33 @@ def _cmd_coeffs(config, out):
     series.to_csv(out / "coeffs.csv", config_hash=config.config_hash)
     series.to_json(out / "coeffs.json", config_hash=config.config_hash)
     failures = []
-    cap = config.option("expect", "max_abs_coeff")
-    if cap is not None and float(np.max(np.abs(series.values))) > float(cap):
+    cap = config.expect.max_abs_coeff
+    if cap is not None and np.max(np.abs(series.values)) > cap:
         failures.append("max_abs_coeff exceeded")
     return failures
 
 
 def _predictor(config, planet, ns):
-    source = config.option("asympt", "source")
-    if source == "thm1" or (source == "auto" and planet.weight.variant == "fourier_tail"):
-        a0 = config.option("asympt", "a0")
-        if a0 is not None:
-            a0, beta0 = complex(a0), float(config.option("asympt", "beta0"))
+    asympt = config.asympt
+    if asympt.source == "thm1" or (asympt.source == "auto"
+                                   and planet.weight.variant == "fourier_tail"):
+        if asympt.a0 is not None:
+            a0, beta0 = asympt.a0, asympt.beta0
         else:
-            fit, _, _ = _fit_weight_tail(config, planet)
+            fit, _ = _fit_weight_tail(config, planet)
             a0, beta0 = fit.amp, fit.beta
-        beta1 = config.option("asympt", "beta1")
-        return predict_thm1(a0, beta0, complex(config.option("asympt", "a1")),
-                            beta1 if beta1 is None else float(beta1), planet.R, planet.theta0, ns)
+        return predict_thm1(a0, beta0, asympt.a1, asympt.beta1, planet.R, planet.theta0, ns)
     return predict_thm3(planet.peak, planet.weight, planet.R, planet.theta0, ns)
 
 
-def _tail_grid(scfg):
-    """The negative k grid of the tail fit: ``samples_per_octave`` geometric
-    samples in each of ``octaves`` octaves from ``k_base``."""
-    k_base = float(_option(scfg, "spectral", "k_base"))
-    octaves = _option(scfg, "spectral", "octaves")
-    per = _option(scfg, "spectral", "samples_per_octave")
-    return -np.concatenate([
-        np.geomspace(k_base * 2.0**j, k_base * 2.0 ** (j + 1), per, endpoint=False)
-        for j in range(octaves)
-    ])
-
-
 def _fit_weight_tail(config, planet):
-    """Tail fit of the weight's transform; returns ``(fit, ks, vals)``
-    with the transform samples it was fitted to."""
+    """Tail fit of the weight's transform on the config's k grid; returns
+    ``(fit, vals)`` with the transform samples it was fitted to."""
     prof = planet.weight.tail_profile()
-    ks = _tail_grid(config.raw.get("spectral", {}))
+    ks = config.spectral.ks
     vals = spectral.sample_transform(prof, prof.support, ks,
                                      singularities=prof.singularities)
-    return spectral.fit_tail(ks, vals), ks, vals
+    return spectral.fit_tail(ks, vals), vals
 
 
 def _cmd_asympt(config, out):
@@ -371,9 +358,9 @@ def _cmd_asympt(config, out):
     report.to_csv(out / "ratio.csv", config_hash=config.config_hash)
     report.to_json(out / "ratio.json", config_hash=config.config_hash)
     failures = []
-    window = config.option("expect", "median_ratio_window")
+    window = config.expect.median_ratio_window
     if window is not None:
-        lo, hi = float(window[0]), float(window[1])
+        lo, hi = window
         if not (lo <= report.median_ratio <= hi):
             failures.append(
                 f"median ratio {report.median_ratio:.4f} outside [{lo}, {hi}]")
@@ -383,15 +370,13 @@ def _cmd_asympt(config, out):
 def _verdict_failures(config, report, R):
     """Failures of the ``verdict`` and ``rho`` expect checks."""
     failures = []
-    want = config.option("expect", "verdict")
-    if want is not None and report.verdict != want:
-        failures.append(f"verdict {report.verdict} != expected {want}")
-    rho = config.option("expect", "rho")
-    if rho is not None:
-        tol = float(config.option("expect", "rho_tol"))
-        # written so that a NaN rho_hat fails the check
-        if not abs(report.rho_hat - float(rho)) <= tol * R:
-            failures.append(f"rho_hat {report.rho_hat:.4f} not within {tol} of {rho}")
+    expect = config.expect
+    if expect.verdict is not None and report.verdict != expect.verdict:
+        failures.append(f"verdict {report.verdict} != expected {expect.verdict}")
+    # written so that a NaN rho_hat fails the check
+    if expect.rho is not None and not abs(report.rho_hat - expect.rho) <= expect.rho_tol * R:
+        failures.append(f"rho_hat {report.rho_hat:.4f} not within {expect.rho_tol} "
+                        f"of {expect.rho}")
     return failures
 
 
@@ -406,8 +391,9 @@ def _cmd_radius(config, out):
 
 def _cmd_spectral(config, out):
     planet = config.planet()
-    fit, ks, vals = _fit_weight_tail(config, planet)
-    write_csv(out / "transform.csv", {"k": ks, "re": np.real(vals), "im": np.imag(vals)},
+    fit, vals = _fit_weight_tail(config, planet)
+    write_csv(out / "transform.csv",
+              {"k": config.spectral.ks, "re": np.real(vals), "im": np.imag(vals)},
               config_hash=config.config_hash)
     write_json(out / "tailfit.json", {
         "beta": fit.beta,
@@ -417,37 +403,33 @@ def _cmd_spectral(config, out):
         "config_hash": config.config_hash,
     })
     failures = []
-    want_beta = config.option("expect", "beta")
-    if want_beta is not None:
-        tol = float(config.option("expect", "beta_tol"))
-        if abs(fit.beta - float(want_beta)) > tol:
-            failures.append(f"fitted beta {fit.beta:.4f} not within {tol} of {want_beta}")
+    beta, tol = config.expect.beta, config.expect.beta_tol
+    if beta is not None and abs(fit.beta - beta) > tol:
+        failures.append(f"fitted beta {fit.beta:.4f} not within {tol} of {beta}")
     return failures
 
 
 def _cmd_balayage(config, out):
-    masses = [(float(m["m"]), np.asarray(m["position"], dtype=float))
-              for m in config.option("balayage", "masses")]
-    measure = mu_from_point_masses(masses)
+    bal = config.balayage
+    measure = mu_from_point_masses([(mass.m, mass.position) for mass in bal.masses])
     xs = np.linspace(-0.99, 0.99, 199)
     measure.to_csv(out / "mu.csv", xs, config_hash=config.config_hash)
 
     rng = np.random.default_rng(config.seed)
-    directions = rng.normal(size=(config.option("balayage", "n_exterior"), 3))
+    directions = rng.normal(size=(bal.n_exterior, 3))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    obs = float(config.option("balayage", "obs_radius")) * directions
-    direct = sum(m / np.linalg.norm(obs - p, axis=1) for m, p in masses)
-    swept = sum(m * swept_potential(p, obs) for m, p in masses)
+    obs = bal.obs_radius * directions
+    direct = sum(mass.m / np.linalg.norm(obs - mass.position, axis=1) for mass in bal.masses)
+    swept = sum(mass.m * swept_potential(mass.position, obs) for mass in bal.masses)
     worst_rel = float(np.max(np.abs(swept - direct) / np.abs(direct), initial=0.0))
 
     recoveries = []
-    for x0 in config.option("balayage", "probe_x"):
-        _, rec = plemelj_jump(measure, float(x0))
-        recoveries.append({"x0": float(x0), "mu_recovered": complex(rec).real,
-                           "mu_direct": float(measure(float(x0)))})
+    for x0 in bal.probe_x:
+        _, rec = plemelj_jump(measure, x0)
+        recoveries.append({"x0": x0, "mu_recovered": rec.real, "mu_direct": measure(x0)})
     payload = {
         "total_mass": measure.total_mass(),
-        "source_mass": sum(m for m, _ in masses),
+        "source_mass": sum(mass.m for mass in bal.masses),
         "exterior_worst_rel_err": worst_rel,
         "plemelj": recoveries,
         "config_hash": config.config_hash,
@@ -528,8 +510,8 @@ def main(argv=None):
         # flag overrides are checked as the config key and participate in
         # the provenance hash via raw
         if args.tol is not None:
-            _SCHEMA["config"]["tol"][0](args.tol, "config.tol")
-            config.raw["tol"] = config.tol = args.tol
+            config.tol = _SCHEMA["config"]["tol"][0](args.tol, "config.tol")
+            config.raw["tol"] = args.tol
         return run(config, out_override=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -211,7 +211,7 @@ def verdict_from_series(series, beta_m=None):
                              verdict, (series.n_min, series.n_max))
 
 
-def convergence_verdict(profile, n_max, tol=1e-10, beta_m=None, n_min=1):
-    """Compute the coefficient series and classify where it converges."""
-    series = coeff_series(profile, n_min, n_max, tol)
-    return verdict_from_series(series, beta_m=beta_m)
+def convergence_verdict(profile, n_max, tol=1e-10):
+    """Compute the coefficient series of orders 1..n_max and classify where
+    it converges."""
+    return verdict_from_series(coeff_series(profile, 1, n_max, tol))

@@ -88,12 +88,12 @@ def legendre_asym(n, theta):
     return val
 
 
-def gauss_nodes(m, tol=1e-15, max_iter=100):
+def gauss_nodes(m, max_iter=100):
     """Gauss-Legendre rule of order ``m`` via Newton iteration.
 
     Initial guesses are the Chebyshev-like angles; each root is refined
     until the Newton correction P_m / P_m' (the root residual in the node
-    variable) drops below ``tol``.  Weights come from the derivative
+    variable) drops below 1e-15.  Weights come from the derivative
     identity w = 2 / ((1 - x^2) P_m'(x)^2).
     """
     if m < 1:
@@ -109,7 +109,7 @@ def gauss_nodes(m, tol=1e-15, max_iter=100):
         dp = m * (x * p - p_prev) / (x * x - 1.0)
         step = p / dp
         x = x - step
-        if np.max(np.abs(step)) < tol:
+        if np.max(np.abs(step)) < 1e-15:
             converged = True
             break
     if not converged:

@@ -14,7 +14,6 @@ R^(n+3) scaling applied on output.
 import hashlib
 import json
 import math
-import operator
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Callable, Optional, get_args
 
@@ -40,6 +39,9 @@ __all__ = [
     "homogeneous_ball",
     "PointMassPlanet",
     "HomogeneousBall",
+    "as_number",
+    "as_integer",
+    "as_complex",
     "read_param",
     "PEAKS",
     "WEIGHTS",
@@ -74,46 +76,63 @@ def _as_x(x):
 _REQUIRED = object()
 
 
-def read_param(params, key, convert=float, default=_REQUIRED):
-    """``convert(params[key])`` for a finite number, or ``default`` when the
-    key is absent or null.  A missing mandatory key, a boolean, or a value
-    that ``convert`` rejects or maps to a non-finite number raises
-    ParameterError naming ``key``."""
+def _finite(raw, *parts):
+    """Raise ValueError for a boolean ``raw`` or a non-finite part."""
+    if isinstance(raw, bool) or not all(map(math.isfinite, parts)):
+        raise ValueError(f"{raw!r} is not a finite number")
+
+
+def as_number(raw):
+    """``float(raw)`` for a finite number, also one given as a string (YAML
+    1.1 reads ``1e-3`` as a string)."""
+    value = float(raw)
+    _finite(raw, value)
+    return value
+
+
+def as_integer(raw):
+    """``int(raw)`` for an integral ``raw`` (2, 2.0 or "2"); a fraction such
+    as 2.5 raises ValueError rather than being truncated."""
+    value = int(raw)
+    if value != as_number(raw):
+        raise ValueError(f"{raw!r} is not an integer")
+    return value
+
+
+def as_complex(raw):
+    """``complex(raw)`` for a complex number with finite parts, also one
+    given as a number or a string such as ``1-2j``."""
+    value = complex(raw)
+    _finite(raw, value.real, value.imag)
+    return value
+
+
+def read_param(params, key, convert=as_number, default=_REQUIRED):
+    """``convert(params[key])``, or ``default`` when the key is absent or
+    null.  A missing mandatory key, or a value that ``convert`` rejects with
+    TypeError, ValueError or OverflowError, raises ParameterError naming
+    ``key``."""
     raw = params.get(key)
     if raw is None:
         if default is _REQUIRED:
             raise ParameterError(key, "is mandatory")
         return default
     try:
-        value = convert(raw)
-        ok = not isinstance(raw, bool) and math.isfinite(value)
+        return convert(raw)
     except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
-        kind = "an integer" if convert is _integral else "a finite number"
-        raise ParameterError(key, f"must be {kind}, got {raw!r}")
-    return value
-
-
-def _integral(raw):
-    """``int(raw)`` for an integral ``raw`` (2, 2.0 or "2"); a fraction such
-    as 2.5 raises ValueError rather than being truncated."""
-    value = int(raw)
-    if value != float(raw):
-        raise ValueError(f"{raw!r} is not an integer")
-    return value
+        kind = "an integer" if convert is as_integer else "a finite number"
+        raise ParameterError(key, f"must be {kind}, got {raw!r}") from None
 
 
 def _config_dataclass(cls):
     """``dataclass(frozen=True)`` that also records ``cls.config_fields``:
     ``(name, convert, default)`` of each field a config can set, which is
     every field that is not a callable.  ``convert`` follows the annotation:
-    ``int`` reads an integral number as an int (``_integral``),
-    ``Optional[int]`` keeps an integer an integer (``operator.pos``),
-    anything else reads a float."""
+    ``int`` and ``Optional[int]`` read an integral number as an int
+    (:func:`as_integer`), anything else reads a float (:func:`as_number`)."""
     cls = dataclass(frozen=True)(cls)
     cls.config_fields = tuple(
-        (f.name, {int: _integral, Optional[int]: operator.pos}.get(f.type, float),
+        (f.name, as_integer if f.type in (int, Optional[int]) else as_number,
          _REQUIRED if f.default is MISSING else f.default)
         for f in fields(cls) if Callable not in (f.type, *get_args(f.type)))
     return cls
@@ -158,8 +177,9 @@ class _Shape:
         """The serializable parameter record (callables left out); an int
         field is recorded as an int."""
         return {"variant": self.variant,
-                **{name: int(getattr(self, name)) if convert is _integral else getattr(self, name)
-                   for name, convert, _ in self.config_fields}}
+                **{name: int(value) if convert is as_integer and value is not None else value
+                   for name, convert, _ in self.config_fields
+                   for value in (getattr(self, name),)}}
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +433,10 @@ class PlanetSpec:
     def __post_init__(self):
         if self.R <= 0:
             raise ParameterError("R", "Brillouin radius must be positive")
-        if not (0.0 < self.theta0 < math.pi):
-            raise RejectDomain("theta0 must lie in (0, pi)")
+        if not min(self.theta0, math.pi - self.theta0,
+                   abs(self.theta0 - math.pi / 2.0)) >= THETA_DOMAIN_TOL:
+            raise RejectDomain(f"theta0 must lie in (0, pi), {THETA_DOMAIN_TOL:g} or more "
+                               "from 0, pi/2 and pi")
         if self.delta <= 0 or self.delta1 <= 0:
             raise ParameterError("delta" if self.delta <= 0 else "delta1",
                                  "delta and delta1 must be positive")
@@ -567,10 +589,6 @@ def build_profile(spec):
     the inner radius stays strictly inside the surface, and that declared
     remainder orders are numerically consistent at three scales.
     """
-    for bad, name in ((0.0, "0"), (math.pi / 2.0, "pi/2"), (math.pi, "pi")):
-        if abs(spec.theta0 - bad) < THETA_DOMAIN_TOL:
-            raise RejectDomain(f"theta0 may not equal {name}")
-
     peak = spec.peak
     f0 = float(peak.evaluate(0.0))
     if f0 != 0.0:
@@ -646,12 +664,13 @@ def build_profile(spec):
     return PlanetProfile(spec, rm_callable, v_callable, radial_constant, vmax)
 
 
-def _check_declared_order(h, beta, label, scales=(1e-2, 1e-3, 1e-4)):
+def _check_declared_order(h, beta, label):
     """Reject remainders that decay slower than their declared O(|x|^beta):
     the measured |h| / |x|^beta must not grow by more than a factor of 10
     from the largest probe scale to the smallest.  Faster decay is fine."""
     if h is None or beta is None:
         return
+    scales = (1e-2, 1e-3, 1e-4)
     qs = [max(abs(float(h(s))), abs(float(h(-s)))) / s**beta for s in scales]
     if qs[0] == 0.0 and max(qs) > 0.0:
         raise RejectNonGeneric(f"{label}: declared order {beta} inconsistent across scales")

@@ -202,7 +202,7 @@ class AppendixTailOracle:
         return tail
 
 
-def appendix_oracle(beta, eps, taper=None):
+def appendix_oracle(beta, eps):
     """Tail predictor for the canonical cusp sample of :func:`appendix_function`.
 
     For non-integer beta > 1 the two halves contribute
@@ -217,8 +217,6 @@ def appendix_oracle(beta, eps, taper=None):
         raise ValueError("tail exponent must exceed 1")
     if abs(beta - round(beta)) < 1e-12:
         raise IntegerBeta("integer tail exponents are not covered by this closed form")
-    if taper is not None and getattr(taper, "order", beta + 1) <= beta:
-        raise ValueError("taper must vanish to order above beta")
     g = math.gamma(beta)
     side_plus = np.exp(-1j * math.pi * beta / 2.0) * g
     side_minus = np.exp(+1j * math.pi * beta / 2.0) * g

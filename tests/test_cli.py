@@ -219,13 +219,16 @@ class TestConfigValidation:
         ("spectral", {"planet": {"kind": "ball", "R_b": 1.0, "rho0": 1.0}}, "config.planet.kind"),
         ("spectral", {"planet": POINT_MASS_CONFIG["planet"]}, "config.planet.kind"),
         ("spectral", {"planet": CUSP_PLANET}, "config.planet.weight.variant"),
+        ("balayage", {"planet": dict(CUSP_PLANET, theta0=math.pi / 2),
+                      "balayage": {"masses": [{"m": 1.0, "position": [0.0, 0.0, 0.6]}]}},
+         "config.planet.theta0"),
     ], ids=["rho", "max-abs-coeff", "negative-rho-tol", "list-beta",
             "beta-tol", "one-sided-window", "reversed-window", "unknown-source",
             "non-complex-a0", "non-numeric-beta0", "a0-without-beta0", "non-complex-a1",
             "inner-radius-outside", "fractional-integer-k", "thm1-without-a0-or-tail", "beta0-at-most-1",
             "a1-without-beta1", "beta1-at-most-2", "asympt-on-ball", "asympt-on-point-mass",
             "balayage-bad-planet", "spectral-on-ball", "spectral-on-point-mass",
-            "spectral-without-tail-weight"])
+            "spectral-without-tail-weight", "balayage-theta0-equator"])
     def test_expect_asympt_and_shape_errors_name_field(self, tmp_path, capsys, command,
                                                        change, field):
         cfg = {"schema_version": 1, "seed": 1,
@@ -314,6 +317,100 @@ class TestConfigValidation:
         # the hash names the artifact directory and is written into every
         # artifact; defaults are never written into the hashed config
         assert cli.ExperimentConfig(cfg, command=command).config_hash == digest
+
+    @pytest.mark.parametrize("field, value, read", [
+        ("n_range.n_min", 2, lambda c: c.n_min),
+        ("n_range.n_max", 2, lambda c: c.n_max),
+        ("seed", 2, lambda c: c.seed),
+        ("spectral.octaves", 7, lambda c: c.spectral.octaves),
+        ("spectral.samples_per_octave", 12, lambda c: c.spectral.samples_per_octave),
+        ("balayage.n_exterior", 2, lambda c: c.balayage.n_exterior),
+        ("planet.weight.k", 2, lambda c: c.planet().weight.k),
+        ("planet.weight.taper_order", 4, lambda c: c.planet().weight.taper_order),
+    ], ids=["n_min", "n_max", "seed", "octaves", "samples_per_octave", "n_exterior", "k",
+            "taper_order"])
+    def test_integer_fields_read_by_one_rule(self, tmp_path, capsys, field, value, read):
+        # an integral value is read as an int however it is written; a
+        # fraction or a boolean exits 2 naming the field
+        def config_with(v):
+            weight = ({"variant": "smooth_power", "g_k": 1.0} if field == "planet.weight.k"
+                      else {"variant": "fourier_tail", "beta0": 1.5, "eps": 0.25})
+            cfg = {"schema_version": 1, "seed": 1, "planet": dict(CUSP_PLANET, weight=weight),
+                   "n_range": {"n_min": 0, "n_max": 20}, "spectral": {},
+                   "balayage": dict(BALAYAGE_CONFIG["balayage"])}
+            *parents, key = field.split(".")
+            node = cfg
+            for part in parents:
+                node = node[part]
+            node[key] = v
+            return cfg
+
+        for v in (value, float(value), str(value)):
+            got = read(cli.ExperimentConfig(config_with(v), command="coeffs"))
+            assert got == value and type(got) is int, v
+        for v in (2.5, True):
+            path = write_config(tmp_path, config_with(v))
+            out = tmp_path / "out"
+            assert main(["coeffs", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+            assert f"config error: config.{field}: " in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command, code, digests", [
+        ("coeffs", EXIT_OK, {
+            "coeffs-b8f23ef8a43b/coeffs.csv":
+                "21504e70d24fa8fd36eb470e2544fca4edc0515f2a50afbbbdfd36a2be34e9a5",
+            "coeffs-b8f23ef8a43b/coeffs.json":
+                "47d7f4b83ce4dfce4a0bc4761861c19fe087a58d1d7d7d3bfb92c568bb649604"}),
+        ("asympt", EXIT_VERDICT, {
+            "asympt-6fb5b6552442/ratio.csv":
+                "c0c0df388c8286083755ea027dd0f5ee2930e2185af0b96d986d5aa70cd322ec",
+            "asympt-6fb5b6552442/ratio.json":
+                "4ff1c918be834ca48ff7eb4508508ade6f09786f3b90367ec09775b3ff27e2fa"}),
+        ("radius", EXIT_VERDICT, {
+            "radius-4431e168f32e/radius.json":
+                "32ce0a78b654c5ab039fe95243b0998b430bd9be49a7e54f6c3dcc1bf925f2d1"}),
+        ("spectral", EXIT_OK, {
+            "spectral-b928f2f7f225/tailfit.json":
+                "0f5044a0186035df2b432cfd249e6131d2e8d1a40b2cce83fd0064b3bec9b496",
+            "spectral-b928f2f7f225/transform.csv":
+                "83b6dc8e57ea4394d326a0058b5a91467ed013f52b2e20c48c0ad66997d384e9"}),
+        ("balayage", EXIT_OK, {
+            "balayage-0076c7bace95/balayage.json":
+                "f5c8a1e2e672c072c0391c29317e946cf5c6f75cd3092075f13da1a412aa67e4",
+            "balayage-0076c7bace95/mu.csv":
+                "b1104b281e831437288874381acbea42013421967f3b2901298e4ff26f11badc"}),
+        ("full-verify", EXIT_VERDICT, {
+            "full-verify-faa79129df94/coeffs.csv":
+                "e652d73ba6def004140d1556c67b907466ad1d825bd2a7e855b4d4018357d003",
+            "full-verify-faa79129df94/radius.json":
+                "d3ebc9ff57c6c97e9bf73da75d8d013b68ff81137b64d28f5848403dc713f202",
+            "full-verify-faa79129df94/summary.json":
+                "8918f8009f6bbac51cef6d8b02271ce999377344527a0e84b107d8f9040e3f6d"}),
+    ])
+    def test_every_section_artifacts_are_pinned(self, tmp_path, command, code, digests):
+        # the config that sets every optional key, so every conversion of
+        # the config reader feeds these bytes; the planet has no r_m, which
+        # build_profile would reject, and no command, so each command runs
+        cfg = {
+            "schema_version": 1, "seed": 11, "out_dir": "runs",
+            "planet": {"kind": "profile", "schema_version": 1, "R": 1.0, "theta0": 1.2,
+                       "peak": {"variant": "quadratic", "c": 2.0, "beta": 4.0},
+                       "weight": {"variant": "fourier_tail", "beta0": 1.5, "eps": 0.25,
+                                  "taper_order": 4},
+                       "delta": 0.5, "delta1": 0.4, "G": 1.0},
+            "n_range": {"n_min": 1, "n_max": 500}, "tol": 1.0e-9,
+            "expect": {"verdict": "ConvergesExactlyAtBrillouin", "rho": 1.0, "rho_tol": 0.01,
+                       "median_ratio_window": [0.9, 1.1], "beta": 1.5, "beta_tol": 0.05,
+                       "max_abs_coeff": 10.0},
+            "asympt": {"source": "thm1", "a0": "1-2j", "beta0": 1.5, "a1": 0.5, "beta1": 3.5},
+            "spectral": {"k_base": 40.0, "octaves": 7, "samples_per_octave": 10},
+            "balayage": {"masses": [{"m": 1.0, "position": [0.1, 0.2, 0.3]}],
+                         "probe_x": [0.4], "n_exterior": 5, "obs_radius": 3.0}}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == code
+        assert {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in out.rglob("*") if p.is_file()} == digests
 
     def test_load_config_object(self, tmp_path):
         path = write_config(tmp_path, POINT_MASS_CONFIG)

@@ -146,7 +146,10 @@ def test_samples_match_fine_rule_on_cutoff_support():
     # taper's truncation kinks at +-eps fall inside its panels; at level 4
     # its own error stays below 1e-10 (at level 3 it is 1.1e-9 at k = -89)
     f = appendix_function(BETA, EPS)
-    ks = cli._tail_grid({})
+    # the default tail-fit grid, as a config without a spectral section reads it
+    ks = cli.ExperimentConfig({"schema_version": 1, "seed": 1,
+                               "planet": {"kind": "ball", "R_b": 1.0, "rho0": 1.0}},
+                              command="full-verify").spectral.ks
     got = sample_transform(f, f.support, ks, singularities=f.singularities)
     for k, value in zip(ks, got):
         x, w = composite_nodes(ref_breakpoints((-2 * EPS, 2 * EPS), k, (0.0,), 4))
