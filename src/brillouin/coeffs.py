@@ -56,6 +56,9 @@ accounts for it.
 
 import dataclasses
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -75,6 +78,10 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
+#: the largest order a config may ask for: there the two sweep grids of an
+#: alpha = 1/2 cusp hold about 2.5 million colatitude nodes, and the rounding
+#: floor FLOOR_C (n+3) eps is 4.4e-11 of the summed term magnitudes
+MAX_ORDER = 100_000
 #: e^{-(n+3) s} beyond this exponent is below double-precision relevance
 RADIAL_EXPONENT_CAP = 40.0
 #: graded panels stop once (n+3) F changes by less than this across a panel
@@ -619,17 +626,105 @@ def _sweep(profile, n_max, level, n_min=0):
     ``grid_nodes`` is the grid size, ``node_orders`` the node-orders the
     recurrence visited and ``vmax`` the largest |v| the sweep used.
     """
-    if profile.radial_constant:
-        return _sweep_nodes(profile, list(theta_grid(profile, n_max, level)), n_min, n_max,
-                            level)
+    return _fold([_sweep_nodes(profile, grid, n_min, n_max, level)
+                  for level, grid in _sweep_jobs(profile, n_max, level)])
+
+
+def _sweep_jobs(profile, n_max, level):
+    """The jobs of one level's sweep, in the order ``_fold`` adds their
+    results: ``(level, [nodes, weights])``, one for a column constant in r
+    and one per COLUMN_CHUNK colatitude nodes for a general column."""
     nodes, wts = theta_grid(profile, n_max, level)
-    total = None
-    for i in range(0, nodes.size, COLUMN_CHUNK):
-        part = _sweep_nodes(profile, [nodes[i:i + COLUMN_CHUNK], wts[i:i + COLUMN_CHUNK]],
-                            n_min, n_max, level)
-        total = part if total is None else _Sweep(
-            *(a + b for a, b in zip(total[:-1], part[:-1])), max(total.vmax, part.vmax))
+    if profile.radial_constant:
+        return [(level, [nodes, wts])]
+    return [(level, [nodes[i:i + COLUMN_CHUNK], wts[i:i + COLUMN_CHUNK]])
+            for i in range(0, nodes.size, COLUMN_CHUNK)]
+
+
+def _fold(parts):
+    """One level's ``_Sweep`` from the ``_Sweep`` of each of its jobs, added
+    in job order."""
+    total = parts[0]
+    for part in parts[1:]:
+        total = _Sweep(*(a + b for a, b in zip(total[:-1], part[:-1])),
+                       max(total.vmax, part.vmax))
     return total
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run_jobs(profile, jobs, n_min, n_max):
+    """The ``_Sweep`` of every job of ``_sweep_jobs``, in job order.
+
+    Where ``os.fork`` exists and two CPUs are usable, one forked child
+    process runs the odd-indexed jobs while the caller runs the even-indexed
+    ones.  The child sends its results, or the exception it raised, back
+    pickled through a pipe and always ends in ``os._exit``; the caller
+    raises that exception with its original type and reaps the child on
+    every path, killing it first if the caller's own jobs raise.  A job's
+    arithmetic is the same in either process, so every result is bitwise
+    that of the in-process loop, which runs everywhere else.  Threads
+    would not help: each numpy call of the sweep is too short to run while
+    another thread holds the GIL.
+    """
+    def run(part):
+        return [_sweep_nodes(profile, grid, n_min, n_max, level) for level, grid in part]
+
+    if not hasattr(os, "fork") or _usable_cpus() < 2:
+        return run(jobs)
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        _child(run, jobs[1::2], read_end, write_end)
+    os.close(write_end)
+    for _, grid in jobs[1::2]:
+        grid.clear()  # the child's copy is the one swept
+    try:
+        with open(read_end, "rb") as pipe:
+            ours = run(jobs[0::2])
+            reply = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if not reply:
+        raise ChildProcessError(f"the sweep's child process ended without a result "
+                                f"(wait status {status})")
+    done, theirs = pickle.loads(reply)
+    if not done:
+        kind, args, state = theirs
+        exc = kind.__new__(kind, *args)
+        exc.__dict__.update(state)
+        raise exc
+    parts = [None] * len(jobs)
+    parts[0::2], parts[1::2] = ours, theirs
+    return parts
+
+
+def _child(run, jobs, read_end, write_end):
+    """The forked child of ``_run_jobs``: runs ``jobs`` and writes the
+    pickled ``(True, results)``, or ``(False, (type, args, attributes))`` of
+    the exception it raised, to ``write_end``.  Never returns."""
+    try:
+        os.close(read_end)
+        try:
+            reply = pickle.dumps((True, run(jobs)))
+        except BaseException as exc:  # every exception goes to the caller
+            try:
+                reply = pickle.dumps((False, (type(exc), exc.args, vars(exc))))
+            except Exception:  # not picklable: the caller gets its text
+                reply = pickle.dumps((False, (RuntimeError, (f"{type(exc).__name__}: {exc}",),
+                                              {})))
+        with open(write_end, "wb") as pipe:
+            pipe.write(reply)
+    finally:
+        os._exit(0)
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +785,9 @@ def coeff_series(profile, n_min, n_max, tol=DEFAULT_TOL):
 
     the difference of the two levels, never below the rounding floor of
     the level-1 sum, plus the bounds on the nodes either level dropped.
-    Raises :class:`ToleranceNotMet` if the two levels do not resolve a
+    The jobs of both sweeps run split between the caller and one forked
+    child process where two CPUs are usable (see ``_run_jobs``), with
+    results bitwise those of one process.  Raises :class:`ToleranceNotMet` if the two levels do not resolve a
     general column (see ``_check_resolved``), and
     :class:`EnvelopeBoundError` if any magnitude breaks the a-priori
     envelope bound 4 pi G max|v|, with max|v| the largest the sweeps used
@@ -706,8 +803,10 @@ def coeff_series(profile, n_min, n_max, tol=DEFAULT_TOL):
         return ScaledCoeffSeries(ns, vals, errs, np.ones(ns.size, bool),
                                  profile.R, profile.fingerprint, tol)
 
-    coarse = _sweep(profile, n_max, 0, n_min)
-    fine = _sweep(profile, n_max, 1, n_min)
+    jobs = _sweep_jobs(profile, n_max, 0) + _sweep_jobs(profile, n_max, 1)
+    parts = _run_jobs(profile, jobs, n_min, n_max)
+    coarse, fine = (_fold([part for part, (lv, _) in zip(parts, jobs) if lv == level])
+                    for level in (0, 1))
     _check_resolved(coarse, fine)
     vals = fine.values
     errs = _error_bar(fine, coarse)

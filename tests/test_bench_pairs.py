@@ -1,4 +1,5 @@
 import importlib.util
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -37,3 +38,33 @@ def test_run_counts():
                {"correct": False, "attempted": 0, "failed": 0, "metrics": {}, "error": "exit 2"}]
     assert bench_pairs.counts(results) == {
         "runs": 3, "correct_runs": 1, "attempted": 4, "failed": 1, "errors": ["exit 2"]}
+
+
+def test_run_records_the_whole_process_tree_cpu(tmp_path):
+    # a stand-in bench whose CPU is spent in a process it starts and waits for
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(textwrap.dedent("""
+        import json, subprocess, sys
+        subprocess.run([sys.executable, "-c",
+                        "import time\\nt = time.process_time()\\n"
+                        "while time.process_time() - t < 0.3: pass"], check=True)
+        print("fact nproc = 2")
+        print("passes 3 (1 warm-up, 2 timed untraced, 0 traced)")
+        print(json.dumps({"correct": True, "attempted": 3, "failed": 0,
+                          "metrics": {"cpu_s": {"value": 0.01, "unit": "s"}}}))
+    """))
+    result, facts = bench_pairs.run_bench(tmp_path, "sweep", 1, 1.0)
+    assert facts == {"nproc": "2"} and result["correct"] is True
+    assert result["passes"] == 3
+    assert 0.3 <= result["tree_cpu_s"] < 5.0
+
+
+def test_tree_cpu_per_pass():
+    runs = [(dict(_result(), tree_cpu_s=p, passes=10), dict(_result(), tree_cpu_s=c, passes=20))
+            for p, c in ((4.0, 9.0), (5.0, 10.0), (6.0, 11.0))]
+    got = bench_pairs.tree_cpu(runs)
+    assert got["parent"]["median"] == 0.5 and got["change"]["median"] == 0.5
+    assert got["change"]["values"] == [0.45, 0.5, 0.55]
+    assert got["parent"]["tree_cpu_s"] == [4.0, 5.0, 6.0] and got["parent"]["passes"] == [10] * 3
+    # a run that printed no pass count (it failed) is left out
+    assert bench_pairs.tree_cpu([(_result(), _result())]) == {}

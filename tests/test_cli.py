@@ -150,6 +150,31 @@ class TestConfigValidation:
         assert main(["coeffs", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "config.n_range.n_max" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["coeffs", "asympt", "radius", "full-verify"])
+    @pytest.mark.parametrize("n_max", [1e300, coeffs.MAX_ORDER + 1])
+    def test_order_past_its_bound_names_field(self, tmp_path, capsys, monkeypatch, command,
+                                              n_max):
+        # the bound is checked at load: no series is started
+        monkeypatch.setattr(cli, "coeff_series", None)
+        cfg = dict(POINT_MASS_CONFIG, planet=CUSP_PLANET, n_range={"n_max": n_max})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert (f"config error: config.n_range.n_max: must be an integer >= 0 and "
+                f"<= {coeffs.MAX_ORDER}") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_order_at_its_bound_accepted(self):
+        config = cli.ExperimentConfig(dict(POINT_MASS_CONFIG, n_range={"n_max": coeffs.MAX_ORDER}),
+                                      command="coeffs")
+        assert config.n_max == coeffs.MAX_ORDER
+
+    def test_yaml_parsed_as_the_safe_loader_parses_it(self, tmp_path):
+        path = write_config(tmp_path, dict(POINT_MASS_CONFIG, asympt={"a0": "1-2j", "beta0": 1.5}))
+        if yaml.__with_libyaml__:
+            assert cli._YAML_LOADER is yaml.CSafeLoader
+        assert load_config(path, "coeffs").raw == yaml.safe_load(path.read_text())
+
     def test_reversed_order_range_leaves_no_artifact_dir(self, tmp_path, capsys):
         cfg = dict(POINT_MASS_CONFIG, n_range={"n_min": 50, "n_max": 10})
         path = write_config(tmp_path, cfg)
@@ -610,6 +635,16 @@ class TestSpectralConfig:
         assert f"config error: {field}: " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_grid_built_only_where_sampled(self):
+        config = cli.ExperimentConfig({"schema_version": 1, "seed": 1,
+                                       "planet": {"kind": "ball", "R_b": 1.0, "rho0": 1.0}},
+                                      command="full-verify")
+        assert "ks" not in vars(config.spectral)
+        ks = config.spectral.ks
+        assert ks.size == 7 * 12 and ks.max() == -50.0
+        assert -ks.min() / -ks.max() == pytest.approx(2.0 ** (7 - 1 / 12))
+        assert config.spectral.ks is ks
+
     def test_grid_at_bounds_accepted(self):
         # the config check alone: no transform is sampled
         for spectral in ({"k_base": MAX_TAIL_K / 2**7},
@@ -643,11 +678,14 @@ class TestBalayageCommand:
         ({"probe_x": [1.0]}, "probe_x[0]"),
         ({"n_exterior": -1}, "n_exterior"),
         ({"n_exterior": 2.5}, "n_exterior"),
+        ({"n_exterior": 1e300}, "n_exterior"),
+        ({"n_exterior": cli.MAX_EXTERIOR + 1}, "n_exterior"),
         ({"obs_radius": 1.0}, "obs_radius"),
         ({"obs_radius": "far"}, "obs_radius"),
     ], ids=["short-position", "on-sphere", "non-numeric-position", "missing-m",
             "non-numeric-m", "unknown-mass-key", "no-masses", "probe-at-zero",
-            "probe-at-pole", "negative-exterior", "fractional-exterior",
+            "probe-at-pole", "negative-exterior", "fractional-exterior", "huge-exterior",
+            "past-exterior-bound",
             "observer-on-sphere", "non-numeric-radius"])
     def test_config_errors_name_field_and_write_nothing(self, tmp_path, capsys,
                                                          change, field):
@@ -664,6 +702,12 @@ class TestBalayageCommand:
         assert main(["balayage", "--config", str(path), "--out", str(tmp_path / "out")]) \
             == EXIT_CONFIG
         assert "config error: config.balayage: " in capsys.readouterr().err
+
+    def test_exterior_at_its_bound_accepted(self):
+        cfg = dict(BALAYAGE_CONFIG, balayage={**BALAYAGE_CONFIG["balayage"],
+                                              "n_exterior": cli.MAX_EXTERIOR})
+        config = cli.ExperimentConfig(cfg, command="balayage")
+        assert config.balayage.n_exterior == cli.MAX_EXTERIOR
 
     def test_no_exterior_observers(self, tmp_path):
         cfg = dict(BALAYAGE_CONFIG, balayage={**BALAYAGE_CONFIG["balayage"], "n_exterior": 0})

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from brillouin.coeffs import (
     potential_direct,
     potential_partial_sum,
 )
-from brillouin.errors import ToleranceNotMet
+from brillouin.errors import ParameterError, ToleranceNotMet
 from brillouin.legendre import gauss_nodes, legendre_eval
 from brillouin.model import (
     PlanetSpec,
@@ -672,6 +673,98 @@ class TestSeries:
         a = exact_inner(bump, 2.0, 5, variable="s")
         b = exact_inner(bump, 2.0, 5, variable="r")
         assert a == pytest.approx(b, rel=1e-4)
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestTwoProcesses:
+    """``coeff_series`` splits its sweep jobs between the caller and one
+    forked child (see ``coeffs._run_jobs``)."""
+
+    @staticmethod
+    def _series(monkeypatch, profile, n_max, cpus):
+        """The series with ``cpus`` usable CPUs, and the number of forks."""
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(coeffs, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        series = coeff_series(profile, 0, n_max)
+        _assert_no_child()
+        monkeypatch.undo()
+        return series, len(forks)
+
+    @staticmethod
+    def _in_child(monkeypatch, action):
+        """Make every sweep job that runs outside this process call ``action``."""
+        caller, sweep = os.getpid(), coeffs._sweep_nodes
+        monkeypatch.setattr(coeffs, "_usable_cpus", lambda: 2)
+
+        def job(*args):
+            if os.getpid() != caller:
+                action()
+            return sweep(*args)
+        monkeypatch.setattr(coeffs, "_sweep_nodes", job)
+
+    @pytest.mark.parametrize("name, n_max", [("cusp_profile", 1000), ("column", 100)])
+    def test_bitwise_the_serial_path(self, request, monkeypatch, name, n_max):
+        profile = _column_planet() if name == "column" else request.getfixturevalue(name)
+        serial, serial_forks = self._series(monkeypatch, profile, n_max, cpus=1)
+        split, split_forks = self._series(monkeypatch, profile, n_max, cpus=2)
+        assert (serial_forks, split_forks) == (0, 1)
+        for field in ("values", "errors", "floor", "ok"):
+            assert np.array_equal(getattr(split, field), getattr(serial, field)), field
+        assert split.grid_nodes == serial.grid_nodes
+        assert split.node_orders == serial.node_orders
+
+    def test_runs_in_process_without_fork(self, monkeypatch, t1_profile):
+        want, _ = self._series(monkeypatch, t1_profile, 200, cpus=1)
+        monkeypatch.setattr(coeffs, "_usable_cpus", lambda: 2)
+        monkeypatch.delattr(os, "fork")
+        got = coeff_series(t1_profile, 0, 200)
+        assert np.array_equal(got.values, want.values)
+
+    def test_child_exception_keeps_its_type(self, monkeypatch, t1_profile):
+        def fail():
+            raise ParameterError("peak.c", "raised in the child")
+        self._in_child(monkeypatch, fail)
+        with pytest.raises(ParameterError, match="raised in the child") as info:
+            coeff_series(t1_profile, 0, 200)
+        assert info.value.field == "peak.c"
+        _assert_no_child()
+
+    def test_unpicklable_child_exception_keeps_its_text(self, monkeypatch, t1_profile):
+        class Local(Exception):
+            pass
+
+        def fail():
+            raise Local("a local class")
+        self._in_child(monkeypatch, fail)
+        with pytest.raises(RuntimeError, match="Local: a local class"):
+            coeff_series(t1_profile, 0, 200)
+        _assert_no_child()
+
+    def test_child_that_dies_is_reported(self, monkeypatch, t1_profile):
+        self._in_child(monkeypatch, lambda: os._exit(3))
+        with pytest.raises(ChildProcessError, match="without a result"):
+            coeff_series(t1_profile, 0, 200)
+        _assert_no_child()
+
+    def test_interrupted_caller_reaps_the_child(self, monkeypatch, t1_profile):
+        caller, sweep = os.getpid(), coeffs._sweep_nodes
+        monkeypatch.setattr(coeffs, "_usable_cpus", lambda: 2)
+
+        def job(*args):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            return sweep(*args)
+        monkeypatch.setattr(coeffs, "_sweep_nodes", job)
+        with pytest.raises(KeyboardInterrupt):
+            coeff_series(t1_profile, 0, 200)
+        _assert_no_child()
 
 
 class TestPotentials:

@@ -16,12 +16,18 @@ The output holds, per workload and end-to-end metric of ``BENCHMARK.json``,
 the median and quartiles of each side, the number of pairs in which the
 change was better, the relative change of the medians and the metric's
 bound, with the attempt and failure counts of every run and the machine
-facts ``bench/run.py`` prints.  Standard library only.
+facts ``bench/run.py`` prints.  The bench's ``cpu_s`` and ``peak_rss_mb``
+count its own process only; so each run also records ``tree_cpu_s``, the
+CPU seconds of the run's whole process tree (``RUSAGE_CHILDREN`` around
+it: the run, its set-up interpreters and any process the program forks),
+and its pass count, and the output gives each side's tree CPU per pass.
+Standard library only.
 """
 
 import argparse
 import io
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -48,22 +54,33 @@ def export(rev, into):
     return target
 
 
+def _cpu_of_children():
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run_bench(tree, workload, seed, seconds):
-    """One ``bench/run.py`` run in ``tree``: its result line and printed facts."""
+    """One ``bench/run.py`` run in ``tree``: its result line, with the run's
+    ``tree_cpu_s`` and ``passes`` added, and its printed facts."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
+    cpu0 = _cpu_of_children()
     done = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    tree_cpu = _cpu_of_children() - cpu0
     lines = done.stdout.strip().splitlines()
-    facts = {}
+    facts, passes = {}, None
     for line in lines:
         if line.startswith("fact "):
             key, _, value = line[5:].partition(" = ")
             facts[key] = value
+        elif line.startswith("passes "):
+            passes = int(line.split()[1])
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         result = {"correct": False, "attempted": 0, "failed": 0, "metrics": {},
                   "error": f"exit {done.returncode}: {done.stderr.strip()[-500:]}"}
+    result["tree_cpu_s"], result["passes"] = tree_cpu, passes
     return result, facts
 
 
@@ -101,6 +118,23 @@ def summarize(runs, metrics):
             "change_better": sum((c < p) if lower else (c > p) for p, c in pairs),
             "relative_change": (sides["change"]["median"] - base) / base if base else None,
         }
+    return out
+
+
+def tree_cpu(runs):
+    """Each side's whole-process-tree CPU seconds per pass over ``runs``,
+    pairs of ``run_bench`` results: median, quartiles and values, with each
+    run's ``tree_cpu_s`` and ``passes``.  A per-pass figure, because a
+    faster side fits more passes into a run."""
+    out = {}
+    for side, results in (("parent", [p for p, _ in runs]), ("change", [c for _, c in runs])):
+        results = [r for r in results if r.get("passes")]
+        if results:
+            values = [r["tree_cpu_s"] / r["passes"] for r in results]
+            q1, q2, q3 = quartiles(values)
+            out[side] = {"median": q2, "q1": q1, "q3": q3, "values": values,
+                         "tree_cpu_s": [r["tree_cpu_s"] for r in results],
+                         "passes": [r["passes"] for r in results]}
     return out
 
 
@@ -163,6 +197,7 @@ def main(argv=None):
                 "parent": counts([p for p, _ in runs]),
                 "change": counts([c for _, c in runs]),
                 "metrics": summarize(runs, spec["end_to_end"]),
+                "tree_cpu_s_per_pass": tree_cpu(runs),
             }
             # written after every workload, so an interrupted run keeps its finished ones
             args.out.write_text(json.dumps(report, indent=1) + "\n")
