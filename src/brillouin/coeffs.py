@@ -787,8 +787,9 @@ def coeff_series(profile, n_min, n_max, tol=DEFAULT_TOL):
     the level-1 sum, plus the bounds on the nodes either level dropped.
     The jobs of both sweeps run split between the caller and one forked
     child process where two CPUs are usable (see ``_run_jobs``), with
-    results bitwise those of one process.  Raises :class:`ToleranceNotMet` if the two levels do not resolve a
-    general column (see ``_check_resolved``), and
+    results bitwise those of one process.  Raises
+    :class:`ToleranceNotMet` if the two levels do not resolve a general
+    column (see ``_check_resolved``), and
     :class:`EnvelopeBoundError` if any magnitude breaks the a-priori
     envelope bound 4 pi G max|v|, with max|v| the largest the sweeps used
     (see ``_Sweep``).

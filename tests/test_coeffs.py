@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -753,17 +754,19 @@ class TestTwoProcesses:
             coeff_series(t1_profile, 0, 200)
         _assert_no_child()
 
-    def test_interrupted_caller_reaps_the_child(self, monkeypatch, t1_profile):
-        caller, sweep = os.getpid(), coeffs._sweep_nodes
+    def test_interrupted_caller_kills_and_reaps_the_child(self, monkeypatch, t1_profile):
+        caller = os.getpid()
         monkeypatch.setattr(coeffs, "_usable_cpus", lambda: 2)
 
         def job(*args):
             if os.getpid() == caller:
                 raise KeyboardInterrupt
-            return sweep(*args)
+            time.sleep(60)  # the child's job: killed, not waited for
         monkeypatch.setattr(coeffs, "_sweep_nodes", job)
+        started = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             coeff_series(t1_profile, 0, 200)
+        assert time.monotonic() - started < 30
         _assert_no_child()
 
 
