@@ -4,7 +4,8 @@ average, the half-power-to-Cauchy transform A, and Plemelj jump recovery.
 The longitudinal average of a point mass's swept density is closed form
 in the complete elliptic integral E (evaluated by a local AGM, with no
 tolerance), and exterior potentials of swept densities integrate over one
-cached product rule on the sphere.
+cached product rule on the sphere, whose distances to each observer are
+computed once for a whole block of sources.
 
 Everything is set in three dimensions on the unit sphere (radial units
 normalized to the Brillouin radius).  Sign convention: the swept density
@@ -20,7 +21,9 @@ The transform A acts diagonally on Maclaurin coefficients,
 c_k -> sqrt(pi) Gamma(1+k) / Gamma(k+1/2) c_k, and maps the square-root
 kernel (1 - p x)^{-1/2} to the Cauchy kernel (1 - p x)^{-1}; on the
 variable zeta = 1/p it is the Cauchy transform zeta * int mu(x)/(zeta - x) dx,
-whose jump across (-1, 0) u (0, 1) returns -2 pi i x mu(x).
+whose jump across (-1, 0) u (0, 1) returns -2 pi i x mu(x).  For a real mu
+the transform below the cut is the conjugate of the one above (Schwarz
+reflection), so the jump costs one transform per height.
 """
 
 import functools
@@ -284,26 +287,43 @@ def _distances(points, centre, out, tmp):
     return np.sqrt(out, out=out)
 
 
-def swept_potential(x0, obs):
-    """Exterior potential of the swept density of a unit mass at x0,
-    integrated over the sphere: should equal 1/|obs - x0| for |obs| > 1.
+#: the most swept densities ``swept_potential`` holds at once (0.6 MB each)
+SOURCE_BLOCK = 4
 
-    ``obs`` is one observer (3,), giving a float, or a stack (k, 3), giving
-    an array (k,).  The sphere rule (200 nodes in theta) is built once and
-    the density once per call; each observer then takes one pass over the rule.
+
+def swept_potential(x0, obs):
+    """Exterior potentials of the swept densities of unit masses at x0,
+    integrated over the sphere: each should equal 1/|obs - x0| for |obs| > 1.
+
+    ``x0`` is one source (3,) or a stack (k, 3); ``obs`` is one observer
+    (3,) or a stack (n, 3).  The result has shape ``x0.shape[:-1] +
+    obs.shape[:-1]``: a float for one source and one observer.  The sphere
+    rule (200 nodes in theta) is built once.  The sources are taken in
+    blocks of ``SOURCE_BLOCK``: each source's density takes one pass over
+    the rule, and each observer one distance pass per block, which every
+    density of the block then divides and sums.
     """
     x0 = np.asarray(x0, dtype=float)
     obs = np.asarray(obs, dtype=float)
     points, weights = _sphere_rule(200)
-    # two buffers serve every observer, so the per-observer pass allocates nothing
+    sources, observers = x0.reshape(-1, 3), obs.reshape(-1, 3)
+    # these buffers serve every pass, so no pass allocates
     dist, tmp = np.empty(weights.size), np.empty(weights.size)
-    sigma = (weights * ((1.0 - float(x0 @ x0)) / (4.0 * math.pi))
-             / _distances(points, x0, dist, tmp) ** 3)
-    # a pairwise numpy sum, not a BLAS dot, whose rounding would depend on
-    # the BLAS thread count
-    vals = np.array([np.add.reduce(np.divide(sigma, _distances(points, o, dist, tmp), out=tmp))
-                     for o in obs.reshape(-1, 3)])
-    return float(vals[0]) if obs.ndim == 1 else vals
+    sigmas = np.empty((min(len(sources), SOURCE_BLOCK), weights.size))
+    vals = np.empty((len(sources), len(observers)))
+    for start in range(0, len(sources), SOURCE_BLOCK):
+        block = sources[start:start + SOURCE_BLOCK]
+        for sig, src in zip(sigmas, block):
+            np.multiply(weights, (1.0 - float(src @ src)) / (4.0 * math.pi), out=sig)
+            sig /= np.power(_distances(points, src, dist, tmp), 3, out=dist)
+        for j, o in enumerate(observers):
+            d = _distances(points, o, dist, tmp)
+            for i, sig in enumerate(sigmas[:len(block)]):
+                # a pairwise numpy sum, not a BLAS dot, whose rounding
+                # would depend on the BLAS thread count
+                vals[start + i, j] = np.add.reduce(np.divide(sig, d, out=tmp))
+    vals = vals.reshape(x0.shape[:-1] + obs.shape[:-1])
+    return float(vals) if vals.ndim == 0 else vals
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +418,16 @@ def plemelj_jump(measure, x0, eps_seq=(1e-2, 1e-3, 1e-4)):
     """Boundary jump of the Cauchy transform across the cut at x0, and the
     density it recovers.
 
-    Evaluates AQ just above and below the cut at heights ``eps_seq`` and
-    extrapolates the difference to the cut by Neville's scheme; the
-    recovered density is jump / (-2 pi i x0).  x0 must stay PLEMELJ_MARGIN
-    away from 0 (where the jump formula degenerates) and from the endpoints.
+    Evaluates AQ just above the cut at heights ``eps_seq``, one Cauchy
+    transform per height, and extrapolates the difference to the cut by
+    Neville's scheme; the recovered density is jump / (-2 pi i x0).  The
+    value below the cut is the conjugate of the value above (Schwarz
+    reflection, as mu is real), bitwise: each step of the Cauchy sum (the
+    difference zeta - x, the complex division, the pairwise sum and the
+    product with zeta) is exactly symmetric under conjugating zeta, so
+    both sides would stop at the same refinement level with conjugate
+    values.  x0 must stay PLEMELJ_MARGIN away from 0 (where the jump
+    formula degenerates) and from the endpoints.
     """
     if not (PLEMELJ_MARGIN < abs(x0) < 1.0 - PLEMELJ_MARGIN):
         raise ValueError(f"x0 must stay off 0 and +-1 by margin {PLEMELJ_MARGIN}")
@@ -417,7 +443,8 @@ def plemelj_jump(measure, x0, eps_seq=(1e-2, 1e-3, 1e-4)):
         except ToleranceNotMet as exc:
             return exc.value
 
-    jumps = [cauchy(complex(x0, e)) - cauchy(complex(x0, -e)) for e in eps_seq]
+    ups = [cauchy(complex(x0, e)) for e in eps_seq]
+    jumps = [up - up.conjugate() for up in ups]
     # Neville tableau in the height variable; for convergent data each
     # level moves the top extrapolant less than the previous one
     tab = list(jumps)

@@ -39,8 +39,9 @@ EXIT_VERDICT = 4
 
 OUT_ENV_VAR = "BRILLOUIN_OUT"
 COMMANDS = ("coeffs", "asympt", "radius", "spectral", "balayage", "full-verify")
-#: the most exterior directions ``balayage`` checks: each takes one pass per
-#: mass over the 76,800-point sphere rule of ``balayage.swept_potential``
+#: the most exterior directions ``balayage`` checks: each takes one distance
+#: pass per ``balayage.SOURCE_BLOCK`` masses over the 76,800-point sphere rule
+#: of ``balayage.swept_potential``
 MAX_EXTERIOR = 10_000
 #: libyaml's parser where PyYAML has it: the same values, parsed 5-8x faster
 _YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
@@ -116,6 +117,7 @@ def _numbers(size, test, msg):
 _NUMBER = _kind(as_number, "must be a finite number")
 _MAPPING = _kind(_same, "expected a mapping", lambda v: isinstance(v, dict))
 _COMPLEX = _kind(as_complex, "must be a complex number")
+_PATH = _kind(_same, "must be a path, as a string", lambda v: isinstance(v, str))
 _ANY = _kind(_same, "")
 
 
@@ -174,8 +176,9 @@ class _TailGrid(SimpleNamespace):
 def _tail_grid(grid, path):
     """Bound the tail fit's grid from its three numbers, without building
     it.  Every sample's rule must stay under spectral.MAX_RULE_NODES, and
-    the fit needs enough samples over a wide enough span: the largest |k|
-    over the smallest is 2^(octaves - 1 / samples_per_octave)."""
+    the fit needs enough samples over a wide enough span (the largest |k|
+    over the smallest is 2^(octaves - 1 / samples_per_octave)) that fill
+    enough of its windows (``spectral.fit_windows``)."""
     k_base, octaves, per = grid.k_base, grid.octaves, grid.samples_per_octave
     _require(octaves * per <= spectral.MAX_TAIL_SAMPLES, f"{path}.samples_per_octave",
              f"octaves * samples_per_octave must be <= {spectral.MAX_TAIL_SAMPLES}")
@@ -186,12 +189,20 @@ def _tail_grid(grid, path):
              f"octaves * samples_per_octave must be >= {spectral.MIN_TAIL_SAMPLES}")
     _require(octaves - 1.0 / per >= math.log2(spectral.MIN_TAIL_SPAN), f"{path}.octaves",
              f"the samples must span a ratio of at least {spectral.MIN_TAIL_SPAN:g} in k")
+    # the samples step by at most an octave, so every fit window that ends
+    # above the smallest |k| holds one
+    windows = spectral.fit_windows(k_base * 2.0 ** (octaves - 1.0 / per))
+    _require(sum(hi > k_base for _, hi in windows) >= 3, f"{path}.k_base",
+             "the samples must fill at least three of the tail fit's windows "
+             f"[2^j, 2^(j+1)] * {abs(spectral.K_BASE):g} in |k|")
 
 
 _PROBE = _kind(as_number, f"must be a number with {PLEMELJ_MARGIN:g} < |x| < "
                f"{1.0 - PLEMELJ_MARGIN:g}", lambda x: PLEMELJ_MARGIN < abs(x) < 1.0 - PLEMELJ_MARGIN)
 _MASS = _section({"m": (_NUMBER, _MANDATORY),
-                  "position": (_numbers(3, lambda p: np.linalg.norm(p) < 1.0,
+                  # each coordinate is bounded first, so that the norm cannot overflow
+                  "position": (_numbers(3, lambda p: np.all(np.abs(p) < 1.0)
+                                        and np.linalg.norm(p) < 1.0,
                                         "must be 3 numbers strictly inside the unit sphere"),
                                _MANDATORY)})
 
@@ -226,7 +237,7 @@ _SCHEMA["config"] = {
     "seed": (_count(0), _MANDATORY),
     "planet": (_MAPPING, _MANDATORY),
     "tol": (_above(0), 1e-10),
-    "out_dir": (_ANY, None),
+    "out_dir": (_PATH, None),
     **{name: (_section(table, *_RULES.get(name, ())),
               None if name in ("n_range", "balayage") else {})
        for name, table in _SCHEMA.items()},
@@ -438,7 +449,8 @@ def _cmd_balayage(config, out):
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     obs = bal.obs_radius * directions
     direct = sum(mass.m / np.linalg.norm(obs - mass.position, axis=1) for mass in bal.masses)
-    swept = sum(mass.m * swept_potential(mass.position, obs) for mass in bal.masses)
+    potentials = swept_potential([mass.position for mass in bal.masses], obs)
+    swept = sum(mass.m * v for mass, v in zip(bal.masses, potentials))
     worst_rel = float(np.max(np.abs(swept - direct) / np.abs(direct), initial=0.0))
 
     recoveries = []

@@ -33,6 +33,7 @@ __all__ = [
     "sample_transform",
     "TailFit",
     "fit_tail",
+    "fit_windows",
     "LinfReport",
     "check_Linf",
     "gaussian_window",
@@ -257,14 +258,28 @@ class TailFit:
     window_amps: tuple = field(default=())
 
 
+def fit_windows(k_max):
+    """The geometric windows [2^j, 2^(j+1)] * |K_BASE| of the tail fit's
+    amplitude, as (lo, hi) pairs, for samples that reach |k| = ``k_max``:
+    every window up to the last one that ``k_max`` closes."""
+    base = abs(K_BASE)
+    windows = []
+    while base * 2.0 ** (len(windows) + 1) <= k_max * (1 + 1e-12):
+        j = len(windows)
+        windows.append((base * 2.0**j, base * 2.0 ** (j + 1)))
+    return windows
+
+
 def fit_tail(ks, fhat):
     """Fit ``fhat ~ amp * (-k)^(-beta)`` from samples on a negative k grid.
 
     Needs at least 20 samples spanning at least two decades (the
-    ``MIN_TAIL_SAMPLES`` and ``MIN_TAIL_SPAN`` constants).  The exponent
-    comes from a log-log least squares fit; the amplitude from windowed
-    means of (-k)^beta * fhat over geometric windows [2^j, 2^(j+1)] * |K_BASE|.
-    Raises :class:`NoPowerLaw` when the windowed amplitude keeps drifting.
+    ``MIN_TAIL_SAMPLES`` and ``MIN_TAIL_SPAN`` constants), at least three
+    of the :func:`fit_windows` holding samples, and two nonzero samples in
+    the outer half of the decades.  The exponent comes from a log-log
+    least squares fit; the amplitude from windowed means of (-k)^beta *
+    fhat over the windows.  Raises :class:`NoPowerLaw` when the outer
+    samples vanish or the windowed amplitude keeps drifting.
     """
     ks = np.asarray(ks, dtype=float)
     fhat = np.asarray(fhat, dtype=complex)
@@ -280,18 +295,18 @@ def fit_tail(ks, fhat):
     # pre-asymptotic corrections of the inner windows have died off
     outer = mag >= math.sqrt(mag.min() * mag.max())
     good = outer & (np.abs(fhat) > 0)
+    if np.count_nonzero(good) < 2:
+        raise NoPowerLaw(f"{np.count_nonzero(good)} nonzero transform samples in the outer "
+                         "half of the decades; a power law needs two")
     slope, intercept = np.polyfit(np.log(mag[good]), np.log(np.abs(fhat[good])), 1)
     beta_hat = -slope
 
-    base = abs(K_BASE)
+    windows = fit_windows(mag.max())
     amps = []
-    j = 0
-    while base * 2.0 ** (j + 1) <= mag.max() * (1 + 1e-12):
-        lo, hi = base * 2.0**j, base * 2.0 ** (j + 1)
+    for lo, hi in windows:
         m = (mag >= lo) & (mag < hi)
         if np.any(m):
             amps.append(np.mean(mag[m] ** beta_hat * fhat[m]))
-        j += 1
     if len(amps) < 3:
         raise ValueError("need at least three fit windows; extend the sample range")
     last = amps[-3:]
@@ -302,7 +317,7 @@ def fit_tail(ks, fhat):
     return TailFit(
         beta=float(beta_hat),
         amp=complex(amps[-1]),
-        window=(float(-mag.max()), float(-base * 2.0 ** max(j - 3, 0))),
+        window=(float(-mag.max()), float(-windows[-3][0])),
         residual=float(residual),
         window_amps=tuple(complex(a) for a in amps),
     )

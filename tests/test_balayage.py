@@ -7,6 +7,7 @@ from scipy.special import gamma as sp_gamma
 
 from brillouin import balayage
 from brillouin.balayage import (
+    SOURCE_BLOCK,
     _distances,
     _ellipe,
     _sphere_rule,
@@ -29,6 +30,11 @@ from brillouin.balayage import (
     swept_potential,
 )
 from brillouin.errors import ToleranceNotMet
+
+
+#: the masses and probes of the bench's balayage-three-masses experiment
+THREE_MASSES = [(1.0, (0.3, 0.2, 0.5)), (0.5, (-0.4, 0.1, -0.2)), (0.25, (0.5, -0.6, 0.4))]
+THREE_MASS_PROBES = (-0.6, -0.3, 0.3, 0.6)
 
 
 def const_half():
@@ -118,6 +124,56 @@ class TestSweptDensity:
         scalar = [swept_potential(x0, o) for o in obs]
         assert all(type(v) is float for v in scalar)
         assert np.max(np.abs(stacked - scalar) / np.abs(scalar)) <= 1e-15
+
+    @staticmethod
+    def one_source_reference(x0, obs):
+        # one source at a time, each density formed out of place: the
+        # values the stacked, in-place form must reproduce bitwise
+        points, weights = _sphere_rule(200)
+        dist, tmp = np.empty(weights.size), np.empty(weights.size)
+        sigma = (weights * ((1.0 - float(x0 @ x0)) / (4.0 * math.pi))
+                 / _distances(points, x0, dist, tmp) ** 3)
+        return np.array([np.add.reduce(np.divide(sigma, _distances(points, o, dist, tmp), out=tmp))
+                         for o in obs])
+
+    @pytest.mark.parametrize("n_sources, n_obs", [
+        (1, 6), (3, 1), (2 * SOURCE_BLOCK + 1, 5)],
+        ids=["one-source", "one-observer", "past-one-block"])
+    def test_stacked_sources_match_one_source_calls(self, n_sources, n_obs):
+        rng = np.random.default_rng(13)
+        sources = rng.uniform(-0.55, 0.55, size=(n_sources, 3))
+        obs = rng.normal(size=(n_obs, 3))
+        obs *= rng.uniform(1.2, 3.0, size=(n_obs, 1)) / np.linalg.norm(obs, axis=1, keepdims=True)
+        stacked = swept_potential(sources, obs)
+        assert stacked.shape == (n_sources, n_obs)
+        for src, row in zip(sources, stacked):
+            want = self.one_source_reference(src, obs)
+            assert row.tobytes() == want.tobytes()
+            assert swept_potential(src, obs).tobytes() == want.tobytes()
+        # one observer (3,) drops the observer axis, one source the source axis
+        assert swept_potential(sources, obs[0]).tobytes() == stacked[:, 0].tobytes()
+        one = swept_potential(sources[0], obs[0])
+        assert type(one) is float and one == stacked[0, 0]
+
+    def test_held_densities_do_not_grow_with_sources(self):
+        # at most SOURCE_BLOCK densities of one entry per rule point are
+        # alive at once, however many sources are stacked
+        import tracemalloc
+
+        points, _ = _sphere_rule(200)
+        obs = np.array([[2.0, 0.0, 0.0], [0.0, -1.5, 1.0]])
+        rng = np.random.default_rng(3)
+        peaks = []
+        for n_sources in (SOURCE_BLOCK, 4 * SOURCE_BLOCK):
+            sources = rng.uniform(-0.5, 0.5, size=(n_sources, 3))
+            tracemalloc.start()
+            try:
+                swept_potential(sources, obs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] >= SOURCE_BLOCK * points.shape[0] * 8
+        assert peaks[1] - peaks[0] < points.shape[0] * 8 / 2
 
     def test_distances_match_difference_array_form(self):
         # summed per coordinate column, the distances are bitwise those of
@@ -316,6 +372,44 @@ class TestPlemelj:
 
         _, recovered = plemelj_jump(SurfaceMeasure(mu), x0)
         assert recovered.real == pytest.approx(1.0, rel=2e-2)
+
+    @pytest.mark.parametrize("mu, probes", [
+        (mu_from_point_masses(THREE_MASSES), THREE_MASS_PROBES),
+        (SurfaceMeasure(lambda x: 1.0 + np.sqrt(np.abs(np.asarray(x, dtype=float) - 0.4))),
+         (0.4,)),
+        (SurfaceMeasure(lambda x: 1.0 + np.abs(np.asarray(x, dtype=float) - 0.5) ** 1.5),
+         (0.3,)),
+    ], ids=["three-masses", "holder-cusp", "power-1.5"])
+    def test_one_transform_per_height_gives_the_two_sided_jumps(self, monkeypatch, mu, probes):
+        # for a real mu the value below the cut is the conjugate of the one
+        # above, bitwise, so one Cauchy transform per height gives the
+        # jumps of the route that evaluates both sides
+        def value(zeta):
+            try:
+                return apply_A_cauchy(mu, zeta)
+            except ToleranceNotMet as exc:
+                return exc.value
+
+        def recorded(measure, zeta, tol=1e-12):
+            try:
+                got = apply_A_cauchy(measure, zeta, tol)
+            except ToleranceNotMet as exc:
+                ups.append((zeta, exc.value))
+                raise
+            ups.append((zeta, got))
+            return got
+
+        heights = (1e-2, 1e-3, 1e-4)
+        monkeypatch.setattr(balayage, "apply_A_cauchy", recorded)
+        for x0 in probes:
+            ups = []
+            plemelj_jump(mu, x0, heights)
+            assert [zeta for zeta, _ in ups] == [complex(x0, e) for e in heights]
+            for e, (_, up) in zip(heights, ups):
+                two_sided = value(complex(x0, e)) - value(complex(x0, -e))
+                one_sided = up - up.conjugate()
+                assert (one_sided.real.hex(), one_sided.imag.hex()) == \
+                    (two_sided.real.hex(), two_sided.imag.hex())
 
     def test_margin_enforced(self):
         for bad in (0.0, 1e-4, 0.9999, -1.0):

@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 import brillouin
-from brillouin import cli, coeffs
+from brillouin import balayage, cli, coeffs
 from brillouin.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -648,7 +648,7 @@ class TestSpectralConfig:
     def test_grid_at_bounds_accepted(self):
         # the config check alone: no transform is sampled
         for spectral in ({"k_base": MAX_TAIL_K / 2**7},
-                         {"k_base": 1.0, "octaves": 8,
+                         {"k_base": 50.0, "octaves": 8,
                           "samples_per_octave": MAX_TAIL_SAMPLES // 8}):
             cli.ExperimentConfig({"schema_version": 1, "seed": 1,
                                   "planet": dict(CUSP_PLANET, weight={
@@ -725,6 +725,32 @@ class TestBalayageCommand:
         assert payload["exterior_worst_rel_err"] < 1e-8
         assert abs(payload["total_mass"] - 1.0) < 1e-8
         assert (out / next(out.glob("balayage-*")).name / "mu.csv").exists()
+
+    @pytest.mark.parametrize("n_masses, cauchy_calls, distance_passes", [
+        (3, 12, 3 + 20),
+        (2 * balayage.SOURCE_BLOCK + 1, 12, 2 * balayage.SOURCE_BLOCK + 1 + 3 * 20),
+    ], ids=["three-masses", "three-blocks"])
+    def test_work_per_run(self, tmp_path, monkeypatch, n_masses, cauchy_calls, distance_passes):
+        # one Cauchy transform per probe and Plemelj height; one distance
+        # pass per mass for its density, and one per exterior direction
+        # and block of masses
+        calls = {"cauchy": 0, "distances": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(balayage, "apply_A_cauchy", counted("cauchy", balayage.apply_A_cauchy))
+        monkeypatch.setattr(balayage, "_distances", counted("distances", balayage._distances))
+        masses = [{"m": 1.0 / (i + 1), "position": [0.05 * i - 0.2, 0.3, 0.1 * (i % 3)]}
+                  for i in range(n_masses)]
+        cfg = dict(BALAYAGE_CONFIG, balayage={"masses": masses, "probe_x": [-0.6, -0.3, 0.3, 0.6],
+                                              "n_exterior": 20})
+        path = write_config(tmp_path, cfg)
+        assert main(["balayage", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert calls == {"cauchy": cauchy_calls, "distances": distance_passes}
 
 
 class TestFullVerify:

@@ -162,6 +162,46 @@ class TestFitTail:
         with pytest.raises(ValueError):
             fit_tail(np.geomspace(50, 6400, 30), np.ones(30))   # positive k
 
+    def test_vanishing_outer_samples_raise_no_power_law(self):
+        # a weight whose transform underflows to zero (a cutoff of width
+        # 1e-300) leaves no sample to fit a line through
+        ks = octave_grid()
+        vals = np.zeros(ks.size, dtype=complex)
+        with pytest.raises(NoPowerLaw):
+            fit_tail(ks, vals)
+        vals[-1] = 1e-320
+        with pytest.raises(NoPowerLaw):
+            fit_tail(ks, vals)
+
+    @pytest.mark.parametrize("k_base, octaves, per", [
+        (50.0, 7, 12), (40.0, 7, 10), (2.5, 7, 12), (1e-300, 7, 12), (1.0, 8, 512),
+        (6.25, 7, 12), (6.25, 8, 12), (12.5, 7, 3), (50.0 / 2**14, 21, 1), (50.0 / 2**13, 20, 1),
+        (3.0, 9, 3), (512.0, 7, 12),
+        # the largest sample at, just under and just inside the slack below
+        # the third window's end, 400
+        (400.0 / 2**19, 20, 1), (400.0 / 2**19 * (1 - 1e-9), 20, 1),
+        (400.0 / 2**19 * (1 - 1e-13), 20, 1)])
+    def test_grid_rule_counts_the_fit_windows(self, k_base, octaves, per):
+        # the config's check counts the windows from the grid's three
+        # numbers; it must agree with the windows fit_tail fills
+        from brillouin import cli
+
+        grid = cli._TailGrid(k_base=k_base, octaves=octaves, samples_per_octave=per)
+        try:
+            cli._tail_grid(grid, "config.spectral")
+            accepted = True
+        except cli.ConfigError as exc:
+            assert str(exc).startswith("config.spectral.k_base: the samples must fill")
+            accepted = False
+        ks = grid.ks
+        try:
+            fit_tail(ks, np.ones(ks.size))
+            fitted = True
+        except ValueError as exc:
+            assert "three fit windows" in str(exc)
+            fitted = False
+        assert accepted == fitted
+
     def test_residual_decreases_away_from_origin(self):
         beta, eps = 1.5, 0.25
         f = appendix_function(beta, eps)
