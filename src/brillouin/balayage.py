@@ -313,12 +313,13 @@ def swept_potential(x0, obs):
     vals = np.empty((len(sources), len(observers)))
     for start in range(0, len(sources), SOURCE_BLOCK):
         block = sources[start:start + SOURCE_BLOCK]
-        for sig, src in zip(sigmas, block):
+        held = sigmas[:len(block)]
+        for sig, src in zip(held, block):
             np.multiply(weights, (1.0 - float(src @ src)) / (4.0 * math.pi), out=sig)
             sig /= np.power(_distances(points, src, dist, tmp), 3, out=dist)
         for j, o in enumerate(observers):
             d = _distances(points, o, dist, tmp)
-            for i, sig in enumerate(sigmas[:len(block)]):
+            for i, sig in enumerate(held):
                 # a pairwise numpy sum, not a BLAS dot, whose rounding
                 # would depend on the BLAS thread count
                 vals[start + i, j] = np.add.reduce(np.divide(sig, d, out=tmp))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -158,8 +159,6 @@ class TestSweptDensity:
     def test_held_densities_do_not_grow_with_sources(self):
         # at most SOURCE_BLOCK densities of one entry per rule point are
         # alive at once, however many sources are stacked
-        import tracemalloc
-
         points, _ = _sphere_rule(200)
         obs = np.array([[2.0, 0.0, 0.0], [0.0, -1.5, 1.0]])
         rng = np.random.default_rng(3)

@@ -30,6 +30,7 @@ import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import yaml
 
@@ -131,7 +132,9 @@ def sweep(runs, workdir):
     """Run every (command, path, value) of ``runs`` in ``workdir``; returns
     the count of each exit status and the breaches, as lines."""
     codes, breaches = Counter(), []
-    with _without_env(cli.OUT_ENV_VAR):
+    with mock.patch.dict(os.environ):
+        # artifacts go under workdir, not under the environment's output root
+        os.environ.pop(cli.OUT_ENV_VAR, None)
         for command, path, value in runs:
             code, message = run_case(command, path, value, workdir)
             codes[code] += 1
@@ -139,16 +142,6 @@ def sweep(runs, workdir):
             if problem is not None:
                 breaches.append(f"{command} {dotted(path)} = {value!r}: {problem}")
     return codes, breaches
-
-
-@contextlib.contextmanager
-def _without_env(name):
-    saved = os.environ.pop(name, None)
-    try:
-        yield
-    finally:
-        if saved is not None:
-            os.environ[name] = saved
 
 
 def main(argv=None):
