@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import write_csv, write_json
 from ._panels import breakpoints_on, composite_nodes, peak_breakpoints
-from .coeffs import RADIAL_EXPONENT_CAP, _U_EDGES
+from .coeffs import RADIAL_EXPONENT_CAP, _U_EDGES, _graded_floor
 from .errors import BrillouinError
 from .model import (
     C1MixedWeight,
@@ -218,8 +217,7 @@ def oscillatory_J(profile, n):
     """
     wavelength = 2.0 * math.pi / (n + 0.5)
     base = min(wavelength, profile.delta / 4.0) / 2.0
-    floor_w = max(min(n**-0.5 / 8.0,
-                      profile.peak_scale(n, level=0.5) / 4.0, 1e-6), 1e-13) / 2.0
+    floor_w = _graded_floor(profile, n) / 2.0
     lo = max(profile.theta0 - profile.delta, 1e-12)
     hi = min(profile.theta0 + profile.delta, math.pi - 1e-12)
     t, w = composite_nodes(peak_breakpoints(lo, hi, profile.theta0, base, floor_w))
@@ -292,23 +290,13 @@ class RatioReport:
     mismatch: bool
     verdict: str
 
-    def to_csv(self, path, config_hash=None):
-        write_csv(path, {"n": self.n, "coeff": self.coeff, "pred": self.pred,
-                         "ratio": self.ratio, "masked": np.asarray(self.masked, dtype=int)},
-                  config_hash=config_hash)
+    def columns(self):
+        return {"n": self.n, "coeff": self.coeff, "pred": self.pred, "ratio": self.ratio,
+                "masked": np.asarray(self.masked, dtype=int)}
 
-    def to_json_dict(self, config_hash=None):
-        d = {
-            "median_ratio": self.median_ratio,
-            "residual_exponent": self.residual_exponent,
-            "verdict": self.verdict,
-        }
-        if config_hash is not None:
-            d["config_hash"] = config_hash
-        return d
-
-    def to_json(self, path, config_hash=None):
-        write_json(path, self.to_json_dict(config_hash=config_hash))
+    def to_json_dict(self):
+        return {"median_ratio": self.median_ratio, "residual_exponent": self.residual_exponent,
+                "verdict": self.verdict}
 
 
 def ratio_diagnostic(series, pred):

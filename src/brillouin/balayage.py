@@ -33,7 +33,6 @@ from typing import Callable
 
 import numpy as np
 
-from ._io import write_csv
 from ._panels import (breakpoints_on, composite_nodes, graded_offsets, refine,
                       uniform_breakpoints)
 from .errors import BrillouinError, ToleranceNotMet
@@ -86,14 +85,6 @@ class SurfaceMeasure:
         bp = uniform_breakpoints(-1.0, 1.0, 2.0 / 25)
         x, w = composite_nodes(bp)
         return float(np.sum(w * self(x)))
-
-    def sample(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        return xs, self(xs)
-
-    def to_csv(self, path, xs, config_hash=None):
-        xs, vals = self.sample(xs)
-        write_csv(path, {"x": xs, "mu": vals}, config_hash=config_hash)
 
     @staticmethod
     def from_samples(xs, vals):
@@ -482,14 +473,6 @@ class ProbeReport:
     scales: tuple
     tail_fractions: tuple
     residuals: tuple
-
-    def to_json_dict(self):
-        return {
-            "classification": self.classification,
-            "scales": list(self.scales),
-            "tail_fractions": list(self.tail_fractions),
-            "residuals": list(self.residuals),
-        }
 
 
 def analyticity_probe(measure, x0):

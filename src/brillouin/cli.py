@@ -199,7 +199,8 @@ def _tail_grid(grid, path):
 
 _PROBE = _kind(as_number, f"must be a number with {PLEMELJ_MARGIN:g} < |x| < "
                f"{1.0 - PLEMELJ_MARGIN:g}", lambda x: PLEMELJ_MARGIN < abs(x) < 1.0 - PLEMELJ_MARGIN)
-_MASS = _section({"m": (_NUMBER, _MANDATORY),
+_MASS = _section({"m": (_kind(as_number, "must be a nonzero finite number", lambda m: m != 0),
+                        _MANDATORY),
                   # each coordinate is bounded first, so that the norm cannot overflow
                   "position": (_numbers(3, lambda p: np.all(np.abs(p) < 1.0)
                                         and np.linalg.norm(p) < 1.0,
@@ -232,7 +233,7 @@ _RULES = {"asympt": (_asympt_rules,), "spectral": (_tail_grid, _TailGrid)}
 # a section that a config leaves out reads as {}, every key at its default;
 # n_range and balayage, which have mandatory keys, read as None
 _SCHEMA["config"] = {
-    "schema_version": (_choice((1,)), _MANDATORY),
+    "schema_version": (_kind(as_integer, "must be 1", lambda v: v == 1), _MANDATORY),
     "command": (_choice(COMMANDS), None),
     "seed": (_count(0), _MANDATORY),
     "planet": (_MAPPING, _MANDATORY),
@@ -339,6 +340,16 @@ def _artifact_dir(config, out_override=None):
     return Path(root) / f"{config.command}-{config.config_hash[:12]}"
 
 
+def _write(out, config, name, data):
+    """Write the artifact ``name`` under ``out``, stamped with the config
+    hash: a ``.csv`` name takes ``data`` as its columns, any other name
+    writes ``data`` as a JSON object with the hash as one more key."""
+    if name.endswith(".csv"):
+        write_csv(out / name, data, config_hash=config.config_hash)
+    else:
+        write_json(out / name, {**data, "config_hash": config.config_hash})
+
+
 def _series_for(config, planet):
     return coeff_series(planet, config.n_min, config.n_max, config.tol)
 
@@ -346,8 +357,8 @@ def _series_for(config, planet):
 def _cmd_coeffs(config, out):
     planet = config.planet()
     series = _series_for(config, planet)
-    series.to_csv(out / "coeffs.csv", config_hash=config.config_hash)
-    series.to_json(out / "coeffs.json", config_hash=config.config_hash)
+    _write(out, config, "coeffs.csv", series.columns())
+    _write(out, config, "coeffs.json", series.to_json_dict())
     failures = []
     cap = config.expect.max_abs_coeff
     if cap is not None and np.max(np.abs(series.values)) > cap:
@@ -384,8 +395,8 @@ def _cmd_asympt(config, out):
     # the predictors are singular at n = 0
     pred = _predictor(config, planet, series.n[series.n >= 1])
     report = ratio_diagnostic(series, pred)
-    report.to_csv(out / "ratio.csv", config_hash=config.config_hash)
-    report.to_json(out / "ratio.json", config_hash=config.config_hash)
+    _write(out, config, "ratio.csv", report.columns())
+    _write(out, config, "ratio.json", report.to_json_dict())
     failures = []
     window = config.expect.median_ratio_window
     if window is not None:
@@ -396,41 +407,36 @@ def _cmd_asympt(config, out):
     return failures
 
 
-def _verdict_failures(config, report, R):
-    """Failures of the ``verdict`` and ``rho`` expect checks."""
+def _verdict(config, out, series):
+    """The convergence verdict of ``series``, written to radius.json and
+    printed; returns it with the failures of the ``verdict`` and ``rho``
+    expect checks."""
+    report = convergence.verdict_from_series(series)
+    _write(out, config, "radius.json", report.to_json_dict())
+    print(report.render())
     failures = []
     expect = config.expect
     if expect.verdict is not None and report.verdict != expect.verdict:
         failures.append(f"verdict {report.verdict} != expected {expect.verdict}")
     # written so that a NaN rho_hat fails the check
+    R = series.R
     if expect.rho is not None and not abs(report.rho_hat - expect.rho) <= expect.rho_tol * R:
         failures.append(f"rho_hat {report.rho_hat:.4f} not within {expect.rho_tol} "
                         f"of {expect.rho}")
-    return failures
+    return report, failures
 
 
 def _cmd_radius(config, out):
-    planet = config.planet()
-    series = _series_for(config, planet)
-    report = convergence.verdict_from_series(series)
-    report.to_json(out / "radius.json", config_hash=config.config_hash)
-    print(report.render())
-    return _verdict_failures(config, report, series.R)
+    return _verdict(config, out, _series_for(config, config.planet()))[1]
 
 
 def _cmd_spectral(config, out):
     planet = config.planet()
     fit, vals = _fit_weight_tail(config, planet)
-    write_csv(out / "transform.csv",
-              {"k": config.spectral.ks, "re": np.real(vals), "im": np.imag(vals)},
-              config_hash=config.config_hash)
-    write_json(out / "tailfit.json", {
-        "beta": fit.beta,
-        "amp": complex(fit.amp),
-        "residual": fit.residual,
-        "window": list(fit.window),
-        "config_hash": config.config_hash,
-    })
+    _write(out, config, "transform.csv",
+           {"k": config.spectral.ks, "re": np.real(vals), "im": np.imag(vals)})
+    _write(out, config, "tailfit.json", {"beta": fit.beta, "amp": complex(fit.amp),
+                                         "residual": fit.residual, "window": list(fit.window)})
     failures = []
     beta, tol = config.expect.beta, config.expect.beta_tol
     if beta is not None and abs(fit.beta - beta) > tol:
@@ -442,7 +448,7 @@ def _cmd_balayage(config, out):
     bal = config.balayage
     measure = mu_from_point_masses([(mass.m, mass.position) for mass in bal.masses])
     xs = np.linspace(-0.99, 0.99, 199)
-    measure.to_csv(out / "mu.csv", xs, config_hash=config.config_hash)
+    _write(out, config, "mu.csv", {"x": xs, "mu": measure(xs)})
 
     rng = np.random.default_rng(config.seed)
     directions = rng.normal(size=(bal.n_exterior, 3))
@@ -462,9 +468,8 @@ def _cmd_balayage(config, out):
         "source_mass": sum(mass.m for mass in bal.masses),
         "exterior_worst_rel_err": worst_rel,
         "plemelj": recoveries,
-        "config_hash": config.config_hash,
     }
-    write_json(out / "balayage.json", payload)
+    _write(out, config, "balayage.json", payload)
     failures = []
     if worst_rel > 1e-8:
         failures.append(f"exterior potential mismatch {worst_rel:.2e}")
@@ -477,21 +482,13 @@ def _cmd_balayage(config, out):
 
 
 def _cmd_full_verify(config, out):
-    planet = config.planet()
-    n_max = config.n_max or 2000
-    series = coeff_series(planet, config.n_min, max(n_max, 200), config.tol)
-    series.to_csv(out / "coeffs.csv", config_hash=config.config_hash)
-    report = convergence.verdict_from_series(series)
-    report.to_json(out / "radius.json", config_hash=config.config_hash)
-    print(report.render())
-    failures = _verdict_failures(config, report, series.R)
-    write_json(out / "summary.json", {
-        "verdict": report.verdict,
-        "rho_hat": report.rho_hat,
-        "n_max": series.n_max,
-        "failures": failures,
-        "config_hash": config.config_hash,
-    })
+    # at least the orders the root test needs, so that the verdict is finite
+    n_max = max(config.n_max or 2000, convergence.MIN_ROOT_TEST_N)
+    series = coeff_series(config.planet(), config.n_min, n_max, config.tol)
+    _write(out, config, "coeffs.csv", series.columns())
+    report, failures = _verdict(config, out, series)
+    _write(out, config, "summary.json", {"verdict": report.verdict, "rho_hat": report.rho_hat,
+                                         "n_max": series.n_max, "failures": failures})
     return failures
 
 

@@ -64,7 +64,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._io import write_csv, write_json
+from ._io import write_csv
 from ._panels import _rule01, composite_nodes, peak_breakpoints, refine
 from .errors import EnvelopeBoundError, ToleranceNotMet
 from .legendre import legendre_eval
@@ -163,11 +163,13 @@ class ScaledCoeffSeries:
             self, values=self.values * factor, errors=self.errors * abs(factor),
             floor=None if self.floor is None else self.floor * abs(factor))
 
-    def to_csv(self, path, config_hash=None):
-        write_csv(path, {"n": self.n, "C_scaled": self.values, "err": self.errors},
-                  config_hash=config_hash)
+    def columns(self):
+        return {"n": self.n, "C_scaled": self.values, "err": self.errors}
 
-    def to_json_dict(self, config_hash=None):
+    def to_csv(self, path, config_hash=None):
+        write_csv(path, self.columns(), config_hash=config_hash)
+
+    def to_json_dict(self):
         d = {
             "fingerprint": self.fingerprint,
             "R": self.R,
@@ -183,12 +185,7 @@ class ScaledCoeffSeries:
         }
         if self.floor is not None and np.all(self.floor > 0):
             d["worst_err_over_floor"] = float(np.max(self.errors / self.floor))
-        if config_hash is not None:
-            d["config_hash"] = config_hash
         return d
-
-    def to_json(self, path, config_hash=None):
-        write_json(path, self.to_json_dict(config_hash=config_hash))
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,12 @@ convergence strictly below the Brillouin sphere requires the degenerate
 cancellations that the closed-form predictors flag as vanishing.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import write_json
 from .coeffs import coeff_series
 
 __all__ = [
@@ -40,6 +40,8 @@ OVERCONV_BAND = 0.03       # rho below R by > 3% counts as suspicious
 WINDOW_AGREE_BAND = 0.01   # two tail estimates must agree to 1%
 TREND_SLOPE_BAND = 0.25
 MIN_WINDOW_N = 64
+#: the fewest orders (n_max) that give the root test its three octave windows
+MIN_ROOT_TEST_N = 4 * MIN_WINDOW_N
 
 
 def _octave_maxima(ns, vals):
@@ -78,15 +80,15 @@ def root_test(series):
     """Envelope-corrected root estimate of the convergence radius.
 
     Identically zero tails return rho 0 with the degenerate flag (finite
-    expansions).  Otherwise requires n_max >= 100 so at least three octave
-    windows exist.
+    expansions).  Otherwise requires n_max >= MIN_ROOT_TEST_N so at least
+    three octave windows exist.
     """
     vals = series.values
     ns = series.n
     if not np.any(np.abs(vals) > 0):
         return RootTestResult(0.0, True, (), 0.0)
-    if series.n_max < 100:
-        raise ValueError("root test needs n_max >= 100")
+    if series.n_max < MIN_ROOT_TEST_N:
+        raise ValueError(f"root test needs n_max >= {MIN_ROOT_TEST_N}")
     windows = _octave_maxima(ns, vals)
     if len(windows) < 3:
         raise ValueError("not enough octave windows for the root test")
@@ -112,8 +114,10 @@ def limsup_stat(series, beta_m):
     """
     if beta_m <= 0:
         raise ValueError("beta_m must be positive")
-    s = series.R**3 * series.n.astype(float) ** (1.5 + beta_m) * np.abs(series.values)
-    windows = _octave_maxima(series.n, s)
+    # the windows are taken without the factor R^3, which moves no trend
+    # and overflows for R above about 5.6e102 (to inf, in the maxima only)
+    windows = _octave_maxima(series.n, series.n.astype(float) ** (1.5 + beta_m)
+                             * np.abs(series.values))
     if len(windows) < 2:
         return LimsupStat(beta_m, (), (), 0.0, INCONCLUSIVE)
     nn = np.array([w[0] for w in windows])
@@ -125,8 +129,9 @@ def limsup_stat(series, beta_m):
         trend = "decaying"
     else:
         trend = "flat"
-    return LimsupStat(beta_m, tuple(nn.tolist()),
-                      tuple(math.exp(y) for y in yy), slope, trend)
+    R3 = series.R * series.R * series.R
+    return LimsupStat(beta_m, tuple(nn.tolist()), tuple(R3 * math.exp(y) for y in yy),
+                      slope, trend)
 
 
 @dataclass(frozen=True)
@@ -139,22 +144,8 @@ class ConvergenceReport:
     n_range: tuple
     degenerate: bool = False
 
-    def to_json_dict(self, config_hash=None):
-        d = {
-            "rho_hat": self.rho_hat,
-            "rho_check": self.rho_check,
-            "beta_m": self.beta_m,
-            "limsup_trend": self.limsup_trend,
-            "verdict": self.verdict,
-            "n_range": list(self.n_range),
-            "degenerate": self.degenerate,
-        }
-        if config_hash is not None:
-            d["config_hash"] = config_hash
-        return d
-
-    def to_json(self, path, config_hash=None):
-        write_json(path, self.to_json_dict(config_hash=config_hash))
+    def to_json_dict(self):
+        return dataclasses.asdict(self)
 
     def render(self):
         lines = [

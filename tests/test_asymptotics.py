@@ -1,10 +1,11 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from brillouin import asymptotics
+from brillouin import asymptotics, cli
 from brillouin._panels import peak_breakpoints
 from brillouin.asymptotics import (
     EmptyAfterMasking,
@@ -358,7 +359,7 @@ class TestRatioDiagnostic:
         series = ScaledCoeffSeries(ns, pred.values.copy(), np.full(ns.size, 1e-300),
                                    np.ones(ns.size, bool), 1.0, "synthetic", 1e-10)
         rep = ratio_diagnostic(series, pred)
-        rep.to_csv(tmp_path / "r.csv", config_hash="cafe")
+        cli._write(tmp_path, SimpleNamespace(config_hash="cafe"), "r.csv", rep.columns())
         head = (tmp_path / "r.csv").read_text().splitlines()[:2]
         assert head[0] == "# config_hash: cafe"
         assert head[1] == "n,coeff,pred,ratio,masked"

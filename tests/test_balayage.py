@@ -1,12 +1,13 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.special import gamma as sp_gamma
 
-from brillouin import balayage
+from brillouin import balayage, cli
 from brillouin.balayage import (
     SOURCE_BLOCK,
     _distances,
@@ -530,7 +531,8 @@ class TestSurfaceMeasureIO:
         measure = const_half()
         xs = np.linspace(-0.9, 0.9, 19)
         path = tmp_path / "mu.csv"
-        measure.to_csv(path, xs, config_hash="feed")
+        cli._write(tmp_path, SimpleNamespace(config_hash="feed"), "mu.csv",
+                   {"x": xs, "mu": measure(xs)})
         lines = path.read_text().splitlines()
         assert lines[0] == "# config_hash: feed"
         assert lines[1] == "x,mu"
@@ -546,7 +548,8 @@ class TestSurfaceMeasureIO:
         original = SurfaceMeasure(axial_mu(d))
         path = tmp_path / "mu.csv"
         xs = np.linspace(-0.99, 0.99, 397)
-        original.to_csv(path, xs, config_hash="abcd")
+        cli._write(tmp_path, SimpleNamespace(config_hash="abcd"), "mu.csv",
+                   {"x": xs, "mu": original(xs)})
         loaded = SurfaceMeasure.from_csv(path)
         probe = np.linspace(-0.9, 0.9, 11)
         assert loaded(probe) == pytest.approx(original(probe), rel=1e-4)

@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 import brillouin
-from brillouin import balayage, cli, coeffs
+from brillouin import asymptotics, balayage, cli, coeffs, convergence
 from brillouin.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -74,6 +74,16 @@ class TestConfigValidation:
         del cfg["schema_version"]
         path = write_config(tmp_path, cfg)
         assert main(["coeffs", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    def test_schema_version_read_as_an_integer(self, tmp_path, capsys):
+        # the one integer rule: "1" is 1, and a boolean is no integer
+        assert cli.ExperimentConfig(dict(POINT_MASS_CONFIG, schema_version="1"),
+                                    command="coeffs").n_max == 400
+        path = write_config(tmp_path, dict(POINT_MASS_CONFIG, schema_version=True))
+        out = tmp_path / "out"
+        assert main(["coeffs", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert "config error: config.schema_version: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_key_rejected_with_path(self, tmp_path, capsys):
         cfg = dict(POINT_MASS_CONFIG)
@@ -779,6 +789,17 @@ class TestFullVerify:
         summary = json.loads(next(out.glob("full-verify-*/summary.json")).read_text())
         assert summary["verdict"] == "ConvergesExactlyAtBrillouin"
 
+    def test_runs_the_orders_the_root_test_needs(self, tmp_path):
+        # below the root test's minimum, full-verify runs that many orders,
+        # so the verdict and rho_hat it writes are finite
+        cfg = dict(POINT_MASS_CONFIG, n_range={"n_max": 50})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["full-verify", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        summary = json.loads(next(out.glob("full-verify-*/summary.json")).read_text())
+        assert summary["n_max"] == convergence.MIN_ROOT_TEST_N
+        assert abs(summary["rho_hat"] - 0.9) < 0.005
+
     def test_env_var_out_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BRILLOUIN_OUT", str(tmp_path / "envout"))
         path = write_config(tmp_path, POINT_MASS_CONFIG)
@@ -843,6 +864,12 @@ def test_artifacts_do_not_depend_on_blas_threads(tmp_path, command, body):
         assert proc.returncode == 0, proc.stderr
         blobs.append({p.name: p.read_bytes() for p in out.glob(f"{command}-*/*")})
     assert blobs[0] and blobs[0] == blobs[1]
+
+
+def test_only_the_cli_writes_artifacts():
+    # the report classes return data; cli._write stamps and writes it
+    for module in (asymptotics, convergence, balayage):
+        assert not {"write_csv", "write_json"} & set(vars(module)), module.__name__
 
 
 def test_import_and_balayage_leave_scipy_unloaded():

@@ -1,13 +1,15 @@
 import dataclasses
+import json
 import math
 import os
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.special import eval_legendre
 
-from brillouin import coeffs
+from brillouin import cli, coeffs
 from brillouin._panels import _rule01, composite_nodes
 from brillouin.coeffs import (
     COMPACT_EVERY,
@@ -642,7 +644,12 @@ class TestSeries:
         text = csv_path.read_text()
         assert text.startswith("# config_hash: deadbeef\nn,C_scaled,err\n")
         assert text.count("\n") == 2 + len(point_mass_series.n)
-        d = point_mass_series.to_json_dict(config_hash="deadbeef")
+        # the CLI writes the same columns, and stamps the JSON with the hash
+        config = SimpleNamespace(config_hash="deadbeef")
+        cli._write(tmp_path, config, "coeffs.csv", point_mass_series.columns())
+        assert (tmp_path / "coeffs.csv").read_text() == text
+        cli._write(tmp_path, config, "coeffs.json", point_mass_series.to_json_dict())
+        d = json.loads((tmp_path / "coeffs.json").read_text())
         assert d["config_hash"] == "deadbeef"
         assert d["fingerprint"] == point_mass_series.fingerprint
 

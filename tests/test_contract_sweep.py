@@ -1,7 +1,9 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
+import yaml
 
 from brillouin import cli
 
@@ -35,7 +37,10 @@ def test_sweep_subset_keeps_the_contract(tmp_path, commands, prefixes):
     ("coeffs", ("out_dir",), 2.5, cli.EXIT_CONFIG, "config error: config.out_dir: "),
     ("balayage", ("balayage", "masses", 0, "position", 0), 1e300, cli.EXIT_CONFIG,
      "config error: config.balayage.masses[0].position: "),
-], ids=["k_base-tiny", "k_base-2.5", "k_base-asympt", "eps-tiny", "out_dir", "position-huge"])
+    ("balayage", ("balayage", "masses", 0, "m"), 0, cli.EXIT_CONFIG,
+     "config error: config.balayage.masses[0].m: "),
+], ids=["k_base-tiny", "k_base-2.5", "k_base-asympt", "eps-tiny", "out_dir", "position-huge",
+        "mass-zero"])
 def test_formerly_failing_cases(tmp_path, monkeypatch, command, path, value, code, start):
     # each of these ended in a traceback (exit 1) or printed a warning
     # before its config error
@@ -56,6 +61,36 @@ def test_breaches_are_named():
         "exit 2 names a field of another section")
     assert breach(path, 2, "warning\nconfig error: config.spectral.k_base: x\n").startswith(
         "exit 2 without a field path")
+
+
+def test_nonfinite_artifacts_are_named(tmp_path):
+    nonfinite = contract_sweep.nonfinite
+    (tmp_path / "a.csv").write_text("# config_hash: x\nn,pred\n0,1e-300\n1,0.5\n")
+    (tmp_path / "b.json").write_text('{"v": 1.5, "w": "nan"}\n')
+    assert nonfinite(tmp_path) is None
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "c.json").write_text('{"v": [1.0, NaN]}\n')
+    assert nonfinite(tmp_path) == "non-finite value in c.json (NaN)"
+    (tmp_path / "a.csv").write_text("n,pred\n0,1\n1,-inf\n")
+    assert nonfinite(tmp_path) == "non-finite value in a.csv (column pred = -inf in data row 1)"
+
+
+def test_every_artifact_is_stamped_with_the_config_hash(tmp_path):
+    # every CSV opens with the hash of the config as the command ran it,
+    # and every JSON holds it
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(contract_sweep.EVERY_SECTION))
+    for command in cli.COMMANDS:
+        config_hash = cli.ExperimentConfig(contract_sweep.EVERY_SECTION,
+                                           command=command).config_hash
+        cli.main([command, "--config", str(config), "--out", str(tmp_path)])
+        artifacts = sorted((tmp_path / f"{command}-{config_hash[:12]}").iterdir())
+        assert artifacts, command
+        for path in artifacts:
+            if path.suffix == ".csv":
+                assert path.read_text().startswith(f"# config_hash: {config_hash}\n"), path
+            else:
+                assert json.loads(path.read_text())["config_hash"] == config_hash, path
 
 
 def test_every_node_is_set():

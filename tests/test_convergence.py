@@ -1,8 +1,11 @@
+import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from brillouin import cli
 from brillouin.asymptotics import predict_thm1
 from brillouin.coeffs import ScaledCoeffSeries, coeff_series
 from brillouin.convergence import (
@@ -73,6 +76,15 @@ class TestLimsupStat:
         series = synthetic_series(ns, pred.values)
         assert limsup_stat(series, beta_m=1.0).trend == "decaying"
 
+    def test_huge_radius_keeps_the_trend(self):
+        # R^3 overflows at R 1e300; the trend does not depend on it
+        ns = np.arange(64, 4096)
+        pred = predict_thm1(1.0, 1.5, 0.0, None, 1.0, THETA0, ns)
+        unit = limsup_stat(synthetic_series(ns, pred.values), beta_m=1.5)
+        huge = limsup_stat(synthetic_series(ns, pred.values, R=1e300), beta_m=1.5)
+        assert (huge.trend, huge.slope) == (unit.trend, unit.slope)
+        assert np.all(np.isinf(huge.window_maxima))
+
     def test_requires_positive_exponent(self):
         ns = np.arange(64, 512)
         series = synthetic_series(ns, np.ones(ns.size))
@@ -106,12 +118,15 @@ class TestVerdicts:
         assert report.verdict == CONVERGES_AT_BRILLOUIN
         assert report.n_range == (1, 1500)
 
-    def test_render_and_json(self, point_mass_series):
+    def test_render_and_json(self, tmp_path, point_mass_series):
         report = verdict_from_series(point_mass_series)
         text = report.render()
         assert "verdict" in text and "rho_hat" in text
-        d = report.to_json_dict(config_hash="beef")
+        cli._write(tmp_path, SimpleNamespace(config_hash="beef"), "radius.json",
+                   report.to_json_dict())
+        d = json.loads((tmp_path / "radius.json").read_text())
         assert d["config_hash"] == "beef"
+        assert d["n_range"] == list(report.n_range)
         assert d["verdict"] == OVERCONVERGENCE
 
 

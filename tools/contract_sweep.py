@@ -13,19 +13,23 @@ The contract: every run exits 0, 2, 3 or 4, never with a traceback, and an
 exit 2 prints ``config error: <field path>: ...`` and nothing before it,
 where the field path names a field of the section that holds the node that
 was set (a rule may tie the node to another key of its section), or the
-whole config.  Each breach is printed on a
-line of its own; the exit status is 1 if there is any.  Artifacts are
-written under a temporary directory.  The full sweep makes about 5,000
-runs and takes about a minute on one core.
+whole config.  No artifact a run writes may hold a non-finite value: a
+NaN or infinity in a CSV data cell or a JSON value is a breach too.  Each
+breach is printed on a line of its own; the exit status is 1 if there is
+any.  Each run writes its artifacts under a fresh temporary directory,
+which is scanned and removed after the run.  The full sweep makes about
+5,000 runs and takes about a minute on one core.
 """
 
 import argparse
 import contextlib
 import copy
 import io
+import json
 import math
 import os
 import re
+import shutil
 import sys
 import tempfile
 from collections import Counter
@@ -128,17 +132,52 @@ def breach(path, code, message):
     return None if related else f"exit 2 names a field of another section: {message.strip()}"
 
 
+def _csv_nonfinite(text):
+    lines = [line for line in text.splitlines() if not line.startswith("#")]
+    header = lines[0].split(",") if lines else []
+    for row, line in enumerate(lines[1:]):
+        for column, cell in zip(header, line.split(",")):
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            if not math.isfinite(value):
+                return f"column {column} = {cell} in data row {row}"
+    return None
+
+
+def _json_nonfinite(text):
+    found = []
+    json.loads(text, parse_constant=found.append)
+    return found[0] if found else None
+
+
+def nonfinite(root):
+    """The first non-finite value in the CSV and JSON artifacts under
+    ``root``, as a breach, or None."""
+    scans = {".csv": _csv_nonfinite, ".json": _json_nonfinite}
+    for artifact in sorted(root.rglob("*")):
+        where = scans[artifact.suffix](artifact.read_text()) if artifact.suffix in scans else None
+        if where:
+            return f"non-finite value in {artifact.name} ({where})"
+    return None
+
+
 def sweep(runs, workdir):
-    """Run every (command, path, value) of ``runs`` in ``workdir``; returns
-    the count of each exit status and the breaches, as lines."""
+    """Run every (command, path, value) of ``runs`` in a fresh directory
+    under ``workdir``; returns the count of each exit status and the
+    breaches, as lines."""
     codes, breaches = Counter(), []
+    rundir = Path(workdir) / "run"
     with mock.patch.dict(os.environ):
-        # artifacts go under workdir, not under the environment's output root
+        # artifacts go under rundir, not under the environment's output root
         os.environ.pop(cli.OUT_ENV_VAR, None)
         for command, path, value in runs:
-            code, message = run_case(command, path, value, workdir)
+            rundir.mkdir()
+            code, message = run_case(command, path, value, rundir)
             codes[code] += 1
-            problem = breach(path, code, message)
+            problem = breach(path, code, message) or nonfinite(rundir)
+            shutil.rmtree(rundir)
             if problem is not None:
                 breaches.append(f"{command} {dotted(path)} = {value!r}: {problem}")
     return codes, breaches
