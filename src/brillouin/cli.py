@@ -27,8 +27,9 @@ from .asymptotics import predict_thm1, predict_thm3, ratio_diagnostic
 from .balayage import PLEMELJ_MARGIN, mu_from_point_masses, plemelj_jump, swept_potential
 from .coeffs import MAX_ORDER, coeff_series
 from .errors import BrillouinError, ParameterError
-from .model import (PlanetSpec, RejectDomain, RejectNonGeneric, as_complex, as_integer,
-                    as_number, build_profile, planet_from_config)
+from .model import (ANY, MANDATORY, NUMBER, PlanetSpec, RejectNonGeneric, as_complex, as_given,
+                    as_integer, as_number, build_profile, planet_from_config, read_mapping,
+                    value_kind)
 
 __all__ = ["ConfigError", "ExperimentConfig", "run", "main"]
 
@@ -43,6 +44,11 @@ COMMANDS = ("coeffs", "asympt", "radius", "spectral", "balayage", "full-verify")
 #: pass per ``balayage.SOURCE_BLOCK`` masses over the 76,800-point sphere rule
 #: of ``balayage.swept_potential``
 MAX_EXTERIOR = 10_000
+#: the largest ``balayage.obs_radius``: the squared distances from the
+#: observers, summed over three coordinates in ``balayage._distances`` and
+#: ``np.linalg.norm``, must stay below the largest double (3 (r + 1)^2 <
+#: 1.8e308 for r up to 7.7e153)
+MAX_OBS_RADIUS = 1e150
 #: libyaml's parser where PyYAML has it: the same values, parsed 5-8x faster
 _YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
@@ -51,100 +57,61 @@ class ConfigError(BrillouinError):
     """Configuration rejected; the message carries the field path."""
 
 
-#: the default of a mandatory key
-_MANDATORY = object()
-
-
 def _require(cond, path, msg):
     if not cond:
         raise ConfigError(f"{path}: {msg}")
 
 
-def _check_keys(d, allowed, path):
-    _require(isinstance(d, dict), path, "expected a mapping")
-    for key in d:
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}: unknown key")
-
-
-# A kind reads one value: it converts the value and checks it, and raises
-# ConfigError naming the field path when either fails.
-
-def _kind(convert, msg, test=None):
-    """The kind that reads a value as ``convert(value)``, which rejects it
-    by raising TypeError, ValueError or OverflowError, and requires
-    ``test`` of the result."""
-    def read(value, path):
-        try:
-            value = convert(value)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"{path}: {msg}") from None
-        _require(test is None or test(value), path, msg)
-        return value
-    return read
-
-
-def _same(value):
-    return value
-
+# A kind reads one value (model.value_kind); model.read_mapping reads a
+# section's keys by their kinds, with the one rule set of the whole config.
 
 def _above(lo):
-    return _kind(as_number, f"must be a number > {lo:g}", lambda v: v > lo)
+    return value_kind(as_number, f"a number > {lo:g}", lambda v: v > lo)
 
 
 def _at_least(lo):
-    return _kind(as_number, f"must be a number >= {lo:g}", lambda v: v >= lo)
+    return value_kind(as_number, f"a number >= {lo:g}", lambda v: v >= lo)
 
 
 def _count(lo, hi=math.inf):
     bound = f" and <= {hi}" if hi < math.inf else ""
-    return _kind(as_integer, f"must be an integer >= {lo}{bound}", lambda v: lo <= v <= hi)
+    return value_kind(as_integer, f"an integer >= {lo}{bound}", lambda v: lo <= v <= hi)
 
 
 def _choice(options):
-    return _kind(_same, f"must be one of {options}", lambda v: v in options)
+    return value_kind(as_given, f"one of {options}", lambda v: v in options)
 
 
-def _numbers(size, test, msg):
+def _numbers(size, test, what):
     """A list of ``size`` finite numbers, read as a float array that passes ``test``."""
     def convert(value):
         if not (isinstance(value, list) and len(value) == size):
             raise ValueError(f"not a list of {size}")
         return np.array([as_number(x) for x in value])
-    return _kind(convert, msg, test)
+    return value_kind(convert, what, test)
 
 
-_NUMBER = _kind(as_number, "must be a finite number")
-_MAPPING = _kind(_same, "expected a mapping", lambda v: isinstance(v, dict))
-_COMPLEX = _kind(as_complex, "must be a complex number")
-_PATH = _kind(_same, "must be a path, as a string", lambda v: isinstance(v, str))
-_ANY = _kind(_same, "")
+_COMPLEX = value_kind(as_complex, "a complex number")
+_PATH = value_kind(as_given, "a path, as a string", lambda v: isinstance(v, str))
 
 
 def _list(item, nonempty=False):
     """A list of values of kind ``item``."""
+    is_list = value_kind(as_given, "a non-empty list" if nonempty else "a list",
+                         lambda v: isinstance(v, list) and (v or not nonempty))
+
     def read(value, path):
-        _require(isinstance(value, list) and (value or not nonempty), path,
-                 "must be a non-empty list" if nonempty else "must be a list")
-        return [item(x, f"{path}[{i}]") for i, x in enumerate(value)]
+        return [item(x, f"{path}[{i}]") for i, x in enumerate(is_list(value, path))]
     return read
 
 
 def _section(table, rules=None, cls=SimpleNamespace):
     """A mapping whose keys are those of ``table``, each ``(kind, default)``,
-    read as a ``cls`` object with one attribute per key: the key's value read
-    by its kind or, when the key is absent, its default read the same way
-    (None: optional, with no default).  ``rules(section, path)`` then checks
-    the rules that tie the section's keys together."""
+    read by model.read_mapping as a ``cls`` object with one attribute per
+    key.  ``rules(section, path)`` then checks the rules that tie the
+    section's keys together."""
     def read(value, path):
-        _check_keys(value, table, path)
-        section = cls()
-        for key, (kind, default) in table.items():
-            if key in value:
-                setattr(section, key, kind(value[key], f"{path}.{key}"))
-            else:
-                _require(default is not _MANDATORY, f"{path}.{key}", "mandatory")
-                setattr(section, key, None if default is None else kind(default, f"{path}.{key}"))
+        section = read_mapping(value, table, path, cls)
         if rules is not None:
             rules(section, path)
         return section
@@ -197,46 +164,48 @@ def _tail_grid(grid, path):
              f"[2^j, 2^(j+1)] * {abs(spectral.K_BASE):g} in |k|")
 
 
-_PROBE = _kind(as_number, f"must be a number with {PLEMELJ_MARGIN:g} < |x| < "
-               f"{1.0 - PLEMELJ_MARGIN:g}", lambda x: PLEMELJ_MARGIN < abs(x) < 1.0 - PLEMELJ_MARGIN)
-_MASS = _section({"m": (_kind(as_number, "must be a nonzero finite number", lambda m: m != 0),
-                        _MANDATORY),
+_PROBE = value_kind(as_number, f"a number with {PLEMELJ_MARGIN:g} < |x| < "
+                    f"{1.0 - PLEMELJ_MARGIN:g}",
+                    lambda x: PLEMELJ_MARGIN < abs(x) < 1.0 - PLEMELJ_MARGIN)
+_MASS = _section({"m": (value_kind(as_number, "a nonzero finite number", lambda m: m != 0),
+                        MANDATORY),
                   # each coordinate is bounded first, so that the norm cannot overflow
                   "position": (_numbers(3, lambda p: np.all(np.abs(p) < 1.0)
                                         and np.linalg.norm(p) < 1.0,
-                                        "must be 3 numbers strictly inside the unit sphere"),
-                               _MANDATORY)})
+                                        "3 numbers strictly inside the unit sphere"),
+                               MANDATORY)})
 
 #: the config schema outside the planet (``model.PLANETS`` holds the planet's):
 #: each section's keys, each with its kind and its default (None: the key is
 #: optional and has no default)
 _SCHEMA = {
-    "n_range": {"n_min": (_count(0), 0), "n_max": (_count(0, MAX_ORDER), _MANDATORY)},
+    "n_range": {"n_min": (_count(0), 0), "n_max": (_count(0, MAX_ORDER), MANDATORY)},
     # expect.verdict is read as given: an unknown verdict is a verdict mismatch
-    "expect": {"verdict": (_ANY, None), "rho": (_NUMBER, None), "rho_tol": (_at_least(0), 0.005),
+    "expect": {"verdict": (ANY, None), "rho": (NUMBER, None), "rho_tol": (_at_least(0), 0.005),
                "median_ratio_window": (_numbers(2, lambda w: w[0] <= w[1],
-                                                "must be two numbers [lo, hi] with lo <= hi"),
+                                                "two numbers [lo, hi] with lo <= hi"),
                                        None),
-               "beta": (_NUMBER, None), "beta_tol": (_at_least(0), 0.05),
-               "max_abs_coeff": (_NUMBER, None)},
+               "beta": (NUMBER, None), "beta_tol": (_at_least(0), 0.05),
+               "max_abs_coeff": (NUMBER, None)},
     "asympt": {"source": (_choice(("auto", "thm1", "thm3")), "auto"), "a0": (_COMPLEX, None),
                "beta0": (_above(1), None), "a1": (_COMPLEX, 0.0), "beta1": (_above(2), None)},
     "spectral": {"k_base": (_above(0), 50.0), "octaves": (_count(1), 7),
                  "samples_per_octave": (_count(1), 12)},
-    "balayage": {"masses": (_list(_MASS, nonempty=True), _MANDATORY),
+    "balayage": {"masses": (_list(_MASS, nonempty=True), MANDATORY),
                  "probe_x": (_list(_PROBE), [0.5]),
                  "n_exterior": (_count(0, MAX_EXTERIOR), 10),
-                 "obs_radius": (_above(1), 2.0)},
+                 "obs_radius": (value_kind(as_number, f"a number > 1 and <= {MAX_OBS_RADIUS:g}",
+                                           lambda r: 1 < r <= MAX_OBS_RADIUS), 2.0)},
 }
 #: the rules that tie a section's keys together, and the class it reads as
 _RULES = {"asympt": (_asympt_rules,), "spectral": (_tail_grid, _TailGrid)}
 # a section that a config leaves out reads as {}, every key at its default;
 # n_range and balayage, which have mandatory keys, read as None
 _SCHEMA["config"] = {
-    "schema_version": (_kind(as_integer, "must be 1", lambda v: v == 1), _MANDATORY),
+    "schema_version": (value_kind(as_integer, "1", lambda v: v == 1), MANDATORY),
     "command": (_choice(COMMANDS), None),
-    "seed": (_count(0), _MANDATORY),
-    "planet": (_MAPPING, _MANDATORY),
+    "seed": (_count(0), MANDATORY),
+    "planet": (planet_from_config, MANDATORY),
     "tol": (_above(0), 1e-10),
     "out_dir": (_PATH, None),
     **{name: (_section(table, *_RULES.get(name, ())),
@@ -245,31 +214,32 @@ _SCHEMA["config"] = {
 }
 
 
-def _planet_field(build, arg):
-    """``build(arg)``, with a planet parameter outside its domain raised as
+def _read(kind, value, path):
+    """``kind(value, path)``, with a value outside the schema raised as
     ConfigError naming its field path."""
     try:
-        return build(arg)
-    except (ParameterError, RejectDomain, RejectNonGeneric) as exc:
-        raise ConfigError(f"config.planet.{exc.field}: {exc}") from exc
+        return kind(value, path)
+    except ParameterError as exc:
+        raise ConfigError(f"{exc.field}: {exc}") from None
 
 
 class ExperimentConfig:
     """Validated experiment description plus its provenance hash.  Every
     value is read once, here: each section is an object whose attributes
     are its keys' values, converted, with the schema's defaults filled in
-    (``config.expect.rho``, ``config.spectral.ks``)."""
+    (``config.expect.rho``, ``config.spectral.ks``).  The planet is built
+    here too, under every command: a profile that build_profile rejects
+    raises ConfigError with its field path."""
 
     def __init__(self, raw, command=None):
-        values = _section(_SCHEMA["config"])(raw, "config")
+        values = _read(_section(_SCHEMA["config"]), raw, "config")
         self.raw = raw
         if values.command is not None and command is not None:
             _require(values.command == command, "config.command",
                      f"config says {values.command!r} but the CLI invoked {command!r}")
         self.command = command or values.command
         _require(self.command in COMMANDS, "config.command", "missing command")
-        # a profile's spec is evaluated (build_profile) only by planet()
-        planet = self._planet = _planet_field(planet_from_config, values.planet)
+        planet = values.planet
 
         # the rules that tie fields together; a profile read from a config
         # always has a weight
@@ -299,6 +269,10 @@ class ExperimentConfig:
         self.seed, self.tol, self.out_dir = values.seed, values.tol, values.out_dir
         self.expect, self.asympt = values.expect, values.asympt
         self.spectral, self.balayage = values.spectral, values.balayage
+        try:
+            self._planet = build_profile(planet) if isinstance(planet, PlanetSpec) else planet
+        except RejectNonGeneric as exc:
+            raise ConfigError(f"config.planet.{exc.field}: {exc}") from exc
 
     @property
     def config_hash(self):
@@ -308,11 +282,9 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def planet(self):
-        """The configured planet.  A profile is evaluated here, and a shape
-        that build_profile rejects raises ConfigError with its field path."""
-        if not isinstance(self._planet, PlanetSpec):
-            return self._planet
-        return _planet_field(build_profile, self._planet)
+        """The configured planet: a closed-form oracle, or the evaluated
+        profile (PlanetProfile), built at load."""
+        return self._planet
 
 
 def load_config(path, command=None):
@@ -323,7 +295,6 @@ def load_config(path, command=None):
         raw = yaml.load(path.read_text(), Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}") from exc
-    _require(isinstance(raw, dict), "config", "top level must be a mapping")
     return ExperimentConfig(raw, command=command)
 
 
@@ -350,13 +321,12 @@ def _write(out, config, name, data):
         write_json(out / name, {**data, "config_hash": config.config_hash})
 
 
-def _series_for(config, planet):
-    return coeff_series(planet, config.n_min, config.n_max, config.tol)
+def _series_for(config, n_max):
+    return coeff_series(config.planet(), config.n_min, n_max, config.tol)
 
 
 def _cmd_coeffs(config, out):
-    planet = config.planet()
-    series = _series_for(config, planet)
+    series = _series_for(config, config.n_max)
     _write(out, config, "coeffs.csv", series.columns())
     _write(out, config, "coeffs.json", series.to_json_dict())
     failures = []
@@ -391,7 +361,7 @@ def _fit_weight_tail(config, planet):
 
 def _cmd_asympt(config, out):
     planet = config.planet()
-    series = _series_for(config, planet)
+    series = _series_for(config, config.n_max)
     # the predictors are singular at n = 0
     pred = _predictor(config, planet, series.n[series.n >= 1])
     report = ratio_diagnostic(series, pred)
@@ -407,10 +377,13 @@ def _cmd_asympt(config, out):
     return failures
 
 
-def _verdict(config, out, series):
-    """The convergence verdict of ``series``, written to radius.json and
-    printed; returns it with the failures of the ``verdict`` and ``rho``
+def _verdict(config, out, n_max):
+    """The convergence verdict of the series over orders n_min..n_max, at
+    least ``convergence.MIN_ROOT_TEST_N`` of them so that the root test's
+    verdict is finite, written to radius.json and printed; returns the
+    series and the verdict with the failures of the ``verdict`` and ``rho``
     expect checks."""
+    series = _series_for(config, max(n_max, convergence.MIN_ROOT_TEST_N))
     report = convergence.verdict_from_series(series)
     _write(out, config, "radius.json", report.to_json_dict())
     print(report.render())
@@ -423,11 +396,11 @@ def _verdict(config, out, series):
     if expect.rho is not None and not abs(report.rho_hat - expect.rho) <= expect.rho_tol * R:
         failures.append(f"rho_hat {report.rho_hat:.4f} not within {expect.rho_tol} "
                         f"of {expect.rho}")
-    return report, failures
+    return series, report, failures
 
 
 def _cmd_radius(config, out):
-    return _verdict(config, out, _series_for(config, config.planet()))[1]
+    return _verdict(config, out, config.n_max)[2]
 
 
 def _cmd_spectral(config, out):
@@ -482,11 +455,8 @@ def _cmd_balayage(config, out):
 
 
 def _cmd_full_verify(config, out):
-    # at least the orders the root test needs, so that the verdict is finite
-    n_max = max(config.n_max or 2000, convergence.MIN_ROOT_TEST_N)
-    series = coeff_series(config.planet(), config.n_min, n_max, config.tol)
+    series, report, failures = _verdict(config, out, config.n_max or 2000)
     _write(out, config, "coeffs.csv", series.columns())
-    report, failures = _verdict(config, out, series)
     _write(out, config, "summary.json", {"verdict": report.verdict, "rho_hat": report.rho_hat,
                                          "n_max": series.n_max, "failures": failures})
     return failures
@@ -537,7 +507,7 @@ def main(argv=None):
         # flag overrides are checked as the config key and participate in
         # the provenance hash via raw
         if args.tol is not None:
-            config.tol = _SCHEMA["config"]["tol"][0](args.tol, "config.tol")
+            config.tol = _read(_SCHEMA["config"]["tol"][0], args.tol, "config.tol")
             config.raw["tol"] = args.tol
         return run(config, out_override=args.out)
     except ConfigError as exc:

@@ -1,7 +1,5 @@
 """Exceptions shared across modules."""
 
-from contextlib import contextmanager
-
 
 class BrillouinError(Exception):
     """Base class for all library errors."""
@@ -27,18 +25,11 @@ class EnvelopeBoundError(BrillouinError, ValueError):
 
 
 class ParameterError(ValueError):
-    """A model parameter lies outside its domain; ``field`` names it, as a
-    dotted path relative to the planet description (``peak.c``)."""
+    """A model or config parameter lies outside its domain; ``field`` names
+    it, as a field path below where it was read (``peak.c`` in a planet,
+    ``config.balayage.masses[0].m`` in a config)."""
 
     def __init__(self, field, message):
         super().__init__(message)
         self.field = field
 
-    @staticmethod
-    @contextmanager
-    def within(prefix):
-        """Re-raise a ParameterError from the block with ``prefix.`` prepended to its field."""
-        try:
-            yield
-        except ParameterError as exc:
-            raise ParameterError(f"{prefix}.{exc.field}", str(exc)) from None

@@ -14,7 +14,7 @@ R^(n+3) scaling applied on output.
 import hashlib
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, InitVar, asdict, dataclass, field, fields
 from typing import Callable, Optional, get_args
 
 import numpy as np
@@ -42,11 +42,13 @@ __all__ = [
     "as_number",
     "as_integer",
     "as_complex",
-    "read_param",
+    "as_given",
+    "value_kind",
+    "read_mapping",
+    "MANDATORY",
     "PEAKS",
     "WEIGHTS",
     "PLANETS",
-    "config_keys",
     "planet_from_config",
 ]
 
@@ -71,9 +73,6 @@ class RejectDomain(BrillouinError):
 
 def _as_x(x):
     return np.asarray(x, dtype=float)
-
-
-_REQUIRED = object()
 
 
 def _finite(raw, *parts):
@@ -107,78 +106,110 @@ def as_complex(raw):
     return value
 
 
-def read_param(params, key, convert=as_number, default=_REQUIRED):
-    """``convert(params[key])``, or ``default`` when the key is absent or
-    null.  A missing mandatory key, or a value that ``convert`` rejects with
-    TypeError, ValueError or OverflowError, raises ParameterError naming
-    ``key``."""
-    raw = params.get(key)
-    if raw is None:
-        if default is _REQUIRED:
-            raise ParameterError(key, "is mandatory")
-        return default
+#: the default of a mandatory config key
+MANDATORY = object()
+
+
+def as_given(raw):
+    """``raw`` itself: the conversion of a value that a test alone checks."""
+    return raw
+
+
+def _join(path, key):
+    """The field path of ``key`` below ``path``: ``path.key``, or ``key`` at
+    the root (``path`` empty)."""
+    return f"{path}.{key}" if path else key
+
+
+def value_kind(convert, what, test=None):
+    """The kind that reads one config value: ``read(raw, path)`` is
+    ``convert(raw)``, which must pass ``test``.  A value that ``convert``
+    rejects (TypeError, ValueError or OverflowError) or that fails ``test``
+    raises ParameterError(path, "must be <what>, got <raw>")."""
+    def read(raw, path):
+        try:
+            value = convert(raw)
+            ok = test is None or test(value)
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise ParameterError(path, f"must be {what}, got {raw!r}")
+        return value
+    return read
+
+
+NUMBER = value_kind(as_number, "a finite number")
+INTEGER = value_kind(as_integer, "an integer")
+ANY = value_kind(as_given, "")
+_MAPPING = value_kind(as_given, "a mapping", lambda raw: isinstance(raw, dict))
+
+
+def read_mapping(raw, table, path, build):
+    """``build(**values)`` for the config mapping ``raw`` at the field path
+    ``path``, read by the one rule set of every config section and planet
+    part.  ``table`` gives each key its kind and its default: ``values[key]``
+    is ``kind(raw[key])``, or, for a key that is absent or null, ``kind``
+    of its default (None stays None).  A key outside ``table``, a missing
+    key whose default is MANDATORY, or a value its kind rejects raises
+    ParameterError with the key's field path; so does a ParameterError or
+    RejectDomain that ``build`` raises, its field put below ``path``."""
+    _MAPPING(raw, path)
+    for key in raw:
+        if key not in table:
+            raise ParameterError(_join(path, key), "unknown key")
+    values = {}
+    for key, (read, default) in table.items():
+        value = default if raw.get(key) is None else raw[key]
+        if value is MANDATORY:
+            raise ParameterError(_join(path, key), "is mandatory")
+        values[key] = None if value is None else read(value, _join(path, key))
     try:
-        return convert(raw)
-    except (TypeError, ValueError, OverflowError):
-        kind = "an integer" if convert is as_integer else "a finite number"
-        raise ParameterError(key, f"must be {kind}, got {raw!r}") from None
+        return build(**values)
+    except (ParameterError, RejectDomain) as exc:
+        raise ParameterError(_join(path, exc.field), str(exc)) from None
+
+
+def _variant(registry, tag):
+    """The kind that reads a mapping as the class that its ``tag`` key
+    names in ``registry``: its other keys are those of the class's
+    ``config_table``."""
+    name = value_kind(as_given, f"one of {sorted(registry)}",
+                      lambda raw: isinstance(raw, str) and raw in registry)
+
+    def read(raw, path):
+        cls = registry[name(_MAPPING(raw, path).get(tag), _join(path, tag))]
+        return read_mapping({key: v for key, v in raw.items() if key != tag}, cls.config_table,
+                            path, cls)
+    return read
 
 
 def _config_dataclass(cls):
-    """``dataclass(frozen=True)`` that also records ``cls.config_fields``:
-    ``(name, convert, default)`` of each field a config can set, which is
-    every field that is not a callable.  ``convert`` follows the annotation:
-    ``int`` and ``Optional[int]`` read an integral number as an int
-    (:func:`as_integer`), anything else reads a float (:func:`as_number`)."""
+    """``dataclass(frozen=True)`` that also records ``cls.config_table``,
+    the config keys of :func:`read_mapping`: one per field or init-only
+    field that is not a callable.  A key's kind is its field's ``kind``
+    metadata, or follows the annotation: ``int`` and ``Optional[int]`` read
+    an integer (:func:`as_integer`), anything else a finite number
+    (:func:`as_number`).  Its default is the field's; a field without one
+    is mandatory unless its annotation is Optional (default None)."""
     cls = dataclass(frozen=True)(cls)
-    cls.config_fields = tuple(
-        (f.name, as_integer if f.type in (int, Optional[int]) else as_number,
-         _REQUIRED if f.default is MISSING else f.default)
-        for f in fields(cls) if Callable not in (f.type, *get_args(f.type)))
+    cls.config_table = {
+        f.name: (f.metadata.get("kind", INTEGER if f.type in (int, Optional[int]) else NUMBER),
+                 f.default if f.default is not MISSING
+                 else None if type(None) in get_args(f.type) else MANDATORY)
+        for f in cls.__dataclass_fields__.values() if Callable not in (f.type, *get_args(f.type))}
     return cls
 
 
-def config_keys(cls):
-    """The config keys of a ``_config_dataclass``: its config fields' names."""
-    return {name for name, _, _ in cls.config_fields}
-
-
-def _from_params(cls, params, **given):
-    """``cls`` built from the mapping ``params`` by :func:`read_param` on each
-    config field not in ``given`` (fields that are already built)."""
-    return cls(**given, **{name: read_param(params, name, convert, default)
-                           for name, convert, default in cls.config_fields
-                           if name not in given})
-
-
-def _read_config(registry, p, tag):
-    """The object that the config mapping ``p`` describes: the class that
-    ``p[tag]`` names in ``registry``, built by its ``from_dict``.  Every
-    other key of ``p`` must be a config key of that class or one of its
-    ``extra_keys``.  A tag outside ``registry`` or an unknown key raises
-    ParameterError naming it."""
-    cls = registry.get(p.get(tag)) if isinstance(p, dict) and isinstance(p.get(tag), str) else None
-    if cls is None:
-        raise ParameterError(tag, f"must be one of {sorted(registry)}")
-    for key in p:
-        if key != tag and key not in config_keys(cls) and key not in cls.extra_keys:
-            raise ParameterError(key, "unknown key")
-    return cls.from_dict(p)
-
-
 class _Shape:
-    """Base of the peak shapes and surface weights; their config keys, their
-    builder and :meth:`params` all follow ``config_fields``."""
-
-    extra_keys = ()
-    from_dict = classmethod(_from_params)
+    """Base of the peak shapes and surface weights; their config keys and
+    :meth:`params` follow ``config_table``."""
 
     def params(self):
         """The serializable parameter record (callables left out); an int
         field is recorded as an int."""
         return {"variant": self.variant,
-                **{name: int(value) if convert is as_integer and value is not None else value
-                   for name, convert, _ in self.config_fields
+                **{name: int(value) if read is INTEGER and value is not None else value
+                   for name, (read, _) in self.config_table.items()
                    for value in (getattr(self, name),)}}
 
 
@@ -417,20 +448,22 @@ class PlanetSpec:
     the weight for everything except predictor dispatch.
     """
 
-    R: float
+    R: float = field(default=1.0, kw_only=True)
     theta0: float
-    peak: object
-    weight: Optional[object] = None
+    peak: object = field(metadata={"kind": _variant(PEAKS, "variant")})
+    weight: Optional[object] = field(default=None,
+                                     metadata={"kind": _variant(WEIGHTS, "variant")})
     delta: float = 0.5
     delta1: float = 0.05
     r_m: object = None
     v: Optional[Callable] = None
     G: float = 1.0
+    #: a config or to_dict record may give the schema version; it is not used
+    schema_version: InitVar[object] = field(default=None, metadata={"kind": ANY})
 
     kind = "profile"
-    extra_keys = ("schema_version",)
 
-    def __post_init__(self):
+    def __post_init__(self, schema_version):
         if self.R <= 0:
             raise ParameterError("R", "Brillouin radius must be positive")
         if not min(self.theta0, math.pi - self.theta0,
@@ -473,13 +506,8 @@ class PlanetSpec:
     @classmethod
     def from_dict(cls, d):
         """The spec that the mapping ``d`` records (a :meth:`to_dict` record
-        or a config's planet); R defaults to 1 and the weight to none."""
-        given = {"weight": None}
-        for part, registry in (("peak", PEAKS), ("weight", WEIGHTS)):
-            if d.get(part) is not None:
-                with ParameterError.within(part):
-                    given[part] = _read_config(registry, d[part], "variant")
-        return _from_params(cls, {"R": 1.0, **d}, **given)
+        or a config's planet), read as :func:`planet_from_config` reads it."""
+        return planet_from_config({**d, "kind": cls.kind})
 
     def fingerprint(self):
         return _fingerprint_payload(self._payload())
@@ -690,9 +718,6 @@ class _ClosedForm:
     float, the fingerprint hashes the kind and the fields, and one order's
     coefficient is read off the series."""
 
-    extra_keys = ()
-    from_dict = classmethod(_from_params)
-
     def __post_init__(self):
         for f in fields(self):
             object.__setattr__(self, f.name, float(getattr(self, f.name)))
@@ -710,37 +735,32 @@ class _ClosedForm:
 class PointMassPlanet(_ClosedForm):
     """Point mass m at radius r0, colatitude theta_p, inside a reference
     Brillouin sphere of radius R.  Coefficients and potential are closed
-    form; the expansion converges down to |z| = r0 < R.  A config may give
-    ``cos_theta_p`` in place of ``theta_p``."""
+    form; the expansion converges down to |z| = r0 < R.  ``cos_theta_p``
+    may be given in place of ``theta_p`` (left None)."""
 
     r0: float
-    theta_p: float
+    theta_p: Optional[float]
     m: float
     R: float = 1.0
     G: float = 1.0
+    cos_theta_p: InitVar[Optional[float]] = None
 
     kind = "point_mass"
-    extra_keys = ("cos_theta_p",)
 
-    def __post_init__(self):
+    def __post_init__(self, cos_theta_p):
+        if cos_theta_p is not None:
+            if self.theta_p is not None:
+                raise ParameterError("cos_theta_p", "give theta_p or cos_theta_p, not both")
+            if abs(cos_theta_p) > 1.0:
+                raise ParameterError("cos_theta_p", "must lie in [-1, 1]")
+            object.__setattr__(self, "theta_p", math.acos(cos_theta_p))
+        if self.theta_p is None:
+            raise ParameterError("theta_p", "is mandatory")
         super().__post_init__()
         if self.r0 <= 0:
             raise ParameterError("r0", "r0 must be positive")
         if self.r0 >= self.R:
             raise ParameterError("r0", "the mass must sit strictly inside the reference sphere")
-
-    @classmethod
-    def from_dict(cls, p):
-        """The planet of the mapping ``p``; its colatitude is ``theta_p``, or
-        ``acos(cos_theta_p)`` when ``p`` gives ``cos_theta_p``."""
-        if p.get("cos_theta_p") is None:
-            return _from_params(cls, p)
-        if p.get("theta_p") is not None:
-            raise ParameterError("cos_theta_p", "give theta_p or cos_theta_p, not both")
-        cos_theta_p = read_param(p, "cos_theta_p")
-        if abs(cos_theta_p) > 1.0:
-            raise ParameterError("cos_theta_p", "must lie in [-1, 1]")
-        return _from_params(cls, p, theta_p=math.acos(cos_theta_p))
 
     def closed_coeff_series(self, n_min, n_max):
         """C_n R^-(n+3), with C_n = -G m r0^n P_n(cos theta_p), for n =
@@ -801,12 +821,12 @@ class HomogeneousBall(_ClosedForm):
 PLANETS = {cls.kind: cls for cls in (PointMassPlanet, HomogeneousBall, PlanetSpec)}
 
 
-def planet_from_config(p):
-    """The planet that a config's planet mapping ``p`` describes: a
-    closed-form oracle, or the PlanetSpec of a profile, which
-    :func:`build_profile` evaluates.  A key or value outside the schema
-    raises ParameterError, or RejectDomain for theta0, naming its field."""
-    return _read_config(PLANETS, p, "kind")
+def planet_from_config(p, path=""):
+    """The planet that a config's planet mapping ``p`` at the field path
+    ``path`` describes: a closed-form oracle, or the PlanetSpec of a
+    profile, which :func:`build_profile` evaluates.  A key or value outside
+    the schema raises ParameterError naming its field path."""
+    return _variant(PLANETS, "kind")(p, path)
 
 
 def point_mass_planet(r0, theta_p, m, R=1.0, G=1.0):

@@ -62,6 +62,29 @@ SCHEMA_EXAMPLES = {
 }
 
 
+#: a config that sets a key of every section to a value other than its default
+NULL_BASE = {
+    "schema_version": 1, "seed": 1, "tol": 1e-9, "command": "coeffs",
+    "planet": dict(CUSP_PLANET, R=2.0, delta=0.6,
+                   weight={"variant": "fourier_tail", "beta0": 1.5, "eps": 0.25,
+                           "taper_order": 4}),
+    "n_range": {"n_min": 1, "n_max": 20}, "expect": {"rho_tol": 0.01},
+    "asympt": {"source": "thm3"}, "spectral": {"octaves": 8},
+    "balayage": {"masses": [{"m": 1.0, "position": [0.0, 0.0, 0.5]}], "n_exterior": 3},
+}
+
+
+def _with(cfg, field, value):
+    """A deep copy of ``cfg`` with the dotted ``field`` set to ``value``."""
+    cfg = json.loads(json.dumps(cfg))
+    *parents, key = field.split(".")
+    node = cfg
+    for part in parents:
+        node = node[part]
+    node[key] = value
+    return cfg
+
+
 def write_config(tmp_path, payload, name="config.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(payload))
@@ -257,13 +280,17 @@ class TestConfigValidation:
         ("balayage", {"planet": dict(CUSP_PLANET, theta0=math.pi / 2),
                       "balayage": {"masses": [{"m": 1.0, "position": [0.0, 0.0, 0.6]}]}},
          "config.planet.theta0"),
+        # only build_profile's genericity checks reject this profile
+        ("balayage", {"planet": dict(CUSP_PLANET, delta1=0.9),
+                      "balayage": {"masses": [{"m": 1.0, "position": [0.0, 0.0, 0.6]}]}},
+         "config.planet.delta1"),
     ], ids=["rho", "max-abs-coeff", "negative-rho-tol", "list-beta",
             "beta-tol", "one-sided-window", "reversed-window", "unknown-source",
             "non-complex-a0", "non-numeric-beta0", "a0-without-beta0", "non-complex-a1",
             "inner-radius-outside", "fractional-integer-k", "thm1-without-a0-or-tail", "beta0-at-most-1",
             "a1-without-beta1", "beta1-at-most-2", "asympt-on-ball", "asympt-on-point-mass",
             "balayage-bad-planet", "spectral-on-ball", "spectral-on-point-mass",
-            "spectral-without-tail-weight", "balayage-theta0-equator"])
+            "spectral-without-tail-weight", "balayage-theta0-equator", "balayage-delta1"])
     def test_expect_asympt_and_shape_errors_name_field(self, tmp_path, capsys, command,
                                                        change, field):
         cfg = {"schema_version": 1, "seed": 1,
@@ -330,14 +357,15 @@ class TestConfigValidation:
             "n_range": {"n_min": 0, "n_max": 2000}, "tol": 1.0e-10,
             "expect": {"verdict": "ConvergesExactlyAtBrillouin"}},
          "2877e2ef2987378e54d2976077d4523887e63c13369a16f18211d3e712abd521"),
-        # every optional section and key set
+        # every optional section and key set; r_m stays inside the surface,
+        # since the planet is built at load
         ("asympt", {
             "schema_version": 1, "seed": 11, "command": "asympt", "out_dir": "runs",
             "planet": {"kind": "profile", "schema_version": 1, "R": 1.0, "theta0": 1.2,
                        "peak": {"variant": "quadratic", "c": 2.0, "beta": 4.0},
                        "weight": {"variant": "fourier_tail", "beta0": 1.5, "eps": 0.25,
                                   "taper_order": 4},
-                       "delta": 0.5, "delta1": 0.4, "r_m": 0.3, "G": 1.0},
+                       "delta": 0.5, "delta1": 0.4, "r_m": 1.0e-4, "G": 1.0},
             "n_range": {"n_min": 1, "n_max": 500}, "tol": 1.0e-9,
             "expect": {"verdict": "ConvergesExactlyAtBrillouin", "rho": 1.0, "rho_tol": 0.01,
                        "median_ratio_window": [0.9, 1.1], "beta": 1.5, "beta_tol": 0.05,
@@ -346,7 +374,7 @@ class TestConfigValidation:
             "spectral": {"k_base": 40.0, "octaves": 7, "samples_per_octave": 10},
             "balayage": {"masses": [{"m": 1.0, "position": [0.1, 0.2, 0.3]}],
                          "probe_x": [0.4], "n_exterior": 5, "obs_radius": 3.0}},
-         "3a6cab9cf3e55ffd49984f7edfe0551888ea917c883710667df758441b74d141"),
+         "f589fbdd43e5d0178cd3e70a241c0f0a0073eb5c3ddf9747a385f4111d90ed9e"),
     ], ids=["readme", "every-section"])
     def test_config_hash_is_pinned(self, command, cfg, digest):
         # the hash names the artifact directory and is written into every
@@ -447,6 +475,42 @@ class TestConfigValidation:
         assert {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in out.rglob("*") if p.is_file()} == digests
 
+    @pytest.mark.parametrize("field, read, default", [
+        ("tol", lambda c: c.tol, 1e-10),
+        ("command", lambda c: c.command, "coeffs"),
+        ("planet.R", lambda c: c.planet().R, 1.0),
+        ("planet.delta", lambda c: c.planet().delta, 0.5),
+        ("planet.weight.taper_order", lambda c: c.planet().weight.taper_order, None),
+        ("n_range.n_min", lambda c: c.n_min, 0),
+        ("expect.rho_tol", lambda c: c.expect.rho_tol, 0.005),
+        ("asympt.source", lambda c: c.asympt.source, "auto"),
+        ("spectral", lambda c: c.spectral.octaves, 7),
+        ("spectral.octaves", lambda c: c.spectral.octaves, 7),
+        ("balayage.n_exterior", lambda c: c.balayage.n_exterior, 10),
+    ], ids=["tol", "command", "planet.R", "planet.delta", "planet.weight.taper_order",
+            "n_range.n_min", "expect.rho_tol", "asympt.source", "spectral", "spectral.octaves",
+            "balayage.n_exterior"])
+    def test_null_reads_as_absent(self, field, read, default):
+        # one rule for every section and the planet: a null key takes its default
+        cfg = _with(NULL_BASE, field, None)
+        assert read(cli.ExperimentConfig(cfg, command="coeffs")) == default
+
+    @pytest.mark.parametrize("field, planet", [
+        ("seed", CUSP_PLANET),
+        ("planet.m", POINT_MASS_CONFIG["planet"]),
+        ("planet.theta0", CUSP_PLANET),
+        ("planet.peak.alpha", CUSP_PLANET),
+        ("n_range.n_max", CUSP_PLANET),
+        ("balayage.masses", CUSP_PLANET),
+    ], ids=["seed", "planet.m", "planet.theta0", "planet.peak.alpha", "n_range.n_max",
+            "balayage.masses"])
+    def test_null_mandatory_key_is_mandatory(self, tmp_path, capsys, field, planet):
+        path = write_config(tmp_path, _with(dict(NULL_BASE, planet=planet), field, None))
+        out = tmp_path / "out"
+        assert main(["coeffs", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert f"config error: config.{field}: is mandatory" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_load_config_object(self, tmp_path):
         path = write_config(tmp_path, POINT_MASS_CONFIG)
         config = load_config(path, command="coeffs")
@@ -526,15 +590,19 @@ class TestRadiusCommand:
         # a verdict mismatch keeps its artifacts
         assert [p.name for p in out.glob("radius-*/*")] == ["radius.json"]
 
-    def test_nan_rho_hat_fails_rho_expectation(self, tmp_path, capsys):
-        # too few orders for the root test: rho_hat comes out NaN
+    def test_runs_the_orders_the_root_test_needs(self, tmp_path):
+        # below the root test's minimum, radius runs that many orders, so
+        # the rho_hat it writes and checks is finite
         cfg = dict(POINT_MASS_CONFIG)
         cfg["planet"] = dict(POINT_MASS_CONFIG["planet"], r0=0.8)
         cfg["n_range"] = {"n_min": 0, "n_max": 100}
-        cfg["expect"] = {"rho": 0.8}
+        cfg["expect"] = {"rho": 0.8, "rho_tol": 0.05}
         path = write_config(tmp_path, cfg)
-        assert main(["radius", "--config", str(path), "--out", str(tmp_path)]) == EXIT_VERDICT
-        assert "rho_hat nan not within" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["radius", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        report = json.loads(next(out.glob("radius-*/radius.json")).read_text())
+        assert math.isfinite(report["rho_hat"])
+        assert report["n_range"] == [0, convergence.MIN_ROOT_TEST_N]
 
 
 class TestAsymptCommand:
@@ -692,11 +760,12 @@ class TestBalayageCommand:
         ({"n_exterior": cli.MAX_EXTERIOR + 1}, "n_exterior"),
         ({"obs_radius": 1.0}, "obs_radius"),
         ({"obs_radius": "far"}, "obs_radius"),
+        ({"obs_radius": cli.MAX_OBS_RADIUS * 1.5}, "obs_radius"),
     ], ids=["short-position", "on-sphere", "non-numeric-position", "missing-m",
             "non-numeric-m", "unknown-mass-key", "no-masses", "probe-at-zero",
             "probe-at-pole", "negative-exterior", "fractional-exterior", "huge-exterior",
             "past-exterior-bound",
-            "observer-on-sphere", "non-numeric-radius"])
+            "observer-on-sphere", "non-numeric-radius", "past-radius-bound"])
     def test_config_errors_name_field_and_write_nothing(self, tmp_path, capsys,
                                                          change, field):
         cfg = dict(BALAYAGE_CONFIG, balayage={**BALAYAGE_CONFIG["balayage"], **change})

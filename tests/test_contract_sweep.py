@@ -16,7 +16,9 @@ _spec.loader.exec_module(contract_sweep)
 @pytest.mark.parametrize("commands, prefixes", [
     (("spectral", "asympt"), ("spectral", "planet.weight")),
     (("balayage",), ("balayage.masses",)),
-], ids=["tail-fit", "balayage-masses"])
+    # balayage builds the planet at load, as every command does
+    (("balayage",), ("planet.peak",)),
+], ids=["tail-fit", "balayage-masses", "balayage-planet-peak"])
 def test_sweep_subset_keeps_the_contract(tmp_path, commands, prefixes):
     # no traceback, and a field path on every exit 2; the full sweep is
     # tools/contract_sweep.py, about a minute
@@ -39,11 +41,13 @@ def test_sweep_subset_keeps_the_contract(tmp_path, commands, prefixes):
      "config error: config.balayage.masses[0].position: "),
     ("balayage", ("balayage", "masses", 0, "m"), 0, cli.EXIT_CONFIG,
      "config error: config.balayage.masses[0].m: "),
+    ("balayage", ("balayage", "obs_radius"), 1e300, cli.EXIT_CONFIG,
+     "config error: config.balayage.obs_radius: "),
 ], ids=["k_base-tiny", "k_base-2.5", "k_base-asympt", "eps-tiny", "out_dir", "position-huge",
-        "mass-zero"])
+        "mass-zero", "obs_radius-huge"])
 def test_formerly_failing_cases(tmp_path, monkeypatch, command, path, value, code, start):
-    # each of these ended in a traceback (exit 1) or printed a warning
-    # before its config error
+    # each of these ended in a traceback (exit 1), printed a warning
+    # before its config error, or wrote a non-finite value with exit 0
     monkeypatch.delenv(cli.OUT_ENV_VAR, raising=False)
     got, message = contract_sweep.run_case(command, path, value, tmp_path)
     assert got == code
