@@ -86,9 +86,10 @@ class AsymptoticPrediction:
         return np.abs(self.values) > PHASE_MASK_FRACTION * self.envelope
 
 
-def _assemble(tag, ns, theta0, R, prefactor, bracket, params):
+def _assemble(tag, ns, theta0, R, prefactor, bracket, params, *, vanish_scale):
     """Common assembly: prefactor may be scalar or per-order, bracket is the
-    complex shape factor (scalar or per-order)."""
+    complex shape factor (scalar or per-order).  The prediction vanishes
+    where max |bracket| is at most VANISH_TOL * ``vanish_scale``."""
     ns = np.asarray(ns, dtype=float)
     phase = np.exp(-1j * math.pi / 4.0) * np.exp(1j * (ns + 0.5) * theta0)
     w = np.broadcast_to(np.asarray(bracket, dtype=complex), ns.shape)
@@ -96,9 +97,7 @@ def _assemble(tag, ns, theta0, R, prefactor, bracket, params):
     values = pref * np.real(phase * w)
     envelope = pref * np.abs(w)
     ref = np.max(np.abs(w))
-    scale = max(params.get("_vanish_scale", 1.0), 1e-300)
-    vanishing = bool(ref <= VANISH_TOL * scale)
-    params = {k: v for k, v in params.items() if not k.startswith("_")}
+    vanishing = bool(ref <= VANISH_TOL * max(vanish_scale, 1e-300))
     return AsymptoticPrediction(tag=tag, n=ns.astype(int), values=values,
                                 envelope=envelope, params=params,
                                 vanishing=vanishing, R=R, theta0=theta0)
@@ -130,8 +129,8 @@ def predict_thm1(a0, beta0, a1, beta1, R, theta0, n):
         bracket = bracket - complex(a1) * ns ** (-(beta1 - 1.0))
     scale = abs(complex(a0)) + abs(complex(a1))
     return _assemble("T1", ns, theta0, R, 2.0 * ns**-1.5, bracket,
-                     {"a0": a0, "beta0": beta0, "a1": a1, "beta1": beta1,
-                      "_vanish_scale": scale * float(np.max(ns ** (-beta0)))})
+                     {"a0": a0, "beta0": beta0, "a1": a1, "beta1": beta1},
+                     vanish_scale=scale * float(np.max(ns ** (-beta0))))
 
 
 def _cusp(peak, k, g, tag):
@@ -197,8 +196,8 @@ def predict_thm3(peak, weight, R, theta0, n):
     decay, pref, term_p, term_m, tag = terms(peak, weight)
     ns = np.asarray(n, dtype=float)
     return _assemble(tag, ns, theta0, R, pref * ns**-decay, term_p + term_m,
-                     {**peak.params(), **weight.params(),
-                      "_vanish_scale": abs(term_p) + abs(term_m)})
+                     {**peak.params(), **weight.params()},
+                     vanish_scale=abs(term_p) + abs(term_m))
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,9 @@ from .asymptotics import predict_thm1, predict_thm3, ratio_diagnostic
 from .balayage import PLEMELJ_MARGIN, mu_from_point_masses, plemelj_jump, swept_potential
 from .coeffs import MAX_ORDER, coeff_series
 from .errors import BrillouinError, ParameterError
-from .model import (ANY, MANDATORY, NUMBER, PlanetSpec, RejectNonGeneric, as_complex, as_given,
-                    as_integer, as_number, build_profile, planet_from_config, read_mapping,
-                    value_kind)
+from .model import (ANY, MANDATORY, NUMBER, SCHEMA_VERSION, PlanetSpec, RejectNonGeneric,
+                    as_complex, as_given, as_integer, as_number, build_profile,
+                    planet_from_config, read_mapping, value_kind)
 
 __all__ = ["ConfigError", "ExperimentConfig", "run", "main"]
 
@@ -202,7 +202,7 @@ _RULES = {"asympt": (_asympt_rules,), "spectral": (_tail_grid, _TailGrid)}
 # a section that a config leaves out reads as {}, every key at its default;
 # n_range and balayage, which have mandatory keys, read as None
 _SCHEMA["config"] = {
-    "schema_version": (value_kind(as_integer, "1", lambda v: v == 1), MANDATORY),
+    "schema_version": (SCHEMA_VERSION, MANDATORY),
     "command": (_choice(COMMANDS), None),
     "seed": (_count(0), MANDATORY),
     "planet": (planet_from_config, MANDATORY),
@@ -477,8 +477,6 @@ def run(config, out_override=None):
     out = _artifact_dir(config, out_override)
     try:
         failures = _DISPATCH[config.command](config, out)
-    except ConfigError:
-        raise
     except BrillouinError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

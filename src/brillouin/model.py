@@ -9,12 +9,19 @@ the quantity that controls the large-order coefficient asymptotics.
 Peak and weight callables take the offset x = theta - theta0.  All radii
 are normalized so R = 1 internally; raw units are recovered through the
 R^(n+3) scaling applied on output.
+
+The cusp (alpha in (0, 1]) and once-differentiable (alpha in (1, 2]) peaks
+are one one-sided power law a_pm |x|^alpha over two alpha ranges; the
+two-sided cusp and mixed C1 weights use the same law.  A PlanetSpec has
+one parameter record: ``to_dict`` returns it and refuses a callable,
+``fingerprint`` hashes it with each callable given by its qualified name.
 """
 
 import hashlib
 import json
 import math
 from dataclasses import MISSING, InitVar, asdict, dataclass, field, fields
+from operator import attrgetter
 from typing import Callable, Optional, get_args
 
 import numpy as np
@@ -46,6 +53,7 @@ __all__ = [
     "value_kind",
     "read_mapping",
     "MANDATORY",
+    "SCHEMA_VERSION",
     "PEAKS",
     "WEIGHTS",
     "PLANETS",
@@ -141,6 +149,8 @@ def value_kind(convert, what, test=None):
 NUMBER = value_kind(as_number, "a finite number")
 INTEGER = value_kind(as_integer, "an integer")
 ANY = value_kind(as_given, "")
+#: the kind of a config's or a planet record's schema_version: the integer 1
+SCHEMA_VERSION = value_kind(as_integer, "1", lambda v: v == 1)
 _MAPPING = value_kind(as_given, "a mapping", lambda raw: isinstance(raw, dict))
 
 
@@ -246,33 +256,38 @@ class QuadraticPeak(_Shape):
         return math.sqrt(level / ((n + 3) * self.c))
 
 
-@_config_dataclass
-class PowerCusp(_Shape):
-    """Continuous, non-differentiable peak: F(x) = a_pm |x|^alpha + O(|x|^beta),
-    alpha in (0, 1], with one-sided slopes a_minus (x < 0) and a_plus (x > 0)."""
+def _one_sided(x, minus, plus, power):
+    """The one-sided power law: ``minus |x|^power`` for x < 0 and ``plus
+    |x|^power`` for x >= 0."""
+    return np.where(x >= 0, plus, minus) * np.abs(x) ** power
+
+
+def _check_alpha(alpha, lo, hi):
+    if not lo < alpha <= hi:
+        raise ParameterError("alpha", f"alpha must lie in ({lo:g}, {hi:g}]")
+
+
+@dataclass(frozen=True)
+class _PowerPeak(_Shape):
+    """Base of the power-law peaks: F(x) = a_pm |x|^alpha (a_minus for x < 0,
+    a_plus for x > 0), plus the remainder where the class has one, with
+    alpha in the class's ``alpha_range`` (lo, hi]."""
 
     alpha: float
     a_minus: float
     a_plus: float
-    beta: Optional[float] = None
-    remainder: Optional[Callable] = None
 
-    variant = "power_cusp"
-    derivative_count = 0
+    remainder = None  # a field of PowerCusp; PowerC1 has none
 
     def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise ParameterError("alpha", "alpha must lie in (0, 1]")
+        _check_alpha(self.alpha, *self.alpha_range)
         if self.a_minus <= 0 or self.a_plus <= 0:
             raise ParameterError("a_minus" if self.a_minus <= 0 else "a_plus",
                                  "one-sided coefficients must be positive")
-        if self.remainder is not None and (self.beta is None or self.beta <= self.alpha):
-            raise ParameterError("beta", "remainder order beta must exceed alpha")
 
     def evaluate(self, x):
         x = _as_x(x)
-        a = np.where(x >= 0, self.a_plus, self.a_minus)
-        out = a * np.abs(x) ** self.alpha
+        out = _one_sided(x, self.a_minus, self.a_plus, self.alpha)
         if self.remainder is not None:
             out = out + self.remainder(x)
         return out
@@ -283,32 +298,31 @@ class PowerCusp(_Shape):
 
 
 @_config_dataclass
-class PowerC1(_Shape):
+class PowerCusp(_PowerPeak):
+    """Continuous, non-differentiable peak: F(x) = a_pm |x|^alpha + O(|x|^beta),
+    alpha in (0, 1]."""
+
+    beta: Optional[float] = None
+    remainder: Optional[Callable] = None
+
+    variant = "power_cusp"
+    derivative_count = 0
+    alpha_range = (0.0, 1.0)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.remainder is not None and (self.beta is None or self.beta <= self.alpha):
+            raise ParameterError("beta", "remainder order beta must exceed alpha")
+
+
+@_config_dataclass
+class PowerC1(_PowerPeak):
     """Once-differentiable peak: F(x) = a_pm |x|^alpha exactly near the peak,
     alpha in (1, 2]."""
 
-    alpha: float
-    a_minus: float
-    a_plus: float
-
     variant = "power_c1"
     derivative_count = 1
-
-    def __post_init__(self):
-        if not (1.0 < self.alpha <= 2.0):
-            raise ParameterError("alpha", "alpha must lie in (1, 2]")
-        if self.a_minus <= 0 or self.a_plus <= 0:
-            raise ParameterError("a_minus" if self.a_minus <= 0 else "a_plus",
-                                 "one-sided coefficients must be positive")
-
-    def evaluate(self, x):
-        x = _as_x(x)
-        a = np.where(x >= 0, self.a_plus, self.a_minus)
-        return a * np.abs(x) ** self.alpha
-
-    def peak_scale(self, n, level=1.0):
-        a = min(self.a_minus, self.a_plus)
-        return (level / ((n + 3) * a)) ** (1.0 / self.alpha)
+    alpha_range = (1.0, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +373,7 @@ class TwoSidedCuspWeight(_Shape):
 
     def evaluate(self, x):
         x = _as_x(x)
-        g = np.where(x >= 0, self.g_plus, self.g_minus)
-        out = g * np.abs(x) ** self.k
+        out = _one_sided(x, self.g_minus, self.g_plus, self.k)
         if self.correction is not None:
             out = out * (1.0 + self.correction(x))
         return out
@@ -379,13 +392,11 @@ class C1MixedWeight(_Shape):
     variant = "c1_mixed"
 
     def __post_init__(self):
-        if not (1.0 < self.alpha <= 2.0):
-            raise ParameterError("alpha", "alpha must lie in (1, 2]")
+        _check_alpha(self.alpha, *PowerC1.alpha_range)
 
     def evaluate(self, x):
         x = _as_x(x)
-        g = np.where(x >= 0, self.g_plus, self.g_minus)
-        return self.g1 * x + g * np.abs(x) ** self.alpha
+        return self.g1 * x + _one_sided(x, self.g_minus, self.g_plus, self.alpha)
 
 
 @_config_dataclass
@@ -458,8 +469,10 @@ class PlanetSpec:
     r_m: object = None
     v: Optional[Callable] = None
     G: float = 1.0
-    #: a config or to_dict record may give the schema version; it is not used
-    schema_version: InitVar[object] = field(default=None, metadata={"kind": ANY})
+    #: a config or to_dict record may give the schema version; it is
+    #: checked, not kept
+    schema_version: InitVar[Optional[int]] = field(default=None,
+                                                   metadata={"kind": SCHEMA_VERSION})
 
     kind = "profile"
 
@@ -476,32 +489,34 @@ class PlanetSpec:
         if self.weight is None and self.v is None:
             raise ParameterError("weight", "provide a surface weight or an explicit density column v")
 
-    def to_dict(self):
-        """Serializable parameter record; rejects callable-bearing specs."""
-        for name in ("r_m", "v"):
-            val = getattr(self, name)
-            if callable(val):
-                raise ValueError(f"{name} is a callable; not serializable")
-        for shape in (self.peak, self.weight):
-            if shape is not None and getattr(shape, "correction", None) is not None:
-                raise ValueError("shape corrections are callables; not serializable")
-            if shape is not None and getattr(shape, "remainder", None) is not None:
-                raise ValueError("shape remainders are callables; not serializable")
-        d = {
-            "schema_version": 1,
-            "kind": self.kind,
-            "R": self.R,
-            "theta0": self.theta0,
-            "peak": self.peak.params(),
-            "delta": self.delta,
-            "delta1": self.delta1,
-            "G": self.G,
-        }
+    def _record(self, callable_as):
+        """The parameter record of :meth:`to_dict` and :meth:`fingerprint`:
+        every field that is set, a shape as its params, and each callable
+        (peak remainder, weight correction, r_m, v) as ``callable_as(name,
+        callable)``."""
+        def shape(name, part):
+            return {**part.params(),
+                    **{f.name: callable_as(f"{name}.{f.name}", getattr(part, f.name))
+                       for f in fields(part)
+                       if f.name not in part.config_table and getattr(part, f.name) is not None}}
+
+        record = {"schema_version": 1, "kind": self.kind, "R": self.R, "theta0": self.theta0,
+                  "peak": shape("peak", self.peak), "delta": self.delta,
+                  "delta1": self.delta1, "G": self.G}
         if self.weight is not None:
-            d["weight"] = self.weight.params()
+            record["weight"] = shape("weight", self.weight)
         if self.r_m is not None:
-            d["r_m"] = float(self.r_m)
-        return d
+            record["r_m"] = callable_as("r_m", self.r_m) if callable(self.r_m) else float(self.r_m)
+        if self.v is not None:
+            record["v"] = callable_as("v", self.v)
+        return record
+
+    def to_dict(self):
+        """Serializable parameter record; a spec with any callable raises
+        ValueError naming it."""
+        def refuse(name, _):
+            raise ValueError(f"{name} is a callable; not serializable")
+        return self._record(refuse)
 
     @classmethod
     def from_dict(cls, d):
@@ -510,32 +525,11 @@ class PlanetSpec:
         return planet_from_config({**d, "kind": cls.kind})
 
     def fingerprint(self):
-        return _fingerprint_payload(self._payload())
-
-    def _payload(self):
-        try:
-            return self.to_dict()
-        except ValueError:
-            # callables cannot round-trip; fall back to their qualified names
-            def label(obj):
-                if obj is None:
-                    return None
-                if callable(obj):
-                    return getattr(obj, "__qualname__", repr(obj.__class__))
-                return obj
-
-            return {
-                "kind": "profile-callable",
-                "R": self.R,
-                "theta0": self.theta0,
-                "peak": {**self.peak.params(), "remainder": label(getattr(self.peak, "remainder", None))},
-                "weight": None if self.weight is None else self.weight.params(),
-                "delta": self.delta,
-                "delta1": self.delta1,
-                "r_m": label(self.r_m),
-                "v": label(self.v),
-                "G": self.G,
-            }
+        """The SHA-256 of the :meth:`to_dict` record, each callable recorded
+        by its qualified name alone: two lambdas, or two versions of one
+        function, get the same fingerprint."""
+        return _fingerprint_payload(
+            self._record(lambda _, obj: getattr(obj, "__qualname__", repr(obj.__class__))))
 
 
 def _fingerprint_payload(payload):
@@ -544,54 +538,39 @@ def _fingerprint_payload(payload):
     ).hexdigest()
 
 
+@dataclass(frozen=True, eq=False)
 class PlanetProfile:
-    """Immutable evaluated planet: exposes F, g, r_M, v and bookkeeping.
+    """Immutable evaluated planet: exposes F, g, r_M, v and bookkeeping;
+    R, theta0, delta, delta1, G, peak and weight are its spec's.
 
     Construction happens once in :func:`build_profile`; afterwards all
     evaluations are pure, so profiles may be shared freely across workers.
     """
 
-    __slots__ = (
-        "spec", "R", "theta0", "delta", "delta1", "G",
-        "_peak", "_weight", "_rm", "_v", "radial_constant", "vmax", "fingerprint",
-    )
+    spec: PlanetSpec
+    _rm: Callable
+    _v: Callable
+    radial_constant: bool
+    vmax: float
 
-    def __init__(self, spec, rm_callable, v_callable, radial_constant, vmax):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "R", spec.R)
-        object.__setattr__(self, "theta0", spec.theta0)
-        object.__setattr__(self, "delta", spec.delta)
-        object.__setattr__(self, "delta1", spec.delta1)
-        object.__setattr__(self, "G", spec.G)
-        object.__setattr__(self, "_peak", spec.peak)
-        object.__setattr__(self, "_weight", spec.weight)
-        object.__setattr__(self, "_rm", rm_callable)
-        object.__setattr__(self, "_v", v_callable)
-        object.__setattr__(self, "radial_constant", radial_constant)
-        object.__setattr__(self, "vmax", vmax)
-        object.__setattr__(self, "fingerprint", spec.fingerprint())
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PlanetProfile is immutable")
+    R, theta0, delta, delta1, G, peak, weight = (
+        property(attrgetter(f"spec.{name}"))
+        for name in ("R", "theta0", "delta", "delta1", "G", "peak", "weight"))
 
     @property
-    def peak(self):
-        return self._peak
-
-    @property
-    def weight(self):
-        return self._weight
+    def fingerprint(self):
+        return self.spec.fingerprint()
 
     def eval_F(self, theta):
-        return self._peak.evaluate(np.asarray(theta, dtype=float) - self.theta0)
+        return self.peak.evaluate(np.asarray(theta, dtype=float) - self.theta0)
 
     def eval_rM(self, theta):
         return self.R * np.exp(-self.eval_F(theta))
 
     def eval_g(self, theta):
         theta = np.asarray(theta, dtype=float)
-        if self._weight is not None and self.spec.v is None:
-            return self._weight.evaluate(theta - self.theta0)
+        if self.weight is not None and self.spec.v is None:
+            return self.weight.evaluate(theta - self.theta0)
         return np.sqrt(np.sin(theta)) * self._v(self.eval_rM(theta), theta)
 
     def eval_v(self, r, theta):
@@ -605,7 +584,7 @@ class PlanetProfile:
         return np.log(self.eval_rM(theta) / self.eval_rm(theta))
 
     def peak_scale(self, n, level=1.0):
-        return self._peak.peak_scale(n, level)
+        return self.peak.peak_scale(n, level)
 
 
 def build_profile(spec):

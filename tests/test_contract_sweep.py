@@ -18,7 +18,8 @@ _spec.loader.exec_module(contract_sweep)
     (("balayage",), ("balayage.masses",)),
     # balayage builds the planet at load, as every command does
     (("balayage",), ("planet.peak",)),
-], ids=["tail-fit", "balayage-masses", "balayage-planet-peak"])
+    (("coeffs",), ("planet.schema_version",)),
+], ids=["tail-fit", "balayage-masses", "balayage-planet-peak", "planet-schema-version"])
 def test_sweep_subset_keeps_the_contract(tmp_path, commands, prefixes):
     # no traceback, and a field path on every exit 2; the full sweep is
     # tools/contract_sweep.py, about a minute

@@ -5,6 +5,8 @@ import pytest
 
 from brillouin.errors import ParameterError
 from brillouin.model import (
+    PEAKS,
+    WEIGHTS,
     C1MixedWeight,
     FourierTailWeight,
     PlanetSpec,
@@ -20,6 +22,7 @@ from brillouin.model import (
     planet_from_config,
     point_mass_planet,
 )
+from brillouin.spectral import appendix_function, default_taper
 
 THETA0 = 1.0
 
@@ -88,6 +91,85 @@ class TestWeights:
                   C1MixedWeight(g1=1.0, g_plus=0.3, g_minus=0.2, alpha=1.5),
                   FourierTailWeight(beta0=1.5, eps=0.2)):
             assert w.evaluate(0.0) == 0.0
+
+
+def _remainder(x):
+    return 0.3 * x * np.abs(x) ** 3.5
+
+
+def _correction(x):
+    return 0.5 * x - 0.25 * x * x
+
+
+def _correction_variant(x):
+    return 0.5 * x
+
+
+# the formulas the shapes evaluate, written out once more: artifacts are
+# byte-identical across releases only while these bits do not move
+def _quadratic(s, x):
+    out = s.c * x * x
+    return out if s.remainder is None else out + s.remainder(x)
+
+
+def _power_peak(s, x):
+    a = np.where(x >= 0, s.a_plus, s.a_minus)
+    out = a * np.abs(x) ** s.alpha
+    return out if getattr(s, "remainder", None) is None else out + s.remainder(x)
+
+
+def _smooth_power(s, x):
+    out = s.g_k * x ** int(s.k)
+    return out if s.correction is None else out * (1.0 + s.correction(x))
+
+
+def _two_sided_cusp(s, x):
+    g = np.where(x >= 0, s.g_plus, s.g_minus)
+    out = g * np.abs(x) ** s.k
+    return out if s.correction is None else out * (1.0 + s.correction(x))
+
+
+def _c1_mixed(s, x):
+    g = np.where(x >= 0, s.g_plus, s.g_minus)
+    return s.g1 * x + g * np.abs(x) ** s.alpha
+
+
+def _fourier_tail(s, x):
+    return appendix_function(s.beta0, s.eps, default_taper(s.beta0, s.eps, s.taper_order))(x)
+
+
+SHAPE_FORMULAS = [
+    (QuadraticPeak(c=2.0), _quadratic),
+    (QuadraticPeak(c=2.0, beta=4.5, remainder=_remainder), _quadratic),
+    (PowerCusp(alpha=0.6, a_minus=1.3, a_plus=0.7), _power_peak),
+    (PowerCusp(alpha=1.0, a_minus=0.9, a_plus=2.1, beta=4.5, remainder=_remainder),
+     _power_peak),
+    (PowerC1(alpha=1.5, a_minus=1.2, a_plus=0.8), _power_peak),
+    (PowerC1(alpha=2.0, a_minus=0.4, a_plus=3.0), _power_peak),
+    (SmoothPowerWeight(k=3, g_k=-1.5), _smooth_power),
+    (SmoothPowerWeight(k=2, g_k=0.7, correction=_correction), _smooth_power),
+    (TwoSidedCuspWeight(k=1.5, g_plus=1.0, g_minus=-0.5), _two_sided_cusp),
+    (TwoSidedCuspWeight(k=2.0, g_plus=0.0, g_minus=1.25, correction=_correction),
+     _two_sided_cusp),
+    (C1MixedWeight(g1=0.3, g_plus=1.0, g_minus=2.0, alpha=1.5), _c1_mixed),
+    (FourierTailWeight(beta0=1.5, eps=0.25), _fourier_tail),
+    (FourierTailWeight(beta0=2.5, eps=0.5, taper_order=4), _fourier_tail),
+]
+
+
+class TestEvaluateBits:
+    def test_every_variant_is_covered(self):
+        assert {shape.variant for shape, _ in SHAPE_FORMULAS} == set(PEAKS) | set(WEIGHTS)
+
+    @pytest.mark.parametrize("shape, formula", SHAPE_FORMULAS,
+                             ids=[f"{s.variant}-{i}" for i, (s, _) in enumerate(SHAPE_FORMULAS)])
+    def test_evaluate_is_bitwise_the_formula(self, shape, formula):
+        xs = np.array([-0.7, -0.3, -1e-3, -1e-9, -0.0, 0.0, 1e-9, 1e-3, 0.2, 0.6])
+        for x in (xs, 0.0, -0.3, 0.2):
+            got = np.asarray(shape.evaluate(x))
+            want = np.asarray(formula(shape, np.asarray(x, dtype=float)))
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSurfaceWeightComposition:
@@ -308,6 +390,21 @@ class TestSerialization:
         with pytest.raises(ValueError):
             spec.to_dict()
         assert len(spec.fingerprint()) == 64  # hashable regardless
+
+    def test_fingerprint_names_each_callable(self):
+        # a callable is recorded by its qualified name, so specs that differ
+        # only in the weight's correction function differ in fingerprint;
+        # two lambdas share the name "<lambda>" and so the fingerprint
+        def spec(correction):
+            return PlanetSpec(R=1.0, theta0=1.0,
+                              peak=PowerCusp(alpha=0.5, a_minus=1.0, a_plus=1.0),
+                              weight=TwoSidedCuspWeight(k=1.0, g_plus=1.0, g_minus=1.0,
+                                                        correction=correction),
+                              delta=0.5, delta1=0.4)
+
+        assert spec(_correction).fingerprint() != spec(_correction_variant).fingerprint()
+        assert spec(_correction).fingerprint() != spec(None).fingerprint()
+        assert spec(lambda x: 0 * x).fingerprint() == spec(lambda x: 0.5 * x).fingerprint()
 
     def test_fingerprint_distinguishes_parameters(self):
         a = PlanetSpec(R=1.0, theta0=1.0, peak=QuadraticPeak(c=1.0),
