@@ -250,8 +250,9 @@ class ExperimentConfig:
         if self.command == "spectral":
             _require(tail_weight, "config.planet.weight.variant",
                      "the spectral command needs a fourier_tail weight")
+        # without an n_range, full-verify runs orders 0..2000
         n_range = values.n_range
-        self.n_min, self.n_max = (n_range.n_min, n_range.n_max) if n_range else (0, 0)
+        self.n_min, self.n_max = (n_range.n_min, n_range.n_max) if n_range else (0, 2000)
         _require(self.n_min <= self.n_max, "config.n_range", "n_min must not exceed n_max")
         if self.command in ("coeffs", "asympt", "radius"):
             _require(n_range is not None, "config.n_range",
@@ -311,10 +312,30 @@ def _artifact_dir(config, out_override=None):
     return Path(root) / f"{config.command}-{config.config_hash[:12]}"
 
 
+def _nonfinite(value, key=""):
+    """The key path of the first NaN or infinity in ``value``, a number, an
+    array or a dict or list of them, or None if it holds none (text and
+    None are finite)."""
+    if isinstance(value, dict):
+        parts = ((f"{key}.{k}" if key else str(k), v) for k, v in value.items())
+    else:
+        try:
+            return None if np.all(np.isfinite(value)) else key
+        except (TypeError, ValueError):  # text, None, or a list of mixed items
+            items = enumerate(value) if isinstance(value, (list, tuple)) else ()
+            parts = ((f"{key}[{i}]", v) for i, v in items)
+    return next(filter(None, (_nonfinite(v, k) for k, v in parts)), None)
+
+
 def _write(out, config, name, data):
     """Write the artifact ``name`` under ``out``, stamped with the config
     hash: a ``.csv`` name takes ``data`` as its columns, any other name
-    writes ``data`` as a JSON object with the hash as one more key."""
+    writes ``data`` as a JSON object with the hash as one more key.  A NaN
+    or infinity anywhere in ``data`` raises BrillouinError naming the
+    artifact and its key, and the file is not written."""
+    bad = _nonfinite(data)
+    if bad is not None:
+        raise BrillouinError(f"{name}: {bad} is not finite; not written")
     if name.endswith(".csv"):
         write_csv(out / name, data, config_hash=config.config_hash)
     else:
@@ -455,7 +476,7 @@ def _cmd_balayage(config, out):
 
 
 def _cmd_full_verify(config, out):
-    series, report, failures = _verdict(config, out, config.n_max or 2000)
+    series, report, failures = _verdict(config, out, config.n_max)
     _write(out, config, "coeffs.csv", series.columns())
     _write(out, config, "summary.json", {"verdict": report.verdict, "rho_hat": report.rho_hat,
                                          "n_max": series.n_max, "failures": failures})

@@ -79,17 +79,18 @@ class RootTestResult:
 def root_test(series):
     """Envelope-corrected root estimate of the convergence radius.
 
-    Identically zero tails return rho 0 with the degenerate flag (finite
-    expansions).  Otherwise requires n_max >= MIN_ROOT_TEST_N so at least
-    three octave windows exist.
+    A series with no nonzero value in any octave window returns rho 0 with
+    the degenerate flag: a finite expansion, whether identically zero or,
+    as a ball's, nonzero only below the first window.  Otherwise requires
+    n_max >= MIN_ROOT_TEST_N and at least three windows with a nonzero
+    value.
     """
     vals = series.values
-    ns = series.n
-    if not np.any(np.abs(vals) > 0):
-        return RootTestResult(0.0, True, (), 0.0)
-    if series.n_max < MIN_ROOT_TEST_N:
+    if series.n_max < MIN_ROOT_TEST_N and np.any(np.abs(vals) > 0):
         raise ValueError(f"root test needs n_max >= {MIN_ROOT_TEST_N}")
-    windows = _octave_maxima(ns, vals)
+    windows = _octave_maxima(series.n, vals)
+    if not windows:
+        return RootTestResult(0.0, True, (), 0.0)
     if len(windows) < 3:
         raise ValueError("not enough octave windows for the root test")
     rho, coef = _fit_rho(windows, series.R)
@@ -166,18 +167,19 @@ def verdict_from_series(series, beta_m=None):
     ``beta_m`` defaults to the envelope-fitted exponent (gamma - 3/2); an
     explicit value makes the limsup statistic a genuine two-sided check.
     The verdict is Inconclusive when the two tail estimates of rho disagree
-    by more than 1% or there is not enough data.
+    by more than 1% or there is not enough data (rho NaN).  A finite
+    expansion (the root test's degenerate result) reports rho 0, the
+    degenerate flag and OverconvergenceSuspected.
     """
     R = series.R
-    vals = series.values
-    if not np.any(np.abs(vals) > 0):
-        return ConvergenceReport(0.0, 0.0, 0.0, "flat", OVERCONVERGENCE,
-                                 (series.n_min, series.n_max), degenerate=True)
     try:
         rt = root_test(series)
     except ValueError:
         return ConvergenceReport(float("nan"), float("nan"), 0.0, INCONCLUSIVE,
                                  INCONCLUSIVE, (series.n_min, series.n_max))
+    if rt.degenerate:
+        return ConvergenceReport(0.0, 0.0, 0.0, "flat", OVERCONVERGENCE,
+                                 (series.n_min, series.n_max), degenerate=True)
     windows = rt.windows
     if len(windows) >= 4:
         rho_check, _ = _fit_rho(windows[:-1], R)

@@ -20,7 +20,7 @@ one parameter record: ``to_dict`` returns it and refuses a callable,
 import hashlib
 import json
 import math
-from dataclasses import MISSING, InitVar, asdict, dataclass, field, fields
+from dataclasses import MISSING, InitVar, asdict, dataclass, field, fields, replace
 from operator import attrgetter
 from typing import Callable, Optional, get_args
 
@@ -540,17 +540,18 @@ def _fingerprint_payload(payload):
 
 @dataclass(frozen=True, eq=False)
 class PlanetProfile:
-    """Immutable evaluated planet: exposes F, g, r_M, v and bookkeeping;
-    R, theta0, delta, delta1, G, peak and weight are its spec's.
+    """Immutable evaluated planet: its spec and the column's sampled max|v|.
+    R, theta0, delta, delta1, G, peak and weight are the spec's, and every
+    evaluation reads the spec at call time: r_m is r_M / 2 when the spec
+    leaves it out, a constant, or the spec's callable; v is the spec's
+    callable, or, without one (``radial_constant``), constant in r with
+    sqrt(sin theta) v(r_M, theta) equal to the surface weight.
 
-    Construction happens once in :func:`build_profile`; afterwards all
+    :func:`build_profile` checks the spec and measures ``vmax``; all
     evaluations are pure, so profiles may be shared freely across workers.
     """
 
     spec: PlanetSpec
-    _rm: Callable
-    _v: Callable
-    radial_constant: bool
     vmax: float
 
     R, theta0, delta, delta1, G, peak, weight = (
@@ -561,6 +562,10 @@ class PlanetProfile:
     def fingerprint(self):
         return self.spec.fingerprint()
 
+    @property
+    def radial_constant(self):
+        return self.spec.v is None
+
     def eval_F(self, theta):
         return self.peak.evaluate(np.asarray(theta, dtype=float) - self.theta0)
 
@@ -569,15 +574,23 @@ class PlanetProfile:
 
     def eval_g(self, theta):
         theta = np.asarray(theta, dtype=float)
-        if self.weight is not None and self.spec.v is None:
+        if self.radial_constant:
             return self.weight.evaluate(theta - self.theta0)
-        return np.sqrt(np.sin(theta)) * self._v(self.eval_rM(theta), theta)
+        return np.sqrt(np.sin(theta)) * self.spec.v(self.eval_rM(theta), theta)
 
     def eval_v(self, r, theta):
-        return self._v(np.asarray(r, dtype=float), np.asarray(theta, dtype=float))
+        theta = np.asarray(theta, dtype=float)
+        if self.radial_constant:
+            return self.weight.evaluate(theta - self.theta0) / np.sqrt(np.sin(theta))
+        return self.spec.v(np.asarray(r, dtype=float), theta)
 
     def eval_rm(self, theta):
-        return self._rm(np.asarray(theta, dtype=float))
+        theta, r_m = np.asarray(theta, dtype=float), self.spec.r_m
+        if r_m is None:
+            return 0.5 * self.R * np.exp(-self.eval_F(theta))
+        if callable(r_m):
+            return r_m(theta)
+        return np.full_like(theta, float(r_m))
 
     def eval_L(self, theta):
         """log(r_M / r_m), the depth of the radial column in the s variable."""
@@ -594,7 +607,10 @@ def build_profile(spec):
     theta0, that it exceeds delta1 outside the peak neighborhood (a
     competing global maximum of r_M raises :class:`RejectNonGeneric`), that
     the inner radius stays strictly inside the surface, and that declared
-    remainder orders are numerically consistent at three scales.
+    remainder orders are numerically consistent at three scales.  ``vmax``
+    is the largest |v| the profile's own ``eval_v`` gives on that grid: at
+    five radii from r_m to r_M for a callable column, on the interior
+    colatitudes for a radially constant one.
     """
     peak = spec.peak
     f0 = float(peak.evaluate(0.0))
@@ -629,46 +645,20 @@ def build_profile(spec):
         if corr is not None and abs(float(corr(0.0))) > 1e-10:
             raise RejectNonGeneric("weight correction must vanish at the peak", field="weight")
 
-    # inner radius: default half the surface radius, pointwise
+    profile = PlanetProfile(spec, 0.0)
     rM = spec.R * np.exp(-F)
-    if spec.r_m is None:
-        def rm_callable(theta, _spec=spec):
-            return 0.5 * _spec.R * np.exp(-_spec.peak.evaluate(
-                np.asarray(theta, dtype=float) - _spec.theta0))
-    elif callable(spec.r_m):
-        rm_callable = spec.r_m
-    else:
-        rm_const = float(spec.r_m)
-
-        def rm_callable(theta, _c=rm_const):
-            return np.full_like(np.asarray(theta, dtype=float), _c)
-
-    rm = np.asarray(rm_callable(thetas), dtype=float)
+    rm = np.asarray(profile.eval_rm(thetas), dtype=float)
     if np.any(rm <= 0) or np.any(rm >= rM):
         raise RejectNonGeneric("need 0 < r_m(theta) < r_M(theta) everywhere", field="r_m")
 
-    if spec.v is not None:
-        v_callable = spec.v
-        radial_constant = False
-        mask = (thetas > 1e-3) & (thetas < math.pi - 1e-3)
-        vmax = 0.0
-        for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-            r_probe = rm[mask] + t * (rM[mask] - rm[mask])
-            vmax = max(vmax, float(np.max(np.abs(v_callable(r_probe, thetas[mask])))))
-    else:
-        weight = spec.weight
-
-        def v_callable(r, theta, _w=weight, _t0=spec.theta0):
-            theta = np.asarray(theta, dtype=float)
-            g = _w.evaluate(theta - _t0)
-            return g / np.sqrt(np.sin(theta))
-
-        radial_constant = True
+    if profile.radial_constant:
         interior = thetas[(thetas > 1e-4) & (thetas < math.pi - 1e-4)]
-        vmax = float(np.max(np.abs(weight.evaluate(interior - spec.theta0))
-                            / np.sqrt(np.sin(interior))))
-
-    return PlanetProfile(spec, rm_callable, v_callable, radial_constant, vmax)
+        return replace(profile, vmax=float(np.max(np.abs(profile.eval_v(None, interior)))))
+    mask = (thetas > 1e-3) & (thetas < math.pi - 1e-3)
+    rm, rM = rm[mask], rM[mask]
+    return replace(profile, vmax=max(0.0, *(
+        float(np.max(np.abs(profile.eval_v(rm + t * (rM - rm), thetas[mask]))))
+        for t in (0.0, 0.25, 0.5, 0.75, 1.0))))
 
 
 def _check_declared_order(h, beta, label):

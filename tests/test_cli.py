@@ -2,10 +2,12 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -558,6 +560,15 @@ class TestCoeffsCommand:
         assert all(0 < v < g * 301 for v, g in zip(payload["node_orders"], grids))
         assert payload["worst_err_over_floor"] >= 1.0
 
+    def test_max_abs_coeff_exceeded_is_verdict_mismatch(self, tmp_path, capsys):
+        cfg = dict(POINT_MASS_CONFIG, expect={"max_abs_coeff": 1e-3})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["coeffs", "--config", str(path), "--out", str(out)]) == EXIT_VERDICT
+        assert "verdict mismatch: max_abs_coeff exceeded" in capsys.readouterr().err
+        # a verdict mismatch keeps its artifacts
+        assert sorted(p.name for p in out.glob("coeffs-*/*")) == ["coeffs.csv", "coeffs.json"]
+
     def test_envelope_bound_breach_is_numeric_failure(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(coeffs, "ENVELOPE_SAFETY", 1e-6)
         cfg = {"schema_version": 1, "seed": 1, "planet": CUSP_PLANET,
@@ -605,6 +616,49 @@ class TestRadiusCommand:
         assert report["n_range"] == [0, convergence.MIN_ROOT_TEST_N]
 
 
+class TestFiniteArtifacts:
+    BALL = {"kind": "ball", "R_b": 1.0, "rho0": 1.0}
+    #: its coefficients underflow to 0 past n of about 160, leaving the root
+    #: test two octave windows with a nonzero value
+    DEEP_POINT_MASS = {"kind": "point_mass", "r0": 0.01, "theta_p": 1.0, "m": 1.0}
+
+    @pytest.mark.parametrize("command", ["radius", "full-verify"])
+    def test_ball_gives_a_finite_degenerate_verdict(self, tmp_path, command):
+        cfg = {"schema_version": 1, "seed": 1, "planet": self.BALL, "n_range": {"n_max": 300}}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_OK
+        report = json.loads(next(out.glob(f"{command}-*/radius.json")).read_text())
+        assert (report["rho_hat"], report["rho_check"], report["degenerate"]) == (0.0, 0.0, True)
+        assert report["verdict"] == convergence.OVERCONVERGENCE
+
+    @pytest.mark.parametrize("command", ["radius", "full-verify"])
+    def test_underflowing_series_is_numeric_failure(self, tmp_path, capsys, command):
+        cfg = {"schema_version": 1, "seed": 1, "planet": self.DEEP_POINT_MASS,
+               "n_range": {"n_max": 2000}}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_NUMERIC
+        assert "radius.json: rho_hat is not finite" in capsys.readouterr().err
+        # radius.json is the first artifact, so nothing was written
+        assert not list(out.glob(f"{command}-*"))
+
+    @pytest.mark.parametrize("name, data, key", [
+        ("coeffs.csv", {"n": np.arange(3), "C_scaled": np.array([1.0, np.inf, 0.0])},
+         "C_scaled"),
+        ("coeffs.csv", {"k": np.ones(2), "re": np.array([1 + 0j, complex(0, np.nan)])}, "re"),
+        ("balayage.json", {"total_mass": 1.0, "note": None,
+                           "plemelj": [{"x0": 0.5, "mu_recovered": np.nan}]},
+         "plemelj[0].mu_recovered"),
+        ("tailfit.json", {"amp": complex(np.inf, 0.0), "window": [1.0, 2.0]}, "amp"),
+    ], ids=["csv-real", "csv-complex", "json-nested", "json-complex"])
+    def test_write_refuses_a_non_finite_value(self, tmp_path, name, data, key):
+        config = load_config(write_config(tmp_path, POINT_MASS_CONFIG), command="coeffs")
+        with pytest.raises(brillouin.BrillouinError, match=f"^{re.escape(f'{name}: {key} is ')}"):
+            cli._write(tmp_path / "out", config, name, data)
+        assert not (tmp_path / "out").exists()
+
+
 class TestAsymptCommand:
     def test_cusp_ratio_pass(self, tmp_path):
         cfg = {
@@ -633,6 +687,22 @@ class TestAsymptCommand:
                "expect": {"median_ratio_window": [0.85, 1.15]}}
         path = write_config(tmp_path, cfg)
         assert main(["asympt", "--config", str(path), "--out", str(tmp_path)]) == EXIT_OK
+
+    def test_thm1_predictor_with_fitted_tail(self, tmp_path):
+        # no asympt.a0: the command fits the fourier_tail weight's transform
+        planet = {
+            "kind": "profile", "theta0": 1.0,
+            "peak": {"variant": "quadratic", "c": 2.0},
+            "weight": {"variant": "fourier_tail", "beta0": 1.5, "eps": 0.25},
+            "delta": 0.5, "delta1": 0.4,
+        }
+        cfg = {"schema_version": 1, "seed": 3, "planet": planet, "n_range": {"n_max": 1500},
+               "expect": {"median_ratio_window": [0.9, 1.1]}}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        assert main(["asympt", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        payload = json.loads(next(out.glob("asympt-*/ratio.json")).read_text())
+        assert 0.9 <= payload["median_ratio"] <= 1.1
 
     def test_unsupported_pairing_is_numeric_failure(self, tmp_path):
         planet = {
@@ -858,10 +928,11 @@ class TestFullVerify:
         summary = json.loads(next(out.glob("full-verify-*/summary.json")).read_text())
         assert summary["verdict"] == "ConvergesExactlyAtBrillouin"
 
-    def test_runs_the_orders_the_root_test_needs(self, tmp_path):
+    @pytest.mark.parametrize("n_max", [50, 0])
+    def test_runs_the_orders_the_root_test_needs(self, tmp_path, n_max):
         # below the root test's minimum, full-verify runs that many orders,
         # so the verdict and rho_hat it writes are finite
-        cfg = dict(POINT_MASS_CONFIG, n_range={"n_max": 50})
+        cfg = dict(POINT_MASS_CONFIG, n_range={"n_max": n_max})
         path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
         assert main(["full-verify", "--config", str(path), "--out", str(out)]) == EXIT_OK

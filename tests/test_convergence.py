@@ -45,6 +45,16 @@ class TestRootTest:
         assert rt.degenerate
         assert rt.rho_hat == 0.0
 
+    def test_ball_monopole_below_the_windows_is_degenerate(self, ball):
+        # only C_0 is nonzero: no octave window holds a nonzero value
+        series = coeff_series(ball, 0, 300)
+        assert series.values[0] != 0
+        rt = root_test(series)
+        assert rt.degenerate
+        assert rt.rho_hat == 0.0
+        report = verdict_from_series(series)
+        assert (report.rho_hat, report.rho_check, report.degenerate) == (0.0, 0.0, True)
+
     def test_cusp_planet_at_brillouin(self, cusp_series):
         rt = root_test(cusp_series)
         assert rt.rho_hat == pytest.approx(1.0, abs=5e-3)
