@@ -21,6 +21,9 @@ from .legendre import gauss_nodes
 # comfortably above the 10-node floor the coefficient quadrature promises.
 PANEL_ORDER = 16
 GRADE_RATIO = 1.4
+#: the first length of a floor's cached ladder of graded widths: a ratio of
+#: 1.4^127 = 3.6e18 takes a floor of 1e-16 past every grid's base width
+LADDER_STEPS = 128
 
 
 @lru_cache(maxsize=8)
@@ -42,17 +45,36 @@ def composite_nodes(breakpoints):
     return nodes, weights
 
 
-def graded_offsets(floor_width, top_width):
-    """Cumulative panel offsets 0, w0, w0+w1, ... with w_j = floor * GRADE_RATIO^j,
-    stopping once a panel reaches ``top_width``."""
+@lru_cache(maxsize=32)
+def _ladder(floor_width, steps):
+    """The first ``steps`` widths w_j = floor * GRADE_RATIO^j of a floor's
+    ladder, each the running product of the ratio, and the offsets 0, w0,
+    w0+w1, ... through all of them."""
     widths = []
-    w = float(floor_width)
-    while w < top_width:
+    w = floor_width
+    for _ in range(steps):
         widths.append(w)
         w *= GRADE_RATIO
-    if not widths:
-        return np.array([0.0])
-    return np.concatenate([[0.0], np.cumsum(widths)])
+    widths = np.array(widths)
+    return widths, np.concatenate([[0.0], np.cumsum(widths)])
+
+
+def graded_offsets(floor_width, top_width):
+    """Cumulative panel offsets 0, w0, w0+w1, ... with w_j = floor * GRADE_RATIO^j,
+    stopping once a panel reaches ``top_width``.
+
+    Each floor's ladder of widths and running sums is built once (LADDER_STEPS
+    long, doubled while its last width is below ``top_width``) and cut at
+    the first width that reaches ``top_width``.  A running product and a
+    running sum are the same up to any step however far they run, so the
+    result is bitwise that of a loop that stops there.  It is a fresh array:
+    a caller may write into it."""
+    floor_width, steps = float(floor_width), LADDER_STEPS
+    widths, offsets = _ladder(floor_width, steps)
+    while widths[-1] < top_width:
+        steps *= 2
+        widths, offsets = _ladder(floor_width, steps)
+    return offsets[:np.count_nonzero(widths < top_width) + 1].copy()
 
 
 def breakpoints_on(lo, hi, *parts):

@@ -23,7 +23,7 @@ import yaml
 
 from . import convergence, spectral
 from ._io import write_csv, write_json
-from .asymptotics import predict_thm1, predict_thm3, ratio_diagnostic
+from .asymptotics import ExceptionalCase, predict_thm1, predict_thm3, ratio_diagnostic
 from .balayage import PLEMELJ_MARGIN, mu_from_point_masses, plemelj_jump, swept_potential
 from .coeffs import MAX_ORDER, coeff_series
 from .errors import BrillouinError, ParameterError
@@ -342,8 +342,8 @@ def _write(out, config, name, data):
         write_json(out / name, {**data, "config_hash": config.config_hash})
 
 
-def _series_for(config, n_max):
-    return coeff_series(config.planet(), config.n_min, n_max, config.tol)
+def _series_for(config, n_max, meanwhile=None):
+    return coeff_series(config.planet(), config.n_min, n_max, config.tol, meanwhile=meanwhile)
 
 
 def _cmd_coeffs(config, out):
@@ -357,15 +357,19 @@ def _cmd_coeffs(config, out):
     return failures
 
 
-def _predictor(config, planet, ns):
+def _uses_thm1(config, planet):
     asympt = config.asympt
-    if asympt.source == "thm1" or (asympt.source == "auto"
-                                   and planet.weight.variant == "fourier_tail"):
-        if asympt.a0 is not None:
-            a0, beta0 = asympt.a0, asympt.beta0
-        else:
-            fit, _ = _fit_weight_tail(config, planet)
-            a0, beta0 = fit.amp, fit.beta
+    return asympt.source == "thm1" or (asympt.source == "auto"
+                                       and planet.weight.variant == "fourier_tail")
+
+
+def _predictor(config, planet, ns, fit=None):
+    """The asympt section's predictor over the orders ``ns``: Theorem 1's,
+    from the section's tail data or else from ``fit``, the weight's fitted
+    tail, or the closed form of Theorem 3."""
+    asympt = config.asympt
+    if _uses_thm1(config, planet):
+        a0, beta0 = (asympt.a0, asympt.beta0) if fit is None else (fit.amp, fit.beta)
         return predict_thm1(a0, beta0, asympt.a1, asympt.beta1, planet.R, planet.theta0, ns)
     return predict_thm3(planet.peak, planet.weight, planet.R, planet.theta0, ns)
 
@@ -381,10 +385,26 @@ def _fit_weight_tail(config, planet):
 
 
 def _cmd_asympt(config, out):
+    """Compare the series with its asymptotic predictor.  Where the
+    predictor needs the weight's fitted tail, the fit runs while the
+    sweep's child process runs its share of the sweep (``coeff_series``'s
+    ``meanwhile``), in this process; the sweep's errors are raised before
+    the fit's.  A predictor whose leading order cancels for the planet's
+    peak and weight raises ExceptionalCase: it has no ratio to report."""
     planet = config.planet()
-    series = _series_for(config, config.n_max)
+    fits = []
+    fit_tail = None
+    if _uses_thm1(config, planet) and config.asympt.a0 is None:
+        def fit_tail():
+            fits.append(_fit_weight_tail(config, planet)[0])
+    series = _series_for(config, config.n_max, meanwhile=fit_tail)
     # the predictors are singular at n = 0
-    pred = _predictor(config, planet, series.n[series.n >= 1])
+    pred = _predictor(config, planet, series.n[series.n >= 1], *fits)
+    if pred.vanishing:
+        raise ExceptionalCase(
+            f"the leading order of the {pred.tag} predictor cancels for peak "
+            f"{planet.peak.variant} with weight {planet.weight.variant}: "
+            "no ratio to compare")
     report = ratio_diagnostic(series, pred)
     _write(out, config, "ratio.csv", report.columns())
     _write(out, config, "ratio.json", report.to_json_dict())

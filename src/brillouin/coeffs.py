@@ -655,7 +655,7 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _run_jobs(profile, jobs, n_min, n_max):
+def _run_jobs(profile, jobs, n_min, n_max, meanwhile):
     """The ``_Sweep`` of every job of ``_sweep_jobs``, in job order.
 
     Where ``os.fork`` exists and two CPUs are usable, one forked child
@@ -663,17 +663,24 @@ def _run_jobs(profile, jobs, n_min, n_max):
     ones.  The child sends its results, or the exception it raised, back
     pickled through a pipe and always ends in ``os._exit``; the caller
     raises that exception with its original type and reaps the child on
-    every path, killing it first if the caller's own jobs raise.  A job's
-    arithmetic is the same in either process, so every result is bitwise
-    that of the in-process loop, which runs everywhere else.  Threads
-    would not help: each numpy call of the sweep is too short to run while
-    another thread holds the GIL.
+    every path, killing it first if the caller's own jobs or ``meanwhile``
+    raise.  A job's arithmetic is the same in either process, so every
+    result is bitwise that of the in-process loop, which runs everywhere
+    else.  Threads would not help: each numpy call of the sweep is too
+    short to run while another thread holds the GIL.
+
+    ``meanwhile``, a callable taking no argument, runs once in the caller's process: after the
+    caller's own jobs and before it reads the child's results, so it fills
+    the time the caller would spend waiting on the child.  Without a child
+    it runs after every job.
     """
     def run(part):
         return [_sweep_nodes(profile, grid, n_min, n_max, level) for level, grid in part]
 
     if not hasattr(os, "fork") or _usable_cpus() < 2:
-        return run(jobs)
+        parts = run(jobs)
+        meanwhile()
+        return parts
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -684,6 +691,7 @@ def _run_jobs(profile, jobs, n_min, n_max):
     try:
         with open(read_end, "rb") as pipe:
             ours = run(jobs[0::2])
+            meanwhile()
             reply = pipe.read()
     except BaseException:
         os.kill(pid, signal.SIGKILL)
@@ -770,7 +778,7 @@ def coeff_scaled(profile, n, tol=DEFAULT_TOL):
     return float(fine.values[0]), err
 
 
-def coeff_series(profile, n_min, n_max, tol=DEFAULT_TOL):
+def coeff_series(profile, n_min, n_max, tol=DEFAULT_TOL, meanwhile=None):
     """Scaled coefficients for every order in [n_min, n_max].
 
     Closed-form oracle planets use their whole-range formula.  Every other
@@ -790,19 +798,38 @@ def coeff_series(profile, n_min, n_max, tol=DEFAULT_TOL):
     :class:`EnvelopeBoundError` if any magnitude breaks the a-priori
     envelope bound 4 pi G max|v|, with max|v| the largest the sweeps used
     (see ``_Sweep``).
+
+    ``meanwhile``, a callable taking no argument, is other work of the
+    caller's that runs once, in the caller's process, while the sweep's
+    child is busy: after the caller's share of the jobs and before it
+    waits for the child's (see ``_run_jobs``), after all the jobs where
+    no child is forked, and at once for a closed-form planet.  Its return
+    value is dropped.  An exception it raises is raised only once the
+    series is complete, so an error of the sweep comes first.
     """
     if n_min > n_max:
         raise ValueError("need n_min <= n_max")
     closed = getattr(profile, "closed_coeff_series", None)
     ns = np.arange(n_min, n_max + 1)
     if closed is not None:
+        if meanwhile is not None:
+            meanwhile()
         vals = closed(n_min, n_max)
         errs = np.zeros_like(vals)
         return ScaledCoeffSeries(ns, vals, errs, np.ones(ns.size, bool),
                                  profile.R, profile.fingerprint, tol)
 
+    failed = []
+
+    def aside():
+        if meanwhile is not None:
+            try:
+                meanwhile()
+            except Exception as exc:  # raised after the sweep's own errors
+                failed.append(exc)
+
     jobs = _sweep_jobs(profile, n_max, 0) + _sweep_jobs(profile, n_max, 1)
-    parts = _run_jobs(profile, jobs, n_min, n_max)
+    parts = _run_jobs(profile, jobs, n_min, n_max, aside)
     coarse, fine = (_fold([part for part, (lv, _) in zip(parts, jobs) if lv == level])
                     for level in (0, 1))
     _check_resolved(coarse, fine)
@@ -815,6 +842,8 @@ def coeff_series(profile, n_min, n_max, tol=DEFAULT_TOL):
         raise EnvelopeBoundError(
             f"coefficient magnitude {worst:.3e} breaks the envelope bound {bound:.3e}"
         )
+    if failed:
+        raise failed[0]
     return ScaledCoeffSeries(ns, vals, errs, errs <= tol, profile.R, profile.fingerprint, tol,
                              floor=fine.floor,
                              grid_nodes=(coarse.grid_nodes, fine.grid_nodes),

@@ -69,9 +69,11 @@ class SmoothCutoff:
     def __call__(self, x):
         u = np.abs(np.asarray(x, dtype=float) - self.center) / self.eps
         out = np.where(u <= 1.0, 1.0, 0.0)
-        # the smooth step only on the band between the plateau and the support edge
+        # the smooth step only on the band between the plateau and the support
+        # edge (a NaN lies in it), which a transform's nodes often miss
         band = ~((u <= 1.0) | (u >= 2.0))
-        out[band] = _smooth_step(2.0 - u[band])
+        if band.any():
+            out[band] = _smooth_step(2.0 - u[band])
         if np.ndim(x) == 0:
             return float(out)
         return out
@@ -144,11 +146,8 @@ def default_taper(beta, eps, order=None):
 
     def taper(x):
         u = np.asarray(x, dtype=float) / eps
-        inside = np.abs(u) <= 1.0
-        out = np.zeros_like(u)
-        w = u[inside]
-        out[inside] = (1.0 - w * w) ** q
-        return out
+        with np.errstate(over="ignore"):  # u * u of a node far outside, never used
+            return np.power(1.0 - u * u, q, out=np.zeros_like(u), where=np.abs(u) <= 1.0)
 
     taper.order = q
     taper.support = (-eps, eps)

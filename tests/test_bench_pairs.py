@@ -68,3 +68,18 @@ def test_tree_cpu_per_pass():
     assert got["parent"]["tree_cpu_s"] == [4.0, 5.0, 6.0] and got["parent"]["passes"] == [10] * 3
     # a run that printed no pass count (it failed) is left out
     assert bench_pairs.tree_cpu([(_result(), _result())]) == {}
+
+
+def test_bytecode_facts(tmp_path, monkeypatch):
+    # the two facts that decide whether the package's import compiles its sources
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    assert bench_pairs.bytecode_facts(tmp_path) == {"PYTHONDONTWRITEBYTECODE": None,
+                                                    "bytecode_cached": False}
+    cache = tmp_path / "src" / "brillouin" / "__pycache__"
+    cache.mkdir(parents=True)
+    (cache / "cli.cpython-311.opt-1.txt").write_text("")
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert bench_pairs.bytecode_facts(tmp_path) == {"PYTHONDONTWRITEBYTECODE": "1",
+                                                    "bytecode_cached": False}
+    (cache / "cli.cpython-311.pyc").write_bytes(b"")
+    assert bench_pairs.bytecode_facts(tmp_path)["bytecode_cached"] is True

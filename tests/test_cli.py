@@ -717,6 +717,45 @@ class TestAsymptCommand:
         path = write_config(tmp_path, cfg)
         assert main(["asympt", "--config", str(path), "--out", str(tmp_path)]) == EXIT_NUMERIC
 
+    @pytest.mark.parametrize("a_plus, code", [(1.0, EXIT_NUMERIC), (1.2, EXIT_OK)])
+    def test_cancelling_leading_order_is_named(self, tmp_path, capsys, a_plus, code):
+        # with a- = a+ the alpha 0.5 cusp's two sides cancel the k = 1 smooth
+        # weight's leading term; the run names that, not an empty phase mask
+        planet = {"kind": "profile", "theta0": 1.0,
+                  "peak": {"variant": "power_cusp", "alpha": 0.5, "a_minus": 1.0,
+                           "a_plus": a_plus},
+                  "weight": {"variant": "smooth_power", "k": 1, "g_k": 1.0},
+                  "delta": 0.5, "delta1": 0.4}
+        cfg = {"schema_version": 1, "seed": 3, "planet": planet,
+               "n_range": {"n_min": 0, "n_max": 2000}}
+        path = write_config(tmp_path, cfg)
+        assert main(["asympt", "--config", str(path), "--out", str(tmp_path)]) == code
+        err = capsys.readouterr().err
+        if code == EXIT_NUMERIC:
+            assert err.startswith("numeric failure: the leading order of the T3-")
+            assert "cancels for peak power_cusp with weight smooth_power" in err
+        else:
+            assert err == ""
+
+    def test_fitted_tail_artifacts_do_not_depend_on_the_fork(self, tmp_path, monkeypatch):
+        # the tail fit runs while the sweep's child runs, or after the whole
+        # sweep on one CPU: the same bytes either way
+        planet = {
+            "kind": "profile", "theta0": 1.0,
+            "peak": {"variant": "quadratic", "c": 2.0},
+            "weight": {"variant": "fourier_tail", "beta0": 1.5, "eps": 0.25},
+            "delta": 0.5, "delta1": 0.4,
+        }
+        cfg = {"schema_version": 1, "seed": 3, "planet": planet, "n_range": {"n_max": 1500}}
+        path = write_config(tmp_path, cfg)
+        blobs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(coeffs, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"out{cpus}"
+            assert main(["asympt", "--config", str(path), "--out", str(out)]) == EXIT_OK
+            blobs.append({p.name: p.read_bytes() for p in out.glob("asympt-*/*")})
+        assert sorted(blobs[0]) == ["ratio.csv", "ratio.json"] and blobs[0] == blobs[1]
+
     def test_order_zero_writes_only_finite_ratios(self, tmp_path):
         planet = {
             "kind": "profile", "theta0": 1.0,

@@ -776,6 +776,73 @@ class TestTwoProcesses:
         assert time.monotonic() - started < 30
         _assert_no_child()
 
+    @pytest.mark.parametrize("cpus, forks, events", [
+        (1, 0, ["job", "job", "meanwhile"]),
+        (2, 1, ["job", "meanwhile"]),
+    ])
+    def test_meanwhile_runs_once_in_the_caller(self, monkeypatch, t1_profile, cpus, forks,
+                                                events):
+        # after the caller's own jobs and before it reads the child's; the
+        # series is bitwise the one without it
+        want, _ = self._series(monkeypatch, t1_profile, 200, cpus)
+        caller, sweep, fork, seen, pids = os.getpid(), coeffs._sweep_nodes, os.fork, [], []
+        monkeypatch.setattr(coeffs, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(os, "fork", lambda: seen.append("fork") or fork())
+
+        def job(*args):
+            if os.getpid() == caller:
+                seen.append("job")
+            return sweep(*args)
+        monkeypatch.setattr(coeffs, "_sweep_nodes", job)
+
+        def meanwhile():
+            pids.append(os.getpid())
+            seen.append("meanwhile")
+        got = coeff_series(t1_profile, 0, 200, meanwhile=meanwhile)
+        _assert_no_child()
+        assert pids == [caller]
+        assert seen == ["fork"] * forks + events
+        for field in ("values", "errors", "floor", "ok"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+    def test_meanwhile_runs_once_for_a_closed_form_planet(self, point_mass):
+        pids = []
+        got = coeff_series(point_mass, 0, 50, meanwhile=lambda: pids.append(os.getpid()))
+        assert pids == [os.getpid()]
+        assert np.array_equal(got.values, coeff_series(point_mass, 0, 50).values)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_meanwhile_exception_keeps_its_type(self, monkeypatch, t1_profile, cpus):
+        def fail():
+            raise ParameterError("weight.eps", "raised by meanwhile")
+        monkeypatch.setattr(coeffs, "_usable_cpus", lambda: cpus)
+        with pytest.raises(ParameterError, match="raised by meanwhile") as info:
+            coeff_series(t1_profile, 0, 200, meanwhile=fail)
+        assert info.value.field == "weight.eps"
+        _assert_no_child()
+
+    def test_sweep_error_comes_before_meanwhile_error(self, monkeypatch, t1_profile):
+        def fail():
+            raise ParameterError("peak.c", "raised in the child")
+        self._in_child(monkeypatch, fail)
+
+        def late():
+            raise ValueError("raised by meanwhile")
+        with pytest.raises(ParameterError, match="raised in the child"):
+            coeff_series(t1_profile, 0, 200, meanwhile=late)
+        _assert_no_child()
+
+    def test_interrupted_meanwhile_kills_and_reaps_the_child(self, monkeypatch, t1_profile):
+        self._in_child(monkeypatch, lambda: time.sleep(60))
+
+        def interrupt():
+            raise KeyboardInterrupt
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            coeff_series(t1_profile, 0, 200, meanwhile=interrupt)
+        assert time.monotonic() - started < 30
+        _assert_no_child()
+
 
 class TestPotentials:
     def test_ball_point_equivalence(self, ball):

@@ -19,7 +19,10 @@ _spec.loader.exec_module(contract_sweep)
     # balayage builds the planet at load, as every command does
     (("balayage",), ("planet.peak",)),
     (("coeffs",), ("planet.schema_version",)),
-], ids=["tail-fit", "balayage-masses", "balayage-planet-peak", "planet-schema-version"])
+    # n_max 0 and below reach full-verify's order floor from n_min 0
+    (("full-verify",), ("n_range",)),
+], ids=["tail-fit", "balayage-masses", "balayage-planet-peak", "planet-schema-version",
+        "full-verify-n-range"])
 def test_sweep_subset_keeps_the_contract(tmp_path, commands, prefixes):
     # no traceback, and a field path on every exit 2; the full sweep is
     # tools/contract_sweep.py, about a minute

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from brillouin import spectral
-from brillouin._panels import breakpoints_on, peak_breakpoints, refine
-from brillouin.coeffs import theta_grid
+from brillouin._panels import (GRADE_RATIO, LADDER_STEPS, breakpoints_on, graded_offsets,
+                               peak_breakpoints, refine)
+from brillouin.coeffs import _graded_floor, theta_grid
 from brillouin.errors import ToleranceNotMet
 from brillouin.model import PlanetSpec, PowerCusp, TwoSidedCuspWeight, build_profile
 
@@ -73,6 +74,52 @@ class TestBreakpointsOn:
 
     def test_no_parts(self):
         assert breakpoints_on(-1.0, 2.0).tolist() == [-1.0, 2.0]
+
+
+def ref_widths(floor_width, top_width):
+    """The widths floor * GRADE_RATIO^j, by running product, while they stay
+    below the top."""
+    widths = []
+    w = float(floor_width)
+    while w < top_width:
+        widths.append(w)
+        w *= GRADE_RATIO
+    return widths
+
+
+def ref_graded_offsets(floor_width, top_width):
+    """The loop form of graded_offsets: the running sums of the widths after a 0."""
+    widths = ref_widths(floor_width, top_width)
+    if not widths:
+        return np.array([0.0])
+    return np.concatenate([[0.0], np.cumsum(widths)])
+
+
+def _tops(floor):
+    """Tops below the floor, at it, between and on the ladder's widths, and
+    past the end of the first cached ladder of LADDER_STEPS widths."""
+    rungs = floor * GRADE_RATIO ** np.arange(-3.0, LADDER_STEPS + 40.0, 0.5)
+    widths = ref_widths(floor, floor * GRADE_RATIO ** (LADDER_STEPS + 2))
+    return [*rungs, *(widths[j] for j in (0, 1, 60, LADDER_STEPS - 1, LADDER_STEPS))]
+
+
+class TestGradedOffsets:
+    @pytest.mark.parametrize("floor", [1e-16, 1e-12, 2.0**-18, 1e-10 / 8, "graded"])
+    def test_match_the_loop_form(self, cusp_profile, floor):
+        if floor == "graded":
+            floor = _graded_floor(cusp_profile, 1500) / 2.0
+        for top in _tops(floor):
+            got, want = graded_offsets(floor, top), ref_graded_offsets(floor, top)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), top
+        assert graded_offsets(floor, floor / 2).tolist() == [0.0]
+        assert graded_offsets(floor, math.nan).tolist() == [0.0]
+
+    def test_written_result_leaves_later_results(self):
+        floor, top = 1e-12, 0.05
+        want = ref_graded_offsets(floor, top)
+        graded_offsets(floor, top)[:] = 7.0
+        graded_offsets(floor, 1e3)[1:4] = -1.0
+        assert graded_offsets(floor, top).tobytes() == want.tobytes()
 
 
 # SHA-256 digests of the grids the per-module builders made before they

@@ -16,8 +16,12 @@ The output holds, per workload and end-to-end metric of ``BENCHMARK.json``,
 the median and quartiles of each side, the number of pairs in which the
 change was better, the relative change of the medians and the metric's
 bound, with the attempt and failure counts of every run and the machine
-facts ``bench/run.py`` prints.  The bench's ``cpu_s`` and ``peak_rss_mb``
-count its own process only; so each run also records ``tree_cpu_s``, the
+facts ``bench/run.py`` prints, with two more that decide whether the
+package's import compiles its sources (about 0.03 s of ``setup_s`` on a
+2-vCPU Xeon host): the ``PYTHONDONTWRITEBYTECODE`` the runs inherit and
+whether the tree's ``src/brillouin/__pycache__`` holds bytecode after the
+side's first run.  The bench's ``cpu_s`` and ``peak_rss_mb`` count its
+own process only; so each run also records ``tree_cpu_s``, the
 CPU seconds of the run's whole process tree (``RUSAGE_CHILDREN`` around
 it: the run, its set-up interpreters and any process the program forks),
 and its pass count, and the output gives each side's tree CPU per pass.
@@ -27,6 +31,7 @@ Standard library only.
 import argparse
 import io
 import json
+import os
 import resource
 import statistics
 import subprocess
@@ -82,6 +87,16 @@ def run_bench(tree, workload, seed, seconds):
                   "error": f"exit {done.returncode}: {done.stderr.strip()[-500:]}"}
     result["tree_cpu_s"], result["passes"] = tree_cpu, passes
     return result, facts
+
+
+def bytecode_facts(tree):
+    """Whether importing the package from ``tree`` compiles its sources:
+    the ``PYTHONDONTWRITEBYTECODE`` of this process, which every run
+    inherits (None where unset), and whether the package's bytecode cache
+    holds a compiled module."""
+    cache = Path(tree) / "src" / "brillouin" / "__pycache__"
+    return {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "bytecode_cached": any(cache.glob("*.pyc"))}
 
 
 def quartiles(values):
@@ -187,7 +202,8 @@ def main(argv=None):
                 for side in order:
                     started = time.time()
                     got[side], facts = run_bench(trees[side], workload, seed, args.seconds)
-                    report["machine"].setdefault(side, facts)
+                    if side not in report["machine"]:
+                        report["machine"][side] = {**facts, **bytecode_facts(trees[side])}
                     print(f"{workload} pair {i} {side}: "
                           f"wall_s {got[side]['metrics'].get('wall_s', {}).get('value')} "
                           f"correct {got[side]['correct']} ({time.time() - started:.0f} s)",

@@ -8,6 +8,11 @@ every list item, to each of 15 hostile values: None, true, "abc", [], {},
 NaN, inf, -1, 0, 1e300, +-1e-300, 2.5, "1e3" and [1, 2].  Each config runs
 through ``brillouin.cli.main`` in-process under each command (all six by
 default; ``--path`` keeps the nodes under the given dotted prefixes).
+The base has n_min 1, so there every n_max below 1 exits 2 as n_min >
+n_max; under the commands whose order range has a floor (``radius`` and
+``full-verify`` run at least ``convergence.MIN_ROOT_TEST_N`` orders), the
+``n_range`` node is also set to ``{n_min: 0, n_max: <value>}`` for each
+hostile value, so that those n_max reach the floor.
 
 The contract: every run exits 0, 2, 3 or 4, never with a traceback, and an
 exit 2 prints ``config error: <field path>: ...`` and nothing before it,
@@ -64,6 +69,10 @@ EVERY_SECTION = {
                  "probe_x": [0.4], "n_exterior": 5, "obs_radius": 3.0},
 }
 
+#: the commands that run at least convergence.MIN_ROOT_TEST_N orders,
+#: whatever n_max says
+FLOORED = ("radius", "full-verify")
+
 _FIELD_PATH = re.compile(r"config error: (config(?:\.[A-Za-z_]\w*|\[\d+\])*): ")
 _PART = re.compile(r"\.([A-Za-z_]\w*)|\[(\d+)\]")
 
@@ -93,8 +102,12 @@ def cases(commands=cli.COMMANDS, prefixes=("",)):
     with one of ``prefixes`` (given without the leading ``config.``)."""
     paths = [p for p in nodes(EVERY_SECTION)
              if any(dotted(p).startswith(f"config.{pre}".rstrip(".")) for pre in prefixes)]
-    return [(command, path, value) for command in commands for path in paths
+    runs = [(command, path, value) for command in commands for path in paths
             for value in HOSTILE]
+    if ("n_range",) in paths:
+        runs += [(command, ("n_range",), {"n_min": 0, "n_max": value})
+                 for command in commands if command in FLOORED for value in HOSTILE]
+    return runs
 
 
 def run_case(command, path, value, workdir):
