@@ -27,12 +27,14 @@ reflection), so the jump costs one transform per height.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from ._io import read_csv
 from ._panels import (breakpoints_on, composite_nodes, graded_offsets, refine,
                       uniform_breakpoints)
 from .errors import BrillouinError, ToleranceNotMet
@@ -72,13 +74,15 @@ class ExtrapolationUnstable(BrillouinError):
 class SurfaceMeasure:
     """Longitudinally averaged surface density mu as a function of x = cos(theta).
 
-    ``mu`` is a vectorized callable on [-1, 1].
+    ``mu`` is a vectorized callable on [-1, 1], given a float array.  The
+    measure returns a float for a scalar x and an array for an array.
     """
 
     mu: Callable
 
     def __call__(self, x):
-        return self.mu(np.asarray(x, dtype=float))
+        out = self.mu(np.asarray(x, dtype=float))
+        return float(out) if np.ndim(x) == 0 else out
 
     def total_mass(self):
         """The integral of mu over [-1, 1] by 25 Gauss panels (400 nodes)."""
@@ -98,16 +102,10 @@ class SurfaceMeasure:
 
     @staticmethod
     def from_csv(path):
-        xs, vals = [], []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#") or line.startswith("x,"):
-                    continue
-                a, b = line.split(",")
-                xs.append(float(a))
-                vals.append(float(b))
-        return SurfaceMeasure.from_samples(np.array(xs), np.array(vals))
+        """The measure interpolating the ``x`` and ``mu`` columns of a
+        ``mu.csv`` artifact."""
+        columns = read_csv(path)
+        return SurfaceMeasure.from_samples(columns["x"], columns["mu"])
 
 
 @dataclass(frozen=True)
@@ -120,9 +118,6 @@ class PowerSeries:
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs))
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("coefficients must be finite")
-
-    def __len__(self):
-        return len(self.coeffs)
 
     def eval(self, p):
         total = 0.0
@@ -163,13 +158,8 @@ def swept_density_point(x0, y):
     of unit total mass.
     """
     x0 = np.asarray(x0, dtype=float)
-    y = np.asarray(y, dtype=float)
-    r2 = float(x0 @ x0)
-    if y.ndim == 1:
-        d = np.linalg.norm(y - x0)
-        return (1.0 - r2) / (4.0 * math.pi * d**3)
-    d = np.linalg.norm(y - x0[None, :], axis=-1)
-    return (1.0 - r2) / (4.0 * math.pi * d**3)
+    d = np.linalg.norm(np.asarray(y, dtype=float) - x0, axis=-1)
+    return (1.0 - float(x0 @ x0)) / (4.0 * math.pi * d**3)
 
 
 def _ellipe(m):
@@ -224,7 +214,6 @@ def mu_from_point_masses(masses):
         prepared.append((float(m), r, ct, st))
 
     def mu(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
         st_x = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
         total = np.zeros_like(x)
         for m, r, ct, st in prepared:
@@ -236,11 +225,7 @@ def mu_from_point_masses(masses):
             total += m * (1.0 - r * r) / (4.0 * math.pi) * integral
         return total
 
-    def mu_scalar_ok(x):
-        out = mu(x)
-        return out if np.ndim(x) else float(out[0])
-
-    return SurfaceMeasure(mu_scalar_ok)
+    return SurfaceMeasure(mu)
 
 
 @functools.lru_cache(maxsize=4)
@@ -351,20 +336,15 @@ def _relative_change(fine, coarse):
     return abs(fine - coarse) / max(1.0, abs(fine))
 
 
-_A_MULTIPLIER_CACHE = [1.0]
-
-
-def _a_multiplier(k):
-    # sqrt(pi) Gamma(1 + k) / Gamma(k + 1/2), by the stable ratio recurrence
-    while len(_A_MULTIPLIER_CACHE) <= k:
-        j = len(_A_MULTIPLIER_CACHE)
-        _A_MULTIPLIER_CACHE.append(_A_MULTIPLIER_CACHE[-1] * j / (j - 0.5))
-    return _A_MULTIPLIER_CACHE[k]
+def _a_multipliers(n):
+    # sqrt(pi) Gamma(1 + k) / Gamma(k + 1/2) for k < n, by the stable ratio recurrence
+    return list(itertools.accumulate(range(1, n), lambda m, j: m * j / (j - 0.5),
+                                     initial=1.0))[:n]
 
 
 def apply_A_series(series):
     """A acting on Maclaurin coefficients: c_k -> sqrt(pi) Gamma(1+k) / Gamma(k+1/2) c_k."""
-    out = np.array([_a_multiplier(k) * c for k, c in enumerate(series.coeffs)])
+    out = np.array([m * c for m, c in zip(_a_multipliers(len(series.coeffs)), series.coeffs)])
     return PowerSeries(out)
 
 
@@ -374,7 +354,7 @@ def halfpower_convolution_coeff(k):
     sqrt(p) multiplies by (k + 1/2), reproducing the diagonal multiplier of
     :func:`apply_A_series`; kept as the validation route for that identity.
     """
-    return _a_multiplier(k) / (k + 0.5)
+    return _a_multipliers(k + 1)[k] / (k + 0.5)
 
 
 def apply_A_cauchy(measure, zeta, tol=1e-12):
@@ -419,13 +399,15 @@ def plemelj_jump(measure, x0, eps_seq=(1e-2, 1e-3, 1e-4)):
     product with zeta) is exactly symmetric under conjugating zeta, so
     both sides would stop at the same refinement level with conjugate
     values.  x0 must stay PLEMELJ_MARGIN away from 0 (where the jump
-    formula degenerates) and from the endpoints.
+    formula degenerates) and from the endpoints, and the heights, at least
+    two, must be positive and distinct; otherwise ValueError is raised.
     """
     if not (PLEMELJ_MARGIN < abs(x0) < 1.0 - PLEMELJ_MARGIN):
         raise ValueError(f"x0 must stay off 0 and +-1 by margin {PLEMELJ_MARGIN}")
     eps_seq = sorted(eps_seq, reverse=True)
-    if len(eps_seq) < 2:
-        raise ValueError("need at least two heights for extrapolation")
+    if not (len(eps_seq) >= 2 and eps_seq[-1] > 0
+            and all(a > b for a, b in zip(eps_seq, eps_seq[1:]))):
+        raise ValueError(f"need at least two positive, distinct heights, not {eps_seq}")
 
     def cauchy(zeta):
         # the Neville check below is this routine's error control, so a

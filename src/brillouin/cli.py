@@ -44,6 +44,10 @@ COMMANDS = ("coeffs", "asympt", "radius", "spectral", "balayage", "full-verify")
 #: pass per ``balayage.SOURCE_BLOCK`` masses over the 76,800-point sphere rule
 #: of ``balayage.swept_potential``
 MAX_EXTERIOR = 10_000
+#: the smallest ``balayage.obs_radius``: nearer the sphere, that sphere rule
+#: no longer resolves the swept density's pull on an observer (at 1.1 its
+#: error reaches 7e-7 against the 1e-8 check; at 1.2 it stays below 1e-10)
+MIN_OBS_RADIUS = 1.2
 #: the largest ``balayage.obs_radius``: the squared distances from the
 #: observers, summed over three coordinates in ``balayage._distances`` and
 #: ``np.linalg.norm``, must stay below the largest double (3 (r + 1)^2 <
@@ -194,8 +198,9 @@ _SCHEMA = {
     "balayage": {"masses": (_list(_MASS, nonempty=True), MANDATORY),
                  "probe_x": (_list(_PROBE), [0.5]),
                  "n_exterior": (_count(0, MAX_EXTERIOR), 10),
-                 "obs_radius": (value_kind(as_number, f"a number > 1 and <= {MAX_OBS_RADIUS:g}",
-                                           lambda r: 1 < r <= MAX_OBS_RADIUS), 2.0)},
+                 "obs_radius": (value_kind(as_number, f"a number >= {MIN_OBS_RADIUS} and <= "
+                                           f"{MAX_OBS_RADIUS:g}",
+                                           lambda r: MIN_OBS_RADIUS <= r <= MAX_OBS_RADIUS), 2.0)},
 }
 #: the rules that tie a section's keys together, and the class it reads as
 _RULES = {"asympt": (_asympt_rules,), "spectral": (_tail_grid, _TailGrid)}
@@ -312,30 +317,12 @@ def _artifact_dir(config, out_override=None):
     return Path(root) / f"{config.command}-{config.config_hash[:12]}"
 
 
-def _nonfinite(value, key=""):
-    """The key path of the first NaN or infinity in ``value``, a number, an
-    array or a dict or list of them, or None if it holds none (text and
-    None are finite)."""
-    if isinstance(value, dict):
-        parts = ((f"{key}.{k}" if key else str(k), v) for k, v in value.items())
-    else:
-        try:
-            return None if np.all(np.isfinite(value)) else key
-        except (TypeError, ValueError):  # text, None, or a list of mixed items
-            items = enumerate(value) if isinstance(value, (list, tuple)) else ()
-            parts = ((f"{key}[{i}]", v) for i, v in items)
-    return next(filter(None, (_nonfinite(v, k) for k, v in parts)), None)
-
-
 def _write(out, config, name, data):
     """Write the artifact ``name`` under ``out``, stamped with the config
     hash: a ``.csv`` name takes ``data`` as its columns, any other name
-    writes ``data`` as a JSON object with the hash as one more key.  A NaN
-    or infinity anywhere in ``data`` raises BrillouinError naming the
-    artifact and its key, and the file is not written."""
-    bad = _nonfinite(data)
-    if bad is not None:
-        raise BrillouinError(f"{name}: {bad} is not finite; not written")
+    writes ``data`` as a JSON object with the hash as one more key.  The
+    writers of ``_io`` refuse a NaN or infinity in ``data``: they raise
+    BrillouinError naming the artifact and its key, and write nothing."""
     if name.endswith(".csv"):
         write_csv(out / name, data, config_hash=config.config_hash)
     else:

@@ -416,6 +416,15 @@ class TestPlemelj:
             with pytest.raises(ValueError):
                 plemelj_jump(const_half(), bad)
 
+    @pytest.mark.parametrize("eps_seq", [(1e-2, -1e-3), (1e-2, 1e-2, 1e-3), (1e-2, 0.0)],
+                             ids=["negative", "repeated", "zero"])
+    def test_invalid_heights_rejected(self, eps_seq):
+        # a negative height once gave a wrong density, a repeated one a
+        # ZeroDivisionError from the Neville tableau
+        measure = mu_from_point_masses([(1.0, (0.3, 0.2, 0.5))])
+        with pytest.raises(ValueError, match="positive, distinct heights"):
+            plemelj_jump(measure, 0.5, eps_seq=eps_seq)
+
     def test_unstable_extrapolation_detected(self):
         from brillouin.balayage import ExtrapolationUnstable
 
@@ -553,6 +562,24 @@ class TestSurfaceMeasureIO:
         loaded = SurfaceMeasure.from_csv(path)
         probe = np.linspace(-0.9, 0.9, 11)
         assert loaded(probe) == pytest.approx(original(probe), rel=1e-4)
+
+    @pytest.mark.parametrize("make", [
+        lambda path: mu_from_point_masses(THREE_MASSES),
+        lambda path: SurfaceMeasure.from_samples([-1.0, 0.0, 1.0], [0.25, 0.5, 1.0]),
+        lambda path: SurfaceMeasure.from_csv(path),
+        lambda path: SurfaceMeasure(axial_mu(0.6)),
+    ], ids=["point-masses", "samples", "csv", "callable"])
+    def test_scalar_in_float_out(self, tmp_path, make):
+        path = tmp_path / "mu.csv"
+        cli._write(tmp_path, SimpleNamespace(config_hash="abcd"), "mu.csv",
+                   {"x": np.linspace(-1.0, 1.0, 21), "mu": np.linspace(0.0, 1.0, 21)})
+        measure = make(path)
+        for x in (0.5, np.float64(0.5), np.array(0.5)):
+            assert type(measure(x)) is float
+        xs = np.array([-0.5, 0.5])
+        values = measure(xs)
+        assert isinstance(values, np.ndarray) and values.shape == (2,)
+        assert values[1] == measure(0.5)
 
     def test_power_series_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -868,13 +869,15 @@ class TestBalayageCommand:
         ({"n_exterior": 1e300}, "n_exterior"),
         ({"n_exterior": cli.MAX_EXTERIOR + 1}, "n_exterior"),
         ({"obs_radius": 1.0}, "obs_radius"),
+        ({"obs_radius": 1.1}, "obs_radius"),
         ({"obs_radius": "far"}, "obs_radius"),
         ({"obs_radius": cli.MAX_OBS_RADIUS * 1.5}, "obs_radius"),
     ], ids=["short-position", "on-sphere", "non-numeric-position", "missing-m",
             "non-numeric-m", "unknown-mass-key", "no-masses", "probe-at-zero",
             "probe-at-pole", "negative-exterior", "fractional-exterior", "huge-exterior",
             "past-exterior-bound",
-            "observer-on-sphere", "non-numeric-radius", "past-radius-bound"])
+            "observer-on-sphere", "observer-near-sphere", "non-numeric-radius",
+            "past-radius-bound"])
     def test_config_errors_name_field_and_write_nothing(self, tmp_path, capsys,
                                                          change, field):
         cfg = dict(BALAYAGE_CONFIG, balayage={**BALAYAGE_CONFIG["balayage"], **change})
@@ -1043,6 +1046,49 @@ def test_artifacts_do_not_depend_on_blas_threads(tmp_path, command, body):
         assert proc.returncode == 0, proc.stderr
         blobs.append({p.name: p.read_bytes() for p in out.glob(f"{command}-*/*")})
     assert blobs[0] and blobs[0] == blobs[1]
+
+
+#: the bench's workloads (bench/workloads.py), read as they are
+_spec = importlib.util.spec_from_file_location(
+    "bench_workloads", Path(__file__).resolve().parent.parent / "bench" / "workloads.py")
+bench_workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_workloads)
+BENCH_CLI = {e.name: e for w in bench_workloads.WORKLOADS.values() for e in w.experiments
+             if isinstance(e, bench_workloads.CliExperiment)}
+
+
+@pytest.mark.parametrize("name, seed, digests", [
+    ("full-verify-cusp", 1, {
+        "coeffs.csv": "a98244c38147477f47a9644b030b6e3da14089de179720e08385e2f6c61a5457",
+        "radius.json": "031774eef7c8703e1fbd8ed4e192fcbc70c269ce31f46482070694342c3f9574",
+        "summary.json": "0d4457f601e47542eca795a8f307d5dbd800a34e1e9c39205494f7fe1f10ff36"}),
+    ("radius-alpha1", 1, {
+        "radius.json": "b22bc5661f1d1d3893818b6b16f653f840aeb85bf6380f74b848d67c0a8a422a"}),
+    ("radius-point-mass", 1, {
+        "radius.json": "1f685043cbb1cec34f1a4281dbd28c80b1af08b5873f149b07fe7419e6cdf245"}),
+    ("spectral-tail", 1, {
+        "tailfit.json": "0f86ce2fa8f26efabac16acdaa7cc1b9d8c0a01cea98c833bed41329ed153c58",
+        "transform.csv": "2e12c7cb882c0477e1316ad40044f15824e7e33244a826f55361a96f28c6e4c1"}),
+    ("asympt-tail", 1, {
+        "ratio.csv": "16c014ddf25b074b13d47b1d20bbc9fdd0c1faf925d49eb651b3f2ebfcf46f39",
+        "ratio.json": "38aae0351c25c4ce14f52285a73dd7a98a0428a778be9700c896e6e286a15b50"}),
+    ("balayage-three-masses", 1, {
+        "balayage.json": "4730f72056af1969faa04f765f65e271e61b137d1b54ad336f393ea81a150f99",
+        "mu.csv": "a801dba37d06ab942309a7c3a13839d37fa7045a5181b1419534a4a1404e954a"}),
+    ("balayage-three-masses", 5, {
+        "balayage.json": "5dcd83e527c20821322e534226428678b4162da097fadf960a6c4b635aa0444f",
+        "mu.csv": "2da946c7b29e86175ddc338627fddb74e1818e7135cc3db9834c79e564c7c1e6"}),
+], ids=["full-verify-cusp-1", "radius-alpha1-1", "radius-point-mass-1", "spectral-tail-1",
+        "asympt-tail-1", "balayage-three-masses-1", "balayage-three-masses-5"])
+def test_bench_artifacts_are_pinned(tmp_path, name, seed, digests):
+    # every CLI config of the bench, at seed 1 and, for the one whose
+    # output depends on the seed (balayage's exterior directions), at seed 5
+    experiment = BENCH_CLI[name]
+    path = write_config(tmp_path, experiment.config(seed))
+    out = tmp_path / "out"
+    assert main([experiment.command, "--config", str(path), "--out", str(out)]) == EXIT_OK
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.glob("*/*")} == digests
 
 
 def test_only_the_cli_writes_artifacts():

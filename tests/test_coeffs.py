@@ -19,7 +19,7 @@ from brillouin.coeffs import (
     potential_direct,
     potential_partial_sum,
 )
-from brillouin.errors import ParameterError, ToleranceNotMet
+from brillouin.errors import BrillouinError, ParameterError, ToleranceNotMet
 from brillouin.legendre import gauss_nodes, legendre_eval
 from brillouin.model import (
     PlanetSpec,
@@ -652,6 +652,13 @@ class TestSeries:
         d = json.loads((tmp_path / "coeffs.json").read_text())
         assert d["config_hash"] == "deadbeef"
         assert d["fingerprint"] == point_mass_series.fingerprint
+
+    def test_csv_export_refuses_a_nan(self, tmp_path, point_mass_series):
+        series = point_mass_series.scaled_by(float("nan"))
+        path = tmp_path / "out" / "series.csv"
+        with pytest.raises(BrillouinError, match=r"^series\.csv: C_scaled is not finite"):
+            series.to_csv(path)
+        assert not (tmp_path / "out").exists()
 
     def test_cross_pipeline_against_reduction_integral(self, t1_profile):
         # independent oracle: the localized oscillatory integral, assembled

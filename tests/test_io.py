@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from brillouin._io import write_csv
+from brillouin._io import read_csv, write_csv
 
 
 def test_csv_bytes_are_pinned(tmp_path):
@@ -23,3 +24,15 @@ def test_csv_of_empty_columns_is_the_header(tmp_path):
     path = write_csv(tmp_path / "t.csv", {"n": np.arange(0), "v": np.zeros(0)})
     assert path.read_bytes() == b"n,v\n"
 
+
+@pytest.mark.parametrize("config_hash", [None, "abc"], ids=["bare", "stamped"])
+@pytest.mark.parametrize("rows", [3, 0], ids=["rows", "empty"])
+def test_csv_reads_back_as_float_columns(tmp_path, config_hash, rows):
+    columns = {"n": np.arange(rows) - 1,
+               "x": np.array([1e-300, -0.0, 0.1 + 0.2])[:rows],
+               "y": np.array([1 / 3, -2.5e17, 5e-324])[:rows]}
+    got = read_csv(write_csv(tmp_path / "t.csv", columns, config_hash=config_hash))
+    assert list(got) == ["n", "x", "y"]
+    for name, col in columns.items():
+        assert got[name].dtype == float
+        assert [v.hex() for v in got[name].tolist()] == [float(v).hex() for v in col]
