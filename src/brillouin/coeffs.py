@@ -22,10 +22,12 @@ One engine, the recurrence sweep ``_sweep``, computes every coefficient:
 a range of orders over a shared grid, or a single order on the grid built
 for it.  For a column constant in r the radial factor W_n has a closed
 form and the sweep is one pass over the whole grid.  For a general column
-v(r, theta) the sweep runs in fixed chunks of colatitude nodes; within
-each octave block of orders [lo, 2 lo) the radial s-nodes are built and v
-is evaluated once, and W_n follows order by order from one multiply by
-e^{-s}.
+v(r, theta) the sweep runs in jobs of consecutive colatitude nodes, as
+many as keep each array of a job's radial state within RADIAL_BUDGET
+elements; within each octave block of orders [lo, 2 lo) the radial
+s-nodes are built and v is evaluated once, a few nodes at a time, and W_n
+follows order by order from one multiply by e^{-s} and one sum over the
+s-nodes.
 
 Each order's value is a sum over the colatitude nodes.  The sweep writes
 the per-node terms of several consecutive orders as the rows of one block
@@ -98,9 +100,13 @@ _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 #: 1 - x rounds to exactly 1.0 for every 0 <= x <= 2^-54 (round half to even)
 _ONE_MINUS_EXACT = 2.0**-54
-#: general columns are swept in chunks of this many colatitude nodes, which
-#: keeps each (nodes x radial nodes) array of the radial state near 0.2 MiB
-COLUMN_CHUNK = 256
+#: a general column's job holds as many colatitude nodes as keep each
+#: (radial nodes x nodes) array of its radial state within this many
+#: elements (512 KiB; see ``_sweep_jobs``)
+RADIAL_BUDGET = 2**16
+#: a job's radial rule is built, and its column evaluated, this many
+#: colatitude nodes at a time (see ``_ColumnRadial``)
+RADIAL_BUILD_NODES = 64
 #: the sweep sums the terms of up to COMPACT_EVERY orders per reduction call,
 #: in a block of at most this many elements (256 KiB, within a core's L2
 #: cache), or of one row where a row is more (see ``_sweep``)
@@ -261,6 +267,13 @@ class _ClosedRadial:
         self.pwL = self.pwL[live]
 
 
+def _radial_points(level):
+    """The s-nodes per colatitude node of a general column's radial rule at
+    sweep level ``level``: RADIAL_ORDER 2^level Gauss points on each panel
+    of ``_U_EDGES``."""
+    return (_U_EDGES.size - 1) * (RADIAL_ORDER << level)
+
+
 class _ColumnRadial:
     """Radial factor of a general column:
     W_n = integral_0^L e^{-(n+3) s} v(r_M e^{-s}, theta) ds.
@@ -271,11 +284,18 @@ class _ColumnRadial:
     like the colatitude grid, the radial rule refines with the sweep level,
     so the difference of two levels also sees the radial error.  v is
     evaluated once per block; the carried A = w v e^{-(n+3) s} takes one
-    multiply by e^{-s} per order, and ``weight`` writes W_n =
-    A.sum(axis=1), which the sweep does not divide (``divides``).  Within
-    a block the decay only steepens, so the panels built for lo resolve
-    every later order of the block.  While the cap binds at no node the panels do not
-    depend on lo, and A is carried on into the next block.
+    multiply by e^{-s} per order.  Within a block the decay only steepens,
+    so the panels built for lo resolve every later order of the block.
+    While the cap binds at no node the panels do not depend on lo, and A is
+    carried on into the next block.
+
+    A and the decay e^{-s} are stored order-major, shape (Q, N) for Q
+    s-nodes (``_radial_points``) and N live colatitude nodes: ``weight``
+    writes W_n = np.add.reduce(A, axis=0), Q contiguous vector adds in
+    numpy and no BLAS call, which the sweep does not divide (``divides``),
+    and ``compact`` keeps columns.  A block's rule is built,
+    and v evaluated, RADIAL_BUILD_NODES colatitude nodes at a time into
+    these two arrays, so the build's temporaries stay small beside them.
 
     ``wmax`` bounds |v| for the sweep's budget: it starts at the profile's
     vmax, taken from a few radial probes that can miss a narrow feature, and
@@ -298,6 +318,8 @@ class _ColumnRadial:
         self.L = profile.eval_L(nodes)
         # |W_n| <= wmax / (n + 3)
         self.wmax = profile.vmax
+        self.decay = np.empty((_radial_points(level), nodes.size))
+        self.A = np.empty_like(self.decay)
         # the first block is built before the sweep drops any node, so that
         # its samples raise wmax for every bound the sweep records
         self.s_hi = np.full(nodes.size, np.nan)
@@ -312,21 +334,24 @@ class _ColumnRadial:
         self.s_hi = s_hi
         # after the first block s_hi moves only where the smaller cap binds
         self.capped = True
-        bp = _U_EDGES / RADIAL_EXPONENT_CAP * s_hi[:, None]
-        a = bp[:, :-1, None]
-        h = np.diff(bp, axis=1)[:, :, None]
         gx, gw = _rule01(self.order)
-        s = (a + h * gx).reshape(s_hi.size, -1)
-        self.decay = np.exp(-s)
-        vals = self.profile.eval_v(self.rM[:, None] * self.decay,
-                                   np.repeat(self.theta[:, None], s.shape[1], axis=1))
-        self.wmax = max(self.wmax, float(np.max(np.abs(vals), initial=0.0)))
-        # A = w e^{-(lo+3) s} v, formed in the storage of s
-        s *= -(lo + 3.0)
-        np.exp(s, out=s)
-        s *= (h * gw).reshape(s_hi.size, -1)
-        s *= vals
-        self.A = s
+        q = self.A.shape[0]
+        # the old A and decay are spent: the new ones are written over them
+        for j in range(0, s_hi.size, RADIAL_BUILD_NODES):
+            cols = slice(j, j + RADIAL_BUILD_NODES)
+            bp = _U_EDGES[:, None] / RADIAL_EXPONENT_CAP * s_hi[cols]
+            a = bp[:-1, None]
+            h = np.diff(bp, axis=0)[:, None]
+            s = (a + h * gx[:, None]).reshape(q, -1)
+            decay = np.exp(-s, out=self.decay[:, cols])
+            vals = self.profile.eval_v(self.rM[cols] * decay,
+                                       np.repeat(self.theta[None, cols], q, axis=0))
+            self.wmax = max(self.wmax, float(np.max(np.abs(vals), initial=0.0)))
+            # A = w e^{-(lo+3) s} v, formed in the storage of s
+            s *= -(lo + 3.0)
+            np.exp(s, out=s)
+            s *= (h * gw[:, None]).reshape(q, -1)
+            np.multiply(s, vals, out=self.A[:, cols])
 
     @property
     def vmax(self):
@@ -335,7 +360,7 @@ class _ColumnRadial:
     def weight(self, n, out):
         if n == self.block_end:
             self._start_block(n)
-        np.add.reduce(self.A, axis=1, out=out)
+        np.add.reduce(self.A, axis=0, out=out)
         self.A *= self.decay
         return out
 
@@ -358,8 +383,8 @@ class _ColumnRadial:
         self.rM = self.rM[live]
         self.L = self.L[live]
         self.s_hi = self.s_hi[live]
-        self.decay = self.decay[live]
-        self.A = self.A[live]
+        self.decay = self.decay[:, live]
+        self.A = self.A[:, live]
 
 
 class _Sweep(NamedTuple):
@@ -538,10 +563,11 @@ def _sweep(profile, n_max, level, n_min=0):
     recurrence is seeded with P_{n_min} and P_{n_min-1}, and the damping
     starts at e^{-(n_min+3)F}.  A column constant in r has the closed
     radial factor v (1 - e^{-(n+3)L}) / (n+3) and runs in a single pass
-    over the whole grid; a general column runs in chunks of COLUMN_CHUNK
-    colatitude nodes, each carrying its own per-block radial state, whose
-    rule has RADIAL_ORDER 2^level points per panel (see ``_ColumnRadial``),
-    and the chunk results are added.
+    over the whole grid; a general column runs as jobs of consecutive
+    colatitude nodes sized to the RADIAL_BUDGET (see ``_sweep_jobs``), each
+    carrying its own per-block radial state, whose rule has RADIAL_ORDER
+    2^level points per panel (see ``_ColumnRadial``), and the job results
+    are added.
 
     Operation order.  Let base be a node's colatitude weight (w sin^{1/2} g
     for a closed radial factor, w sin for a general column).  A node whose
@@ -629,13 +655,16 @@ def _sweep(profile, n_max, level, n_min=0):
 
 def _sweep_jobs(profile, n_max, level):
     """The jobs of one level's sweep, in the order ``_fold`` adds their
-    results: ``(level, [nodes, weights])``, one for a column constant in r
-    and one per COLUMN_CHUNK colatitude nodes for a general column."""
+    results: ``(level, [nodes, weights])``, one for a column constant in r.
+    A general column has one job per run of RADIAL_BUDGET // Q consecutive
+    colatitude nodes, Q the s-nodes per node (``_radial_points``), so that
+    each (Q, N) array of a job's radial state holds at most RADIAL_BUDGET
+    elements: 1170 nodes at level 0 and 585 at level 1."""
     nodes, wts = theta_grid(profile, n_max, level)
     if profile.radial_constant:
         return [(level, [nodes, wts])]
-    return [(level, [nodes[i:i + COLUMN_CHUNK], wts[i:i + COLUMN_CHUNK]])
-            for i in range(0, nodes.size, COLUMN_CHUNK)]
+    size = RADIAL_BUDGET // _radial_points(level)
+    return [(level, [nodes[i:i + size], wts[i:i + size]]) for i in range(0, nodes.size, size)]
 
 
 def _fold(parts):

@@ -45,9 +45,17 @@ MIN_ROOT_TEST_N = 4 * MIN_WINDOW_N
 
 
 def _octave_maxima(ns, vals):
-    """(n_at_max, log max|val|) per octave window [hi/2, hi), newest first."""
+    """(n_at_max, log max|val|) per octave window [hi/2, hi), oldest first.
+
+    The newest window ends at the last order with a nonzero value, or at
+    MIN_ROOT_TEST_N if that is later, and never beyond the last order: an
+    underflowed tail of exact zeros gives no window of its own, and the
+    windows are those of the series cut at that order."""
     out = []
     hi = int(ns[-1])
+    nonzero = np.flatnonzero(vals)
+    if nonzero.size:
+        hi = min(hi, max(int(ns[nonzero[-1]]), MIN_ROOT_TEST_N))
     while hi >= MIN_WINDOW_N and len(out) < 8:
         lo = hi // 2
         m = (ns >= lo) & (ns < hi + (1 if not out else 0))

@@ -619,8 +619,8 @@ class TestRadiusCommand:
 
 class TestFiniteArtifacts:
     BALL = {"kind": "ball", "R_b": 1.0, "rho0": 1.0}
-    #: its coefficients underflow to 0 past n of about 160, leaving the root
-    #: test two octave windows with a nonzero value
+    #: its coefficients underflow to 0 from n 162 on, past the root test's
+    #: 256-order floor
     DEEP_POINT_MASS = {"kind": "point_mass", "r0": 0.01, "theta_p": 1.0, "m": 1.0}
 
     @pytest.mark.parametrize("command", ["radius", "full-verify"])
@@ -634,15 +634,22 @@ class TestFiniteArtifacts:
         assert report["verdict"] == convergence.OVERCONVERGENCE
 
     @pytest.mark.parametrize("command", ["radius", "full-verify"])
-    def test_underflowing_series_is_numeric_failure(self, tmp_path, capsys, command):
-        cfg = {"schema_version": 1, "seed": 1, "planet": self.DEEP_POINT_MASS,
-               "n_range": {"n_max": 2000}}
-        path = write_config(tmp_path, cfg)
-        out = tmp_path / "out"
-        assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_NUMERIC
-        assert "radius.json: rho_hat is not finite" in capsys.readouterr().err
-        # radius.json is the first artifact, so nothing was written
-        assert not list(out.glob(f"{command}-*"))
+    def test_underflowing_series_gets_the_floor_verdict(self, tmp_path, command):
+        # the root test's windows end at the last nonzero order, or at its
+        # 256-order floor, so more orders of exact zeros leave the verdict
+        # and rho_hat of the floor run
+        reports = []
+        for n_max in (convergence.MIN_ROOT_TEST_N, 500, 2000):
+            cfg = {"schema_version": 1, "seed": 1, "planet": self.DEEP_POINT_MASS,
+                   "n_range": {"n_max": n_max}}
+            path = write_config(tmp_path, cfg)
+            out = tmp_path / f"out{n_max}"
+            assert main([command, "--config", str(path), "--out", str(out)]) == EXIT_OK
+            report = json.loads(next(out.glob(f"{command}-*/radius.json")).read_text())
+            reports.append((report["verdict"], report["rho_hat"], report["rho_check"]))
+        assert reports[0][0] == convergence.OVERCONVERGENCE
+        assert reports[0][1] == pytest.approx(0.01, rel=0.01)
+        assert reports[1] == reports[2] == reports[0]
 
     @pytest.mark.parametrize("name, data, key", [
         ("coeffs.csv", {"n": np.arange(3), "C_scaled": np.array([1.0, np.inf, 0.0])},

@@ -453,6 +453,44 @@ class TestColumnEngine:
         with pytest.raises(ToleranceNotMet, match="do not resolve"):
             coeff_series(prof, 0, 96, tol=1e-9)
 
+    @pytest.mark.parametrize("n_max", [100, 1000])
+    def test_jobs_hold_the_radial_budget(self, n_max):
+        # a general column's jobs cover the grid in order, each as wide as
+        # the budget allows but the last, and each (Q, N) array of a job's
+        # radial state holds at most RADIAL_BUDGET elements
+        prof = _column_planet()
+        for level in (0, 1):
+            q = coeffs._radial_points(level)
+            jobs = coeffs._sweep_jobs(prof, n_max, level)
+            sizes = [nodes.size for _, (nodes, _) in jobs]
+            assert sizes[:-1] == [coeffs.RADIAL_BUDGET // q] * (len(jobs) - 1)
+            assert np.array_equal(np.concatenate([nodes for _, (nodes, _) in jobs]),
+                                  coeffs.theta_grid(prof, n_max, level)[0])
+            for lv, (nodes, _) in jobs:
+                assert lv == level
+                radial = coeffs._ColumnRadial(prof, nodes, 0, level)
+                assert radial.A.shape == radial.decay.shape == (q, nodes.size)
+                assert radial.A.size <= coeffs.RADIAL_BUDGET
+
+    def test_smaller_budget_agrees(self, monkeypatch):
+        # narrower jobs move only the rounding, which both errors cover
+        prof = _column_planet()
+        wide = coeff_series(prof, 0, 300)
+        monkeypatch.setattr(coeffs, "RADIAL_BUDGET", coeffs.RADIAL_BUDGET // 4)
+        assert len(coeffs._sweep_jobs(prof, 300, 0)) > 1
+        narrow = coeff_series(prof, 0, 300)
+        assert np.all(np.abs(narrow.values - wide.values) <= narrow.errors + wide.errors)
+
+    def test_column_and_weight_routes_agree(self, alpha1_profile):
+        # the alpha = 1 planet through both routes, the closed radial factor
+        # of its weight and the radial rule of its callable column, over
+        # orders that cross the radial cap's rebuilds at lo 64, 128 and 256
+        prof = _column_planet()
+        assert alpha1_profile.radial_constant and not prof.radial_constant
+        weight = coeff_series(alpha1_profile, 0, 400)
+        column = coeff_series(prof, 0, 400)
+        assert np.all(np.abs(column.values - weight.values) <= column.errors + weight.errors)
+
     @pytest.mark.parametrize("width, level", [(0.002, 1), (0.005, 0), (0.005, 1)])
     def test_dropped_bound_covers_narrow_ring(self, monkeypatch, width, level):
         # a ring the radial probes miss entirely, on a steep peak that drops
@@ -465,7 +503,7 @@ class TestColumnEngine:
         prof = _ring_column_planet(width)
         assert prof.vmax == 0.0
         nodes, wts = grid = composite_nodes(np.linspace(0.0, math.pi, 17))
-        assert nodes.size <= coeffs.COLUMN_CHUNK
+        assert nodes.size <= coeffs.RADIAL_BUDGET // coeffs._radial_points(level)
         monkeypatch.setattr(coeffs, "theta_grid", lambda profile, n, level=0: grid)
         masks, events, caps = [], [], []
         compact, dropped_bound = coeffs._ColumnRadial.compact, coeffs._dropped_bound

@@ -11,6 +11,7 @@ from brillouin.coeffs import ScaledCoeffSeries, coeff_series
 from brillouin.convergence import (
     CONVERGES_AT_BRILLOUIN,
     INCONCLUSIVE,
+    MIN_ROOT_TEST_N,
     OVERCONVERGENCE,
     limsup_stat,
     root_test,
@@ -58,6 +59,19 @@ class TestRootTest:
     def test_cusp_planet_at_brillouin(self, cusp_series):
         rt = root_test(cusp_series)
         assert rt.rho_hat == pytest.approx(1.0, abs=5e-3)
+
+    @pytest.mark.parametrize("last", [161, 300])
+    def test_zero_tail_leaves_the_windows(self, last):
+        # orders past the last nonzero one that are exactly 0 (an
+        # underflowed tail) give the windows of the series cut there, or at
+        # the root test's floor
+        ns = np.arange(0, 2001)
+        values = np.where(ns <= last, 0.8 ** ns * np.cos(ns), 0.0)
+        cut = max(last, MIN_ROOT_TEST_N)
+        want = root_test(synthetic_series(ns[:cut + 1], values[:cut + 1]))
+        got = root_test(synthetic_series(ns, values))
+        assert got == want
+        assert got.rho_hat == pytest.approx(0.8, rel=0.02)
 
     def test_short_series_rejected(self, point_mass):
         series = coeff_series(point_mass, 0, 80)

@@ -46,6 +46,7 @@ import yaml
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from brillouin import cli  # noqa: E402
+from brillouin._io import read_csv  # noqa: E402
 
 HOSTILE = (None, True, "abc", [], {}, math.nan, math.inf, -1, 0, 1e300, 1e-300, -1e-300, 2.5,
            "1e3", [1, 2])
@@ -145,32 +146,28 @@ def breach(path, code, message):
     return None if related else f"exit 2 names a field of another section: {message.strip()}"
 
 
-def _csv_nonfinite(text):
-    lines = [line for line in text.splitlines() if not line.startswith("#")]
-    header = lines[0].split(",") if lines else []
-    for row, line in enumerate(lines[1:]):
-        for column, cell in zip(header, line.split(",")):
-            try:
-                value = float(cell)
-            except ValueError:
-                continue
+def _csv_nonfinite(path):
+    columns = read_csv(path)
+    for row, values in enumerate(zip(*columns.values())):
+        for column, value in zip(columns, values):
             if not math.isfinite(value):
-                return f"column {column} = {cell} in data row {row}"
+                return f"column {column} = {value} in data row {row}"
     return None
 
 
-def _json_nonfinite(text):
+def _json_nonfinite(path):
     found = []
-    json.loads(text, parse_constant=found.append)
+    json.loads(path.read_text(), parse_constant=found.append)
     return found[0] if found else None
 
 
 def nonfinite(root):
     """The first non-finite value in the CSV and JSON artifacts under
-    ``root``, as a breach, or None."""
+    ``root``, as a breach, or None.  A CSV is read back as the program
+    reads its own (``_io.read_csv``)."""
     scans = {".csv": _csv_nonfinite, ".json": _json_nonfinite}
     for artifact in sorted(root.rglob("*")):
-        where = scans[artifact.suffix](artifact.read_text()) if artifact.suffix in scans else None
+        where = scans[artifact.suffix](artifact) if artifact.suffix in scans else None
         if where:
             return f"non-finite value in {artifact.name} ({where})"
     return None
