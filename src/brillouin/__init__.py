@@ -7,8 +7,6 @@ from .asymptotics import (
     ExceptionalCase,
     RatioReport,
     UnsupportedPairing,
-    exact_inner,
-    inner_watson,
     oscillatory_J,
     predict_thm1,
     predict_thm3,
@@ -20,8 +18,6 @@ from .balayage import (
     analyticity_probe,
     apply_A_cauchy,
     apply_A_series,
-    build_Q,
-    green_sphere,
     mu_from_point_masses,
     plemelj_jump,
     swept_density_point,
@@ -31,11 +27,9 @@ from .coeffs import (
     coeff_scaled,
     coeff_series,
     potential_direct,
-    potential_partial_sum,
 )
 from .convergence import (
     ConvergenceReport,
-    convergence_verdict,
     limsup_stat,
     root_test,
     verdict_from_series,
@@ -61,8 +55,6 @@ from .model import (
 from .spectral import (
     TailFit,
     appendix_oracle,
-    build_cutoff,
-    check_Linf,
     fit_tail,
     fourier_eval,
     gaussian_window,

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._panels import breakpoints_on, composite_nodes, peak_breakpoints
-from .coeffs import RADIAL_EXPONENT_CAP, _U_EDGES, _graded_floor
+from ._panels import composite_nodes, peak_breakpoints
+from .coeffs import _graded_floor
 from .errors import BrillouinError
 from .model import (
     C1MixedWeight,
@@ -37,8 +37,6 @@ __all__ = [
     "predict_thm1",
     "predict_thm3",
     "oscillatory_J",
-    "inner_watson",
-    "exact_inner",
     "RatioReport",
     "ratio_diagnostic",
     "ExceptionalCase",
@@ -222,53 +220,6 @@ def oscillatory_J(profile, n):
     t, w = composite_nodes(peak_breakpoints(lo, hi, profile.theta0, base, floor_w))
     vals = profile.eval_g(t) * np.exp(-(n + 3.0) * profile.eval_F(t))
     return complex(np.sum(w * vals * np.exp(1j * (n + 0.5) * t)))
-
-
-def j_to_coeff(J, n, asymptotic=True):
-    """Scaled coefficient implied by the oscillatory integral J at order n.
-
-    ``asymptotic=True`` applies the large-n closed form
-    n^{-3/2} sqrt(2/pi) Re(e^{-i pi/4} J); ``asymptotic=False`` keeps the
-    finite-order factors 2 / ((n+3) sqrt(2 pi n)) from the column weight
-    and the oscillatory Legendre form, which tracks the quadrature roughly
-    an order of magnitude closer at moderate n (the two differ by 3/n).
-    """
-    re = float(np.real(np.exp(-1j * math.pi / 4.0) * J))
-    if asymptotic:
-        return n**-1.5 * math.sqrt(2.0 / math.pi) * re
-    return 2.0 / ((n + 3.0) * math.sqrt(2.0 * math.pi * n)) * re
-
-
-def inner_watson(profile, theta, n):
-    """Leading term g(theta) / (n + 3) of the radial column integral."""
-    return float(profile.eval_g(theta)) / (n + 3.0)
-
-
-def exact_inner(profile, theta, n, variable="s"):
-    """The sqrt(sin)-weighted radial column integral at one colatitude.
-
-    ``variable="s"`` integrates e^{-(n+3)s} v(r_M e^{-s}) over the
-    log-depth s in [0, log(r_M/r_m)]; ``variable="r"`` integrates
-    (r/r_M)^{n+2} v(r) / r_M directly over r in [r_m, r_M], scaled the
-    same way.  The two routes are algebraically identical and serve as
-    each other's cross-check; their ratio to :func:`inner_watson` tends
-    to 1 for large n."""
-    theta = float(theta)
-    L = float(profile.eval_L(theta))
-    rM = float(profile.eval_rM(theta))
-    s_edges = _U_EDGES / RADIAL_EXPONENT_CAP * min(L, RADIAL_EXPONENT_CAP / (n + 3.0))
-    if variable == "s":
-        s, w = composite_nodes(s_edges)
-        total = float(np.sum(w * np.exp(-(n + 3.0) * s)
-                             * profile.eval_v(rM * np.exp(-s), np.full_like(s, theta))))
-    elif variable == "r":
-        # same exponent grading expressed through r = r_M e^{-s}
-        r, w = composite_nodes(breakpoints_on(rM * math.exp(-L), rM, rM * np.exp(-s_edges)))
-        total = float(np.sum(w * (r / rM) ** (n + 2)
-                             * profile.eval_v(r, np.full_like(r, theta)))) / rM
-    else:
-        raise ValueError("variable must be 's' or 'r'")
-    return math.sqrt(math.sin(theta)) * total
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Sphere Green's function, swept surface densities, their longitudinal
-average, the half-power-to-Cauchy transform A, and Plemelj jump recovery.
+"""Swept surface densities on the unit sphere, their longitudinal average,
+the half-power-to-Cauchy transform A, and Plemelj jump recovery.
 
 The longitudinal average of a point mass's swept density is closed form
 in the complete elliptic integral E (evaluated by a local AGM, with no
@@ -11,7 +11,8 @@ Everything is set in three dimensions on the unit sphere (radial units
 normalized to the Brillouin radius).  Sign convention: the swept density
 sigma and its longitudinal average mu are kept nonnegative for positive
 mass, normalized so the integral of mu over [-1, 1] equals the total
-(G-weighted) swept mass; the attractive potential is then recovered as
+(G-weighted) swept mass; the attractive axis potential is then recovered
+from Q(p) = integral mu(x) (1 - p x)^{-1/2} dx as
 
     V(z) = -Q(p) / sqrt(z^2 + 1),   p = 2 z / (z^2 + 1),
 
@@ -42,24 +43,16 @@ from .errors import BrillouinError, ToleranceNotMet
 __all__ = [
     "SurfaceMeasure",
     "PowerSeries",
-    "green_sphere",
     "swept_density_point",
     "mu_from_point_masses",
-    "build_Q",
     "apply_A_series",
     "apply_A_cauchy",
     "plemelj_jump",
     "analyticity_probe",
     "swept_potential",
-    "halfpower_convolution_coeff",
-    "CutViolation",
     "OnCut",
     "ExtrapolationUnstable",
 ]
-
-
-class CutViolation(BrillouinError):
-    """The kernel (1 - p x)^{-1/2} is singular on [-1, 1] for this p."""
 
 
 class OnCut(BrillouinError):
@@ -127,27 +120,8 @@ class PowerSeries:
 
 
 # ---------------------------------------------------------------------------
-# Green's function and swept densities
+# swept densities
 # ---------------------------------------------------------------------------
-
-def green_sphere(x, y):
-    """Green's function of the unit ball at interior x and point y (interior
-    or on the sphere), by the method of images:
-
-        G(x, y) = Phi(y - x) - Phi(|x| (y - x*)),   x* = x / |x|^2,
-
-    with Phi(w) = 1 / (4 pi |w|).  The image norm |x| |y - x*| equals
-    sqrt(|x|^2 |y|^2 - 2 x.y + 1), a symmetric expression that stays finite
-    as x -> 0, where G tends to (1/4 pi)(1/|y| - 1).
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    direct = np.linalg.norm(y - x)
-    if direct == 0.0:
-        raise ValueError("Green's function is singular at x = y")
-    image = math.sqrt(max(float(x @ x) * float(y @ y) - 2.0 * float(x @ y) + 1.0, 0.0))
-    return (1.0 / direct - 1.0 / image) / (4.0 * math.pi)
-
 
 def swept_density_point(x0, y):
     """Surface density swept from a unit point mass at interior x0:
@@ -307,31 +281,6 @@ def swept_potential(x0, obs):
 # the transform A
 # ---------------------------------------------------------------------------
 
-def build_Q(measure, p):
-    """Q(p) = integral_{-1}^{1} mu(x) (1 - p x)^{-1/2} dx.
-
-    Real p must satisfy |p| < 1 (beyond that the kernel's branch point
-    enters the integration range); complex p off the real rays |p| >= 1 is
-    allowed.  The attractive axis potential is -Q(p(z)) / sqrt(z^2 + 1).
-    Raises :class:`ToleranceNotMet` if three panel halvings leave a
-    relative change above 1e-12 (see ``_panels.refine``).
-    """
-    p = complex(p)
-    if p.imag == 0.0 and abs(p.real) >= 1.0:
-        raise CutViolation(f"p = {p.real} puts the kernel singularity inside [-1, 1]")
-
-    def run(level):
-        # graded panels toward both endpoints handle p near +-1
-        offs = graded_offsets(2.0 ** -(18 + 2 * level), 0.25 / 2.0**level)
-        x, w = composite_nodes(breakpoints_on(
-            -1.0, 1.0, -1.0 + offs, 1.0 - offs,
-            uniform_breakpoints(-1.0 + offs[-1], 1.0 - offs[-1], 0.125 / 2.0**level)))
-        val = np.sum(w * measure(x) * (1.0 - p * x) ** -0.5)
-        return complex(val) if p.imag != 0.0 else float(np.real(val))
-
-    return refine(run, 1e-12, 3, what=f"build_Q at p={p}", error=_relative_change)[0]
-
-
 def _relative_change(fine, coarse):
     return abs(fine - coarse) / max(1.0, abs(fine))
 
@@ -346,15 +295,6 @@ def apply_A_series(series):
     """A acting on Maclaurin coefficients: c_k -> sqrt(pi) Gamma(1+k) / Gamma(k+1/2) c_k."""
     out = np.array([m * c for m, c in zip(_a_multipliers(len(series.coeffs)), series.coeffs)])
     return PowerSeries(out)
-
-
-def halfpower_convolution_coeff(k):
-    """Coefficient of p^{k + 1/2} in the convolution p^{-1/2} * p^k:
-    sqrt(pi) Gamma(1 + k) / Gamma(k + 3/2).  Differentiating and scaling by
-    sqrt(p) multiplies by (k + 1/2), reproducing the diagonal multiplier of
-    :func:`apply_A_series`; kept as the validation route for that identity.
-    """
-    return _a_multipliers(k + 1)[k] / (k + 0.5)
 
 
 def apply_A_cauchy(measure, zeta, tol=1e-12):

@@ -76,7 +76,6 @@ __all__ = [
     "coeff_scaled",
     "coeff_series",
     "potential_direct",
-    "potential_partial_sum",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -688,9 +687,10 @@ def _run_jobs(profile, jobs, n_min, n_max, meanwhile):
     """The ``_Sweep`` of every job of ``_sweep_jobs``, in job order.
 
     Where ``os.fork`` exists and two CPUs are usable, one forked child
-    process runs the odd-indexed jobs while the caller runs the even-indexed
-    ones.  The child sends its results, or the exception it raised, back
-    pickled through a pipe and always ends in ``os._exit``; the caller
+    process runs the heavier side of ``_split_jobs`` while the caller runs
+    the lighter one, which leaves the caller room for ``meanwhile``.  The
+    child sends its results, or the exception it raised, back pickled
+    through a pipe and always ends in ``os._exit``; the caller
     raises that exception with its original type and reaps the child on
     every path, killing it first if the caller's own jobs or ``meanwhile``
     raise.  A job's arithmetic is the same in either process, so every
@@ -710,16 +710,17 @@ def _run_jobs(profile, jobs, n_min, n_max, meanwhile):
         parts = run(jobs)
         meanwhile()
         return parts
+    caller, child = _split_jobs(profile, jobs)
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:
-        _child(run, jobs[1::2], read_end, write_end)
+        _child(run, [jobs[i] for i in child], read_end, write_end)
     os.close(write_end)
-    for _, grid in jobs[1::2]:
-        grid.clear()  # the child's copy is the one swept
+    for i in child:
+        jobs[i][1].clear()  # the child's copy is the one swept
     try:
         with open(read_end, "rb") as pipe:
-            ours = run(jobs[0::2])
+            ours = run([jobs[i] for i in caller])
             meanwhile()
             reply = pipe.read()
     except BaseException:
@@ -737,8 +738,32 @@ def _run_jobs(profile, jobs, n_min, n_max, meanwhile):
         exc.__dict__.update(state)
         raise exc
     parts = [None] * len(jobs)
-    parts[0::2], parts[1::2] = ours, theirs
+    for i, part in zip(caller + child, ours + theirs):
+        parts[i] = part
     return parts
+
+
+def _split_jobs(profile, jobs):
+    """The indices of ``jobs`` in two sides of near-equal work, each in job
+    order: ``(lighter, heavier)``.
+
+    A job's work is the radial elements its sweep updates per order: its
+    colatitude nodes, times the s-nodes per node (``_radial_points``) for a
+    general column.  The jobs go out heaviest first (ties in job order),
+    each to the side with less work so far (the first side on a tie), so
+    the two sides differ by at most one job's work.  A radial-constant
+    planet's two jobs split by level, its level-1 grid the heavier side."""
+    def work(job):
+        level, (nodes, _) = job
+        return nodes.size * (1 if profile.radial_constant else _radial_points(level))
+
+    sides, loads = ([], []), [0, 0]
+    for i in sorted(range(len(jobs)), key=lambda i: -work(jobs[i])):
+        side = loads.index(min(loads))
+        sides[side].append(i)
+        loads[side] += work(jobs[i])
+    heavier = loads.index(max(loads))
+    return sorted(sides[1 - heavier]), sorted(sides[heavier])
 
 
 def _child(run, jobs, read_end, write_end):
@@ -915,17 +940,3 @@ def potential_direct(profile, z, tol=1e-9, max_level=6):
         return float(np.sum(wts * np.sin(nodes) * acc))
 
     return refine(run, tol, max_level, what=f"potential_direct at z={z}")[0]
-
-
-def potential_partial_sum(series, z, N):
-    """Partial sum of the expansion through order N, evaluated in scaled
-    form (R/z)^n so no intermediate overflows.  Returns (value, last_term).
-    Raises ValueError unless n_min <= N <= n_max of the series."""
-    if not series.n_min <= N <= series.n_max:
-        raise ValueError(f"N = {N} outside the computed range "
-                         f"[{series.n_min}, {series.n_max}]")
-    m = series.n <= N
-    ns = series.n[m]
-    ratio = series.R / z
-    terms = series.values[m] * ratio**ns * series.R**3 / z
-    return float(np.sum(terms)), float(abs(terms[-1]))

@@ -19,15 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coeffs import coeff_series
-
 __all__ = [
     "RootTestResult",
     "root_test",
     "LimsupStat",
     "limsup_stat",
     "ConvergenceReport",
-    "convergence_verdict",
     "verdict_from_series",
 ]
 
@@ -210,9 +207,3 @@ def verdict_from_series(series, beta_m=None):
         verdict = INCONCLUSIVE
     return ConvergenceReport(rt.rho_hat, rho_check, float(beta_m), ls.trend,
                              verdict, (series.n_min, series.n_max))
-
-
-def convergence_verdict(profile, n_max, tol=1e-10):
-    """Compute the coefficient series of orders 1..n_max and classify where
-    it converges."""
-    return verdict_from_series(coeff_series(profile, 1, n_max, tol))

@@ -1,7 +1,7 @@
 """Fourier-side regularity diagnostics.
 
-Cutoff construction, compactly supported transforms, power-law tail
-fitting, the weighted sup-norm check, and the Gaussian spectral window.
+The smooth cutoff, compactly supported transforms, power-law tail
+fitting, and the Gaussian spectral window.
 All transforms use the unitary-in-frequency convention
 
     fhat(k) = (1 / sqrt(2 pi)) * integral e^{-i k x} f(x) dx,
@@ -26,7 +26,6 @@ from .errors import BrillouinError
 
 __all__ = [
     "SmoothCutoff",
-    "build_cutoff",
     "fourier_eval",
     "appendix_oracle",
     "appendix_function",
@@ -34,8 +33,6 @@ __all__ = [
     "TailFit",
     "fit_tail",
     "fit_windows",
-    "LinfReport",
-    "check_Linf",
     "gaussian_window",
     "NoPowerLaw",
     "IntegerBeta",
@@ -81,20 +78,6 @@ class SmoothCutoff:
     @property
     def support(self):
         return (self.center - 2.0 * self.eps, self.center + 2.0 * self.eps)
-
-
-def build_cutoff(theta0, eps):
-    """Smooth cutoff centered at ``theta0``: identically 1 within ``eps``,
-    identically 0 beyond ``2 eps``, infinitely differentiable in between.
-
-    Requires ``2 eps < min(theta0, pi - theta0)`` so the support stays
-    inside (0, pi).
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if 2.0 * eps >= min(theta0, math.pi - theta0):
-        raise ValueError("cutoff support must stay inside (0, pi)")
-    return SmoothCutoff(float(theta0), float(eps))
 
 
 def _transform_breakpoints(support, k, singularities, level):
@@ -320,31 +303,6 @@ def fit_tail(ks, fhat):
         residual=float(residual),
         window_amps=tuple(complex(a) for a in amps),
     )
-
-
-@dataclass(frozen=True)
-class LinfReport:
-    value: float
-    unbounded_trend: bool
-    window_sups: tuple
-
-
-def check_Linf(beta, ks, fhat):
-    """Grid supremum of (1 + |k|)^beta |fhat(k)| with a growth-trend flag.
-
-    The flag is set when the windowed suprema keep increasing toward large
-    |k|, indicating the weighted transform is unbounded for this beta.
-    """
-    ks = np.asarray(ks, dtype=float)
-    vals = (1.0 + np.abs(ks)) ** beta * np.abs(np.asarray(fhat))
-    if vals.size == 0 or np.all(vals == 0):
-        return LinfReport(0.0, False, ())
-    order = np.argsort(np.abs(ks))
-    v = vals[order]
-    quarters = np.array_split(v, 4)
-    sups = tuple(float(q.max()) for q in quarters if q.size)
-    growing = all(b > a * 1.05 for a, b in zip(sups, sups[1:])) and len(sups) >= 3
-    return LinfReport(float(vals.max()), bool(growing), sups)
 
 
 def gaussian_window(fhat, n, c, q):

@@ -11,9 +11,6 @@ from brillouin.asymptotics import (
     EmptyAfterMasking,
     ExceptionalCase,
     UnsupportedPairing,
-    exact_inner,
-    inner_watson,
-    j_to_coeff,
     oscillatory_J,
     predict_thm1,
     predict_thm3,
@@ -30,6 +27,8 @@ from brillouin.model import (
     TwoSidedCuspWeight,
     build_profile,
 )
+
+from oracles import exact_inner, inner_watson, j_to_coeff
 
 THETA0 = 1.0
 

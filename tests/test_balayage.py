@@ -16,22 +16,20 @@ from brillouin.balayage import (
     CONSISTENT,
     INCONCLUSIVE,
     NON_ANALYTIC,
-    CutViolation,
     OnCut,
     PowerSeries,
     SurfaceMeasure,
     analyticity_probe,
     apply_A_cauchy,
     apply_A_series,
-    build_Q,
-    green_sphere,
-    halfpower_convolution_coeff,
     mu_from_point_masses,
     plemelj_jump,
     swept_density_point,
     swept_potential,
 )
 from brillouin.errors import ToleranceNotMet
+
+from oracles import green_sphere
 
 
 #: the masses and probes of the bench's balayage-three-masses experiment
@@ -256,31 +254,6 @@ class TestMuFromPointMasses:
                 assert abs(value - want) <= 1e-13 * want
 
 
-class TestBuildQ:
-    def test_unit_measure_at_zero(self):
-        assert build_Q(const_half(), 0.0) == pytest.approx(1.0, rel=1e-13)
-
-    def test_closed_form_antiderivative(self):
-        p = 0.5
-        want = (math.sqrt(1 + p) - math.sqrt(1 - p)) / p
-        assert build_Q(const_half(), p) == pytest.approx(want, rel=1e-10)
-
-    def test_cut_violation(self):
-        for p in (1.0, 1.5, -1.0, -3.0):
-            with pytest.raises(CutViolation):
-                build_Q(const_half(), p)
-
-    def test_potential_consistency_with_direct_kernel(self):
-        # the axis potential of an axial unit mass both ways:
-        # |V| = Q(p(z)) / sqrt(z^2 + 1) with the swept measure
-        d, z = 0.6, 3.0
-        measure = SurfaceMeasure(axial_mu(d))
-        p = 2.0 * z / (z * z + 1.0)
-        lhs = build_Q(measure, p) / math.sqrt(z * z + 1.0)
-        want = 1.0 / (z - d)  # magnitude of the attractive potential
-        assert lhs == pytest.approx(want, rel=1e-8)
-
-
 class TestOperatorA:
     def test_binomial_maps_to_ones(self):
         c = np.empty(51)
@@ -299,16 +272,6 @@ class TestOperatorA:
             want = math.sqrt(math.pi) * sp_gamma(k + 1.0) / sp_gamma(k + 0.5)
             got = apply_A_series(PowerSeries(np.eye(k + 1)[k])).coeffs[k]
             assert got == pytest.approx(want, rel=1e-13)
-
-    def test_convolution_route_identity(self):
-        # d/dp of the half-power convolution image, scaled by sqrt(p),
-        # reproduces the diagonal multiplier exactly
-        for k in (0, 1, 7, 23):
-            conv = halfpower_convolution_coeff(k)
-            assert conv == pytest.approx(
-                math.sqrt(math.pi) * sp_gamma(k + 1.0) / sp_gamma(k + 1.5), rel=1e-13)
-            multiplier = apply_A_series(PowerSeries(np.eye(k + 1)[k])).coeffs[k]
-            assert conv * (k + 0.5) == pytest.approx(multiplier, rel=1e-14)
 
     def test_cauchy_log_value(self):
         assert apply_A_cauchy(const_half(), 2.0) == pytest.approx(math.log(3.0), rel=1e-10)
@@ -439,19 +402,11 @@ class TestPlemelj:
 
 
 def fast_sine(x):
-    # an oscillation no panel halving of the Q and AQ rules resolves
+    # an oscillation no panel halving of the AQ rule resolves
     return 0.5 + 0.3 * np.sin(3000.0 * np.asarray(x, dtype=float))
 
 
 class TestToleranceContract:
-    def test_build_Q_raises_when_the_levels_run_out(self):
-        # the last halving moves the value by ~4e-3 against tol 1e-12; the
-        # exception carries the value the function used to return silently
-        with pytest.raises(ToleranceNotMet) as info:
-            build_Q(SurfaceMeasure(fast_sine), 0.5)
-        assert info.value.err > 1e-12
-        assert info.value.value == 1.035856855668628
-
     def test_apply_A_cauchy_raises_when_the_levels_run_out(self):
         with pytest.raises(ToleranceNotMet) as info:
             apply_A_cauchy(SurfaceMeasure(fast_sine), 2.0)

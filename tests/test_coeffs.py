@@ -17,7 +17,6 @@ from brillouin.coeffs import (
     coeff_scaled,
     coeff_series,
     potential_direct,
-    potential_partial_sum,
 )
 from brillouin.errors import BrillouinError, ParameterError, ToleranceNotMet
 from brillouin.legendre import gauss_nodes, legendre_eval
@@ -30,6 +29,7 @@ from brillouin.model import (
 )
 
 from conftest import THETA0, make_mollified
+from oracles import exact_inner, j_to_coeff, potential_partial_sum
 
 
 def _reference_sweep(profile, n_max, level, dtype=float):
@@ -701,7 +701,7 @@ class TestSeries:
     def test_cross_pipeline_against_reduction_integral(self, t1_profile):
         # independent oracle: the localized oscillatory integral, assembled
         # with the finite-order factors, reproduces the quadrature value
-        from brillouin.asymptotics import j_to_coeff, oscillatory_J
+        from brillouin.asymptotics import oscillatory_J
         n = 500
         J = oscillatory_J(t1_profile, n)
         direct, _ = coeff_scaled(t1_profile, n, tol=1e-14)
@@ -709,7 +709,6 @@ class TestSeries:
 
     def test_inner_integral_routes_agree(self):
         # log-depth and direct radial integration of the column weight
-        from brillouin.asymptotics import exact_inner
         from brillouin.model import PlanetSpec, QuadraticPeak, build_profile
 
         def v(r, theta):
@@ -772,6 +771,23 @@ class TestTwoProcesses:
             assert np.array_equal(getattr(split, field), getattr(serial, field)), field
         assert split.grid_nodes == serial.grid_nodes
         assert split.node_orders == serial.node_orders
+
+    @pytest.mark.parametrize("n_max", [100, 400, 1000])
+    def test_sides_differ_by_at_most_one_job(self, n_max):
+        # every job on one side, the child's the heavier by at most one
+        # job's radial elements per order (parity gave the caller 393,120
+        # against 325,472 at n_max 100)
+        prof = _column_planet()
+        jobs = coeffs._sweep_jobs(prof, n_max, 0) + coeffs._sweep_jobs(prof, n_max, 1)
+        work = [nodes.size * coeffs._radial_points(level) for level, (nodes, _) in jobs]
+        caller, child = coeffs._split_jobs(prof, jobs)
+        assert sorted(caller + child) == list(range(len(jobs)))
+        lighter, heavier = (sum(work[i] for i in side) for side in (caller, child))
+        assert 0 <= heavier - lighter <= max(work)
+
+    def test_radial_constant_child_sweeps_level_1(self, cusp_profile):
+        jobs = [job for level in (0, 1) for job in coeffs._sweep_jobs(cusp_profile, 1000, level)]
+        assert coeffs._split_jobs(cusp_profile, jobs) == ([0], [1])
 
     def test_runs_in_process_without_fork(self, monkeypatch, t1_profile):
         want, _ = self._series(monkeypatch, t1_profile, 200, cpus=1)

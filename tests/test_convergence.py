@@ -133,12 +133,11 @@ class TestVerdicts:
         assert report.verdict == INCONCLUSIVE
 
     def test_profile_level_entry_point(self):
-        from brillouin.convergence import convergence_verdict
         spec = PlanetSpec(R=1.0, theta0=THETA0,
                           peak=PowerCusp(alpha=0.5, a_minus=1.0, a_plus=1.0),
                           weight=TwoSidedCuspWeight(k=1.0, g_plus=1.0, g_minus=1.0),
                           delta=0.5, delta1=0.4)
-        report = convergence_verdict(build_profile(spec), n_max=1500, tol=1e-8)
+        report = verdict_from_series(coeff_series(build_profile(spec), 1, 1500, 1e-8))
         assert report.verdict == CONVERGES_AT_BRILLOUIN
         assert report.n_range == (1, 1500)
 

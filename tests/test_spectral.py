@@ -7,10 +7,9 @@ from brillouin.errors import ToleranceNotMet
 from brillouin.spectral import (
     IntegerBeta,
     NoPowerLaw,
+    SmoothCutoff,
     appendix_function,
     appendix_oracle,
-    build_cutoff,
-    check_Linf,
     fit_tail,
     fourier_eval,
     gaussian_window,
@@ -29,7 +28,7 @@ def octave_grid(k_base=50.0, octaves=7, per=12):
 
 class TestCutoff:
     def test_plateau_and_support(self):
-        phi = build_cutoff(THETA0, 0.2)
+        phi = SmoothCutoff(THETA0, 0.2)
         assert phi(THETA0) == 1.0
         assert phi(THETA0 + 0.19) == 1.0
         assert phi(THETA0 + 0.4) == 0.0
@@ -37,14 +36,10 @@ class TestCutoff:
         assert 0.0 < phi(THETA0 + 0.3) < 1.0
         assert 0.0 < phi(THETA0 - 0.3) < 1.0
 
-    def test_support_inside_domain_required(self):
-        with pytest.raises(ValueError):
-            build_cutoff(0.3, 0.2)  # support would cross theta = 0
-
     def test_smooth_through_order_six_at_plateau_edge(self):
         # 6th-order finite differences across the plateau edge converge to
         # the one-sided value 0: no derivative jump through order 6
-        phi = build_cutoff(THETA0, 0.2)
+        phi = SmoothCutoff(THETA0, 0.2)
         edge = THETA0 + 0.2
         offsets = np.arange(-3, 4)
         weights = np.array([1, -6, 15, -20, 15, -6, 1], dtype=float)
@@ -55,7 +50,7 @@ class TestCutoff:
         assert d6[2] <= 1e-6
 
     def test_vectorized(self):
-        phi = build_cutoff(THETA0, 0.1)
+        phi = SmoothCutoff(THETA0, 0.1)
         xs = np.linspace(0.5, 1.5, 101)
         vals = phi(xs)
         assert vals.shape == xs.shape
@@ -64,7 +59,7 @@ class TestCutoff:
 
 class TestFourierEval:
     def test_zero_frequency_is_plain_integral(self):
-        phi = build_cutoff(THETA0, 0.2)
+        phi = SmoothCutoff(THETA0, 0.2)
         from scipy.integrate import quad
         plain, _ = quad(lambda x: phi(np.array(x)), *phi.support, epsabs=1e-13)
         got = fourier_eval(phi, 0.0, phi.support)
@@ -212,27 +207,6 @@ class TestFitTail:
         drifts = np.abs(np.diff(amps)) / abs(amps[-1])
         # consecutive window drifts shrink as the windows move out
         assert drifts[-1] < drifts[0]
-
-
-class TestCheckLinf:
-    def test_exact_weighting(self):
-        ks = -np.geomspace(1, 6400, 80)
-        rep = check_Linf(1.5, ks, (1 + np.abs(ks)) ** -1.5)
-        assert rep.value == pytest.approx(1.0, rel=1e-12)
-        assert not rep.unbounded_trend
-
-    def test_zero_function(self):
-        ks = -np.geomspace(1, 100, 30)
-        rep = check_Linf(1.5, ks, np.zeros(30))
-        assert rep.value == 0.0
-
-    def test_overweighting_flags_growth(self):
-        beta, eps = 1.5, 0.25
-        f = appendix_function(beta, eps)
-        ks = octave_grid()
-        vals = sample_transform(f, f.support, ks, singularities=f.singularities)
-        assert check_Linf(1.6, ks, vals).unbounded_trend
-        assert not check_Linf(1.4, ks, vals).unbounded_trend
 
 
 class TestGaussianWindow:
